@@ -27,14 +27,13 @@ from .errors import (
 from .plant import (
     NoiseStream,
     PlantSpec,
-    PlantState,
     plant_spec_from_dict,
     plant_spec_to_dict,
 )
 from .estimator import EstimatorState, ParameterEstimate, estimation_error
 from .controller import AdaptiveController, ControllerConfig, InputBreakdown
 from .records import TrialRecord, load_trial_csv, save_trial_csv
-from .regret import DecompositionReport, RegretLedger, decompose, decompose_at
+from .regret import DecompositionReport, decompose, decompose_at, stage_costs
 from .diagnostics import (
     SlopeEstimate,
     TrialDiagnostics,

@@ -37,12 +37,13 @@ from .errors import AlqrError, ConfigInvalid, IncompleteLog, IoError
 from .harness import (
     ExperimentConfig,
     generate_stand_in_plant,
+    resolve_workers,
     run_experiment,
     run_trial,
 )
 from .plant import plant_spec_to_dict
 from .records import load_gain_sidecar, load_trial_csv
-from .regret import decompose_at
+from .regret import decompose_at, stage_costs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -122,9 +123,13 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         overrides.append(f"base_seed={args.seed}")
     settings = _load_settings(args.config, overrides)
+    if args.workers is not None and args.workers < 1:
+        raise ConfigInvalid(f"must be >= 1, got {args.workers}",
+                            path="--workers")
+    workers = resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
     summary = run_experiment(settings.experiment, out_dir=args.out,
-                             workers=args.workers,
+                             workers=workers,
                              write_trial_logs=settings.write_trial_logs)
     _write_text(os.path.join(args.out, "config.json"),
                 _dump_json(settings.document))
@@ -153,8 +158,7 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
     T = record.horizon
 
     U = record.U_cb + record.U_pr
-    expected = (np.einsum("ij,jl,il->i", record.X, spec.cost.Q, record.X)
-                + np.einsum("ij,jl,il->i", U, spec.cost.R, U))
+    expected = stage_costs(record.X, U, spec.cost)
     gap = np.abs(record.stage_cost - expected)
     tol = STAGE_RTOL * np.maximum(1.0, np.abs(expected))
     bad = np.flatnonzero(gap > tol)

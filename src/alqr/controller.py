@@ -14,7 +14,7 @@ to the zero gain, which is safe because the open loop is stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class ControllerConfig:
     gain_update_schedule: str = "powers-of-two"
     log_base: float = math.e
     rank_rtol: float = 1e-10
-    probe_scale_exponent: float = field(default=PROBE_EXPONENT, init=False)
 
     def __post_init__(self):
         if self.gain_update_schedule not in SCHEDULES:
@@ -57,8 +56,6 @@ class ControllerConfig:
             raise ValueError(f"rank_rtol must be in (0,1), got {self.rank_rtol}")
 
     def log(self, k: int) -> float:
-        if self.log_base == math.e:
-            return math.log(k)
         return math.log(k) / math.log(self.log_base)
 
     def threshold(self, k: int) -> float:
@@ -103,7 +100,6 @@ class AdaptiveController:
         self.cost = cost
         self.xi = 0
         self.Khat = np.zeros((input_dim, state_dim))
-        self.last_update_step = 0
         self.estimator = EstimatorState(state_dim, input_dim)
         self.gain_update_failures = 0
 
@@ -128,7 +124,6 @@ class AdaptiveController:
             except (NonConvergence, IllConditioned):
                 self.gain_update_failures += 1
         self.Khat = new_gain
-        self.last_update_step = k
         return True
 
     def compute_input(self, k: int, x: np.ndarray,

@@ -210,10 +210,10 @@ def check_cov_event(record: TrialRecord, delta: float,
                     at_steps=None) -> bool:
     """Empirical covariance concentration scan.
 
-    Checks ||sum_{i<=k} (w_i w_i' - W)|| <= 7 n sqrt(k) log(8 n^2 k / delta)
-    at the given steps (default: every step). The constant is calibrated
-    for W = I; the centering uses the true W so the scan stays meaningful
-    on scaled noise.
+    Checks ||sum_{i<=k} (w_i w_i' - I)|| <= 7 n sqrt(k) log(8 n^2 k / delta)
+    at the given steps (default: every step). The record does not carry W,
+    so the scan assumes W = I: the sum is centered on the identity and the
+    constant is calibrated for it.
     """
     record.validate()
     n = record.n

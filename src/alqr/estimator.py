@@ -94,10 +94,6 @@ class EstimatorState:
         if len(self._pending_z) >= _FLUSH_BLOCK:
             self._flush()
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Immutable copy of (V, S, count), safe to share."""
-        return self.V.copy(), self.S.copy(), self._count
-
     def estimate(self, rtol: float = PINV_RTOL) -> ParameterEstimate:
         """Theta = S V^+ with the pseudoinverse truncated at rtol * sigma_max.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,9 +33,9 @@ from .diagnostics import (
     fit_regret_slope,
     tnocb_histogram,
 )
-from .errors import DivergedState, EmptyWindow, GenerationFailed
+from .errors import ConfigInvalid, DivergedState, EmptyWindow, GenerationFailed
 from .estimator import estimation_error
-from .plant import NoiseStream, PlantSpec, PlantState, draw_process_noise, step
+from .plant import NoiseStream, PlantSpec, draw_process_noise, step
 from .records import (
     BREAKER_CLEAR,
     BREAKER_DWELL,
@@ -44,7 +44,7 @@ from .records import (
     save_gain_sidecar,
     save_trial_csv,
 )
-from .regret import RegretLedger
+from .regret import stage_costs
 
 GENERATOR_RETRY_CAP = 16
 
@@ -122,8 +122,9 @@ class ExperimentConfig:
 class TrialResult:
     """One trial's outputs: the raw log plus its checkpoint curves.
 
-    On a diverged trial ``failed`` is set, the arrays are truncated to the
-    steps that completed, and ``diagnostics`` is None. The record may be
+    ``final_regret`` is the total stage cost minus T J*. On a diverged trial
+    ``failed`` is set, the arrays are truncated to the steps that completed,
+    and ``final_regret`` and ``diagnostics`` are None. The record may be
     dropped (set to None) by the experiment reduction to bound memory; the
     curves always survive.
     """
@@ -131,7 +132,7 @@ class TrialResult:
     trial_index: int
     seed: int
     record: TrialRecord | None
-    ledger: RegretLedger
+    final_regret: float | None
     diagnostics: TrialDiagnostics | None
     checkpoints: np.ndarray
     regret_curve: np.ndarray
@@ -160,8 +161,7 @@ def run_trial(config: ExperimentConfig, trial_index: int,
 
     ctrl = AdaptiveController(config.controller, n, m, spec.cost)
     stream = NoiseStream(seed=seed, state_dim=n, input_dim=m)
-    state = PlantState.initial(n)
-    chol = spec.chol_W
+    x = np.zeros(n)
 
     X = np.empty((T, n))
     U_ce = np.empty((T, m))
@@ -185,10 +185,10 @@ def run_trial(config: ExperimentConfig, trial_index: int,
                 segments[-1] = (k, ctrl.Khat.copy())
             else:
                 segments.append((k, ctrl.Khat.copy()))
-        out = ctrl.compute_input(k, state.x, stream)
-        w = draw_process_noise(stream, spec.W, chol=chol)
+        out = ctrl.compute_input(k, x, stream)
+        w = draw_process_noise(stream, spec)
         i = k - 1
-        X[i] = state.x
+        X[i] = x
         U_ce[i] = out.u_ce
         U_cb[i] = out.u_cb
         U_pr[i] = out.u_pr
@@ -196,15 +196,15 @@ def run_trial(config: ExperimentConfig, trial_index: int,
         breaker[i] = (BREAKER_TRIGGER if out.breaker_triggered_now
                       else BREAKER_DWELL if out.breaker_active
                       else BREAKER_CLEAR)
-        z = np.concatenate([state.x, out.u])
+        z = np.concatenate([x, out.u])
         try:
-            state = step(state, out.u, w, spec)
+            x = step(x, out.u, w, spec, k)
         except DivergedState as exc:
             steps_done = k
             failure_step = k
             failure_reason = str(exc)
             break
-        ctrl.estimator.absorb(z, state.x)
+        ctrl.estimator.absorb(z, x)
         stream.advance()
         steps_done = k
         if cp_idx < len(cps) and k == cps[cp_idx]:
@@ -212,21 +212,17 @@ def run_trial(config: ExperimentConfig, trial_index: int,
             est_sq[cp_idx] = err * err
             cp_idx += 1
     else:
-        x_final = state.x
+        x_final = x
 
     failed = failure_step is not None
     sl = slice(0, steps_done)
     X, U_ce, U_cb, U_pr, W, breaker = (
         X[sl], U_ce[sl], U_cb[sl], U_pr[sl], W[sl], breaker[sl])
-    U = U_cb + U_pr
-    Q, R = spec.cost.Q, spec.cost.R
-    stage = (np.einsum("ij,jl,il->i", X, Q, X)
-             + np.einsum("ij,jl,il->i", U, R, U))
+    stage = stage_costs(X, U_cb + U_pr, spec.cost)
     record = TrialRecord(
         trial_index=trial_index, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
         U_pr=U_pr, W=W, breaker=breaker, stage_cost=stage, x_final=x_final,
         gain_segments=segments)
-    ledger = RegretLedger.from_stage_costs(stage, oracle.J_star)
 
     usable = cps <= steps_done
     cum = np.cumsum(stage)
@@ -236,13 +232,16 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     regret_curve[usable] = cum[idx] - cps[usable] * oracle.J_star
     rel[usable] = regret_curve[usable] / (cps[usable] * oracle.J_star)
 
-    diagnostics = None
+    final_regret = diagnostics = None
     if not failed:
+        # np.sum, not cum[-1]: the two differ in the last bits
+        final_regret = float(np.sum(stage)) - steps_done * oracle.J_star
         diagnostics = compute_trial_diagnostics(
             record, oracle, spec, config.delta,
             log_base=config.controller.log_base)
     return TrialResult(
-        trial_index=trial_index, seed=seed, record=record, ledger=ledger,
+        trial_index=trial_index, seed=seed, record=record,
+        final_regret=final_regret,
         diagnostics=diagnostics, checkpoints=cps, regret_curve=regret_curve,
         rel_avg_regret=rel, est_error_sq=est_sq, failed=failed,
         failure_step=failure_step, failure_reason=failure_reason)
@@ -266,35 +265,9 @@ class TrialSummary:
     noise_event_holds: bool | None
     max_state_norm_ratio: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "trial_index": self.trial_index,
-            "seed": self.seed,
-            "failed": self.failed,
-            "failure_step": self.failure_step,
-            "failure_reason": self.failure_reason,
-            "final_regret": self.final_regret,
-            "final_rel_avg_regret": self.final_rel_avg_regret,
-            "t_nocb": self.t_nocb,
-            "t_nocb_censored": self.t_nocb_censored,
-            "t_stab": self.t_stab,
-            "t_stab_censored": self.t_stab_censored,
-            "noise_event_holds": self.noise_event_holds,
-            "max_state_norm_ratio": self.max_state_norm_ratio,
-        }
-
 
 def _slope_dict(est: SlopeEstimate | None) -> dict | None:
-    if est is None:
-        return None
-    return {
-        "slope": est.slope,
-        "intercept": est.intercept,
-        "window": list(est.window),
-        "r_squared": est.r_squared,
-        "points_used": est.points_used,
-        "excluded_nonpositive": est.excluded_nonpositive,
-    }
+    return None if est is None else asdict(est)
 
 
 @dataclass
@@ -346,7 +319,7 @@ class ExperimentSummary:
             },
             "tnocb_hist": {"edges": self.tnocb_edges,
                            "counts": self.tnocb_counts},
-            "trial_summaries": [t.to_dict() for t in self.trial_summaries],
+            "trial_summaries": [asdict(t) for t in self.trial_summaries],
         }
 
 
@@ -355,7 +328,11 @@ def resolve_workers(requested: int | None = None) -> int:
     count = requested if requested is not None else (os.cpu_count() or 1)
     cap = os.environ.get("ALQR_THREADS", "").strip()
     if cap:
-        count = min(count, int(cap))
+        try:
+            count = min(count, int(cap))
+        except ValueError:
+            raise ConfigInvalid(f"must be an integer, got {cap!r}",
+                                path="ALQR_THREADS") from None
     return max(1, count)
 
 
@@ -368,7 +345,7 @@ def _summarize(result: TrialResult) -> TrialSummary:
         failed=result.failed,
         failure_step=result.failure_step,
         failure_reason=result.failure_reason,
-        final_regret=result.ledger.regret() if done else None,
+        final_regret=result.final_regret,
         final_rel_avg_regret=(float(result.rel_avg_regret[-1])
                               if done else None),
         t_nocb=diag.t_nocb if diag else None,
@@ -455,11 +432,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
 
     summaries = [_summarize(r) for r in results]
     tnocb_values = [s.t_nocb for s in summaries if s.t_nocb is not None]
-    if tnocb_values:
-        edges, counts = tnocb_histogram(tnocb_values, config.horizon)
-    else:
-        edges, counts = tnocb_histogram([1], config.horizon)
-        counts = [0] * len(counts)
+    edges, counts = tnocb_histogram(tnocb_values, config.horizon)
     noise_flags = [s.noise_event_holds for s in summaries
                    if s.noise_event_holds is not None]
     noise_fraction = (float(np.mean(noise_flags)) if noise_flags else 0.0)

@@ -50,8 +50,6 @@ class PlantSpec:
                 f"open-loop spectral radius {sr:.6f} >= 1", spectral_radius=sr)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "_chol_W", np.linalg.cholesky(W))
-        object.__setattr__(self, "_w_is_identity",
-                           bool(np.array_equal(W, np.eye(self.sys.n))))
 
     @property
     def n(self) -> int:
@@ -65,18 +63,6 @@ class PlantSpec:
     def chol_W(self) -> np.ndarray:
         """Lower Cholesky factor of W, computed once at construction."""
         return self._chol_W
-
-
-@dataclass
-class PlantState:
-    """Step index (1-based) and current state vector."""
-
-    k: int
-    x: np.ndarray
-
-    @staticmethod
-    def initial(n: int) -> "PlantState":
-        return PlantState(k=1, x=np.zeros(n))
 
 
 class NoiseStream:
@@ -139,15 +125,9 @@ class NoiseStream:
         self.counter += steps
 
 
-def draw_process_noise(stream: NoiseStream, W, chol=None) -> np.ndarray:
-    """State noise L g at the stream's current step, where L L' = W.
-
-    Pass a precomputed Cholesky factor as ``chol`` to skip refactorizing W
-    on every call; otherwise it is computed here.
-    """
-    g = stream.lane_row("w", stream.counter)
-    L = np.linalg.cholesky(np.asarray(W, dtype=float)) if chol is None else chol
-    return L @ g
+def draw_process_noise(stream: NoiseStream, spec: PlantSpec) -> np.ndarray:
+    """State noise L g at the stream's current step, where L = spec.chol_W."""
+    return spec.chol_W @ stream.lane_row("w", stream.counter)
 
 
 def draw_probe_noise(stream: NoiseStream, m: int) -> np.ndarray:
@@ -158,16 +138,20 @@ def draw_probe_noise(stream: NoiseStream, m: int) -> np.ndarray:
     return g
 
 
-def step(state: PlantState, u, w, spec: PlantSpec) -> PlantState:
-    """One transition x' = A x + B u + w; pure in all arguments."""
-    x_next = spec.sys.A @ state.x + spec.sys.B @ np.asarray(u, dtype=float) \
+def step(x, u, w, spec: PlantSpec, k: int) -> np.ndarray:
+    """One transition x' = A x + B u + w at step k; pure in all arguments.
+
+    ``k`` only names the step in the DivergedState raised when x' passes
+    the overflow guard.
+    """
+    x_next = spec.sys.A @ x + spec.sys.B @ np.asarray(u, dtype=float) \
         + np.asarray(w, dtype=float)
     norm = float(np.linalg.norm(x_next))
     if not np.isfinite(norm) or norm > STATE_NORM_GUARD:
         raise DivergedState(
-            f"state norm {norm:.3e} passed the overflow guard at step {state.k}",
-            step=state.k, norm=norm)
-    return PlantState(k=state.k + 1, x=x_next)
+            f"state norm {norm:.3e} passed the overflow guard at step {k}",
+            step=k, norm=norm)
+    return x_next
 
 
 def plant_spec_to_dict(spec: PlantSpec) -> dict:

@@ -79,18 +79,6 @@ class TrialRecord:
                 f"trial {self.trial_index}: x_final has shape "
                 f"{self.x_final.shape}, expected {(n,)}")
 
-    def gain_at(self, k: int) -> np.ndarray:
-        """Feedback gain in effect when the input at step k was computed."""
-        if not self.gain_segments:
-            raise IncompleteLog(
-                f"trial {self.trial_index}: gain history absent")
-        current = self.gain_segments[0][1]
-        for start, K in self.gain_segments:
-            if start > k:
-                break
-            current = K
-        return current
-
 
 def csv_header(n: int, m: int) -> str:
     cols = ["k"]

@@ -1,4 +1,4 @@
-"""Stage-cost accounting, regret, and its seven-term exact decomposition.
+"""Stage costs, regret, and its seven-term exact decomposition.
 
 Regret after T steps is sum_k (x_k'Q x_k + u_k'R u_k) - T J*, where J* is
 the optimal steady-state average cost. The decomposition splits that number
@@ -6,6 +6,8 @@ into seven interpretable terms (gain suboptimality, probe and noise cross
 terms, noise quadratics, a telescoped boundary, and the direct probe cost)
 whose sum reproduces the regret as an algebraic identity; checking the
 identity numerically is the strongest available audit of logging fidelity.
+``stage_costs`` is the one stage-cost formula: the simulation loop and the
+log audit both compute per-step costs with it.
 """
 
 from __future__ import annotations
@@ -21,36 +23,6 @@ from .records import TrialRecord
 
 # the identity should hold to accumulation round-off; this is the audit gate
 DECOMP_RTOL = 1e-6
-
-
-@dataclass
-class RegretLedger:
-    """Running cumulative cost against the optimal average J*."""
-
-    J_star: float
-    cumulative_cost: float = 0.0
-    steps: int = 0
-
-    def accrue(self, x, u, cost: CostWeights) -> None:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        self.cumulative_cost += float(x @ cost.Q @ x + u @ cost.R @ u)
-        self.steps += 1
-
-    @classmethod
-    def from_stage_costs(cls, stage_costs: np.ndarray,
-                         J_star: float) -> "RegretLedger":
-        return cls(J_star=J_star,
-                   cumulative_cost=float(np.sum(stage_costs)),
-                   steps=int(len(stage_costs)))
-
-    def regret(self) -> float:
-        if self.steps < 1:
-            raise ValueError("no steps accrued")
-        return self.cumulative_cost - self.steps * self.J_star
-
-    def relative_average_regret(self) -> float:
-        return self.regret() / (self.steps * self.J_star)
 
 
 @dataclass(frozen=True)
@@ -84,6 +56,12 @@ def _quad_rows(M: np.ndarray, P: np.ndarray) -> np.ndarray:
 def _cross_rows(A: np.ndarray, P: np.ndarray, B: np.ndarray) -> np.ndarray:
     # row-wise a_i' P b_i
     return np.einsum("ij,jl,il->i", A, P, B)
+
+
+def stage_costs(X: np.ndarray, U: np.ndarray,
+                cost: CostWeights) -> np.ndarray:
+    """Per-step stage costs x_k'Q x_k + u_k'R u_k for row-stacked X and U."""
+    return _quad_rows(X, cost.Q) + _quad_rows(U, cost.R)
 
 
 def _per_step_terms(record: TrialRecord, oracle: RiccatiSolution,

@@ -8,7 +8,7 @@ import numpy as np
 
 from alqr.control_math import CostWeights, SystemMatrices
 from alqr.controller import AdaptiveController, ControllerConfig
-from alqr.plant import NoiseStream, PlantSpec, PlantState, draw_process_noise, step
+from alqr.plant import NoiseStream, PlantSpec, draw_process_noise, step
 from alqr.records import TrialRecord
 
 
@@ -26,7 +26,7 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
     n, m = spec.n, spec.m
     ctrl = AdaptiveController(config or ControllerConfig(), n, m, spec.cost)
     stream = NoiseStream(seed=seed, state_dim=n, input_dim=m)
-    state = PlantState.initial(n)
+    x = np.zeros(n)
     X = np.zeros((T, n)); U_ce = np.zeros((T, m)); U_cb = np.zeros((T, m))
     U_pr = np.zeros((T, m)); W = np.zeros((T, n))
     breaker = np.zeros(T, dtype=np.int8); stage = np.zeros(T)
@@ -40,21 +40,20 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
                     segments.append((k, ctrl.Khat.copy()))
         else:
             ctrl.Khat = force_gain
-        out = ctrl.compute_input(k, state.x, stream)
-        w = draw_process_noise(stream, spec.W, chol=spec.chol_W)
-        X[k - 1] = state.x
+        out = ctrl.compute_input(k, x, stream)
+        w = draw_process_noise(stream, spec)
+        X[k - 1] = x
         U_ce[k - 1] = out.u_ce; U_cb[k - 1] = out.u_cb; U_pr[k - 1] = out.u_pr
         W[k - 1] = w
         breaker[k - 1] = 2 if out.breaker_triggered_now else (
             1 if out.breaker_active else 0)
-        stage[k - 1] = float(state.x @ spec.cost.Q @ state.x
-                             + out.u @ spec.cost.R @ out.u)
-        z = np.concatenate([state.x, out.u])
-        state = step(state, out.u, w, spec)
-        ctrl.estimator.absorb(z, state.x)
+        stage[k - 1] = float(x @ spec.cost.Q @ x + out.u @ spec.cost.R @ out.u)
+        z = np.concatenate([x, out.u])
+        x = step(x, out.u, w, spec, k)
+        ctrl.estimator.absorb(z, x)
         stream.advance()
     if force_gain is not None:
         segments = [(1, np.asarray(force_gain, dtype=float))]
     return TrialRecord(trial_index=0, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
                        U_pr=U_pr, W=W, breaker=breaker, stage_cost=stage,
-                       x_final=state.x, gain_segments=segments)
+                       x_final=x, gain_segments=segments)

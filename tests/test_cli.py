@@ -105,6 +105,26 @@ class TestSimulate:
         assert err["path"] == "horizon"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_unusable(self, tmp_path, capsys, workers):
+        code, out = simulate(tmp_path, extra=["--workers", workers])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "ConfigInvalid"
+        assert err["path"] == "--workers"
+        assert not os.path.exists(out)
+
+    def test_non_integer_thread_cap_is_unusable(self, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setenv("ALQR_THREADS", "abc")
+        code, out = simulate(tmp_path)
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "ConfigInvalid"
+        assert err["path"] == "ALQR_THREADS"
+        assert "abc" in err["message"]
+        assert not os.path.exists(out)
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["simulate", "--config",
                          str(tmp_path / "nope.json"),

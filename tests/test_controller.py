@@ -34,7 +34,6 @@ def test_update_gain_skips_off_schedule_steps():
     ctrl.Khat = np.array([[0.7]])
     assert not ctrl.update_gain(3)
     assert ctrl.Khat[0, 0] == 0.7
-    assert ctrl.last_update_step == 0
 
 
 def test_update_gain_empty_estimator_gives_zero_gain():

@@ -144,12 +144,3 @@ def test_noisy_scalar_consistency():
     out = est.estimate()
     err = estimation_error(out, SystemMatrices(A=[[a]], B=[[b]]))
     assert err <= 0.05
-
-
-def test_snapshot_is_isolated():
-    est = EstimatorState(state_dim=1, input_dim=1)
-    est.absorb(np.array([1.0, 2.0]), np.array([3.0]))
-    V, S, count = est.snapshot()
-    V[0, 0] = 99.0
-    assert est.V[0, 0] == 1.0
-    assert count == 1

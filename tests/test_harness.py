@@ -82,7 +82,7 @@ def test_single_step_trial(ref):
     assert record.breaker[0] == 0
     u = record.U_pr[0]
     expected = float(u @ spec.cost.R @ u) - oracle.J_star
-    assert result.ledger.regret() == pytest.approx(expected, rel=1e-12)
+    assert result.final_regret == pytest.approx(expected, rel=1e-12)
     assert result.regret_curve[-1] == pytest.approx(expected, rel=1e-12)
     assert not result.failed
 
@@ -127,7 +127,7 @@ def test_trial_record_satisfies_decomposition(ref):
     result = run_trial(make_config(spec, horizon=2000), 1)
     report = decompose(result.record, oracle, spec)
     assert report.within_tolerance
-    assert report.regret == pytest.approx(result.ledger.regret(),
+    assert report.regret == pytest.approx(result.final_regret,
                                           rel=1e-9, abs=1e-9)
 
 

@@ -8,7 +8,6 @@ from alqr.errors import DivergedState, UnstableMatrix
 from alqr.plant import (
     NoiseStream,
     PlantSpec,
-    PlantState,
     draw_probe_noise,
     draw_process_noise,
     plant_spec_from_dict,
@@ -30,17 +29,14 @@ def make_spec(A, B, W=None, Q=None, R=None):
 
 def test_step_zero_everything():
     spec = make_spec(np.zeros((2, 2)), np.zeros((2, 1)))
-    out = step(PlantState.initial(2), np.zeros(1), np.zeros(2), spec)
-    assert out.k == 2
-    assert np.array_equal(out.x, np.zeros(2))
+    out = step(np.zeros(2), np.zeros(1), np.zeros(2), spec, 1)
+    assert np.array_equal(out, np.zeros(2))
 
 
 def test_step_scalar_arithmetic():
     spec = make_spec([[0.5]], [[1.0]])
-    out = step(PlantState(k=7, x=np.array([2.0])), np.array([1.0]),
-               np.array([0.25]), spec)
-    assert out.k == 8
-    assert abs(out.x[0] - 2.25) < 1e-15
+    out = step(np.array([2.0]), np.array([1.0]), np.array([0.25]), spec, 7)
+    assert abs(out[0] - 2.25) < 1e-15
 
 
 def test_step_noise_identity():
@@ -51,16 +47,18 @@ def test_step_noise_identity():
         x = rng.standard_normal(3)
         u = rng.standard_normal(2)
         w = rng.standard_normal(3)
-        out = step(PlantState(k=1, x=x), u, w, spec)
+        out = step(x, u, w, spec, 1)
         # defining identity, up to one rounding of the final addition
-        assert np.allclose(out.x - (A @ x + spec.sys.B @ u), w,
+        assert np.allclose(out - (A @ x + spec.sys.B @ u), w,
                            rtol=0, atol=1e-12)
 
 
 def test_step_diverged_guard():
     spec = make_spec([[0.5]], [[1.0]])
-    with pytest.raises(DivergedState):
-        step(PlantState(k=3, x=np.array([8e12])), np.zeros(1), np.zeros(1), spec)
+    with pytest.raises(DivergedState) as info:
+        step(np.array([8e12]), np.zeros(1), np.zeros(1), spec, 3)
+    assert info.value.step == 3
+    assert "at step 3" in str(info.value)
 
 
 def test_plant_spec_rejects_unstable_a():
@@ -74,9 +72,10 @@ def test_plant_spec_rejects_bad_w():
 
 
 def test_noise_same_counter_same_vector():
+    spec = make_spec(np.zeros((3, 3)), np.zeros((3, 2)))
     stream = NoiseStream(seed=99, state_dim=3, input_dim=2)
-    a = draw_process_noise(stream, np.eye(3))
-    b = draw_process_noise(stream, np.eye(3))
+    a = draw_process_noise(stream, spec)
+    b = draw_process_noise(stream, spec)
     assert np.array_equal(a, b)
 
 
@@ -109,8 +108,8 @@ def test_noise_block_matches_rows():
 def test_cholesky_scaling_scalar():
     s1 = NoiseStream(seed=5, state_dim=1, input_dim=1)
     s4 = NoiseStream(seed=5, state_dim=1, input_dim=1)
-    base = draw_process_noise(s1, np.array([[1.0]]))
-    scaled = draw_process_noise(s4, np.array([[4.0]]))
+    base = draw_process_noise(s1, make_spec([[0.5]], [[1.0]], W=[[1.0]]))
+    scaled = draw_process_noise(s4, make_spec([[0.5]], [[1.0]], W=[[4.0]]))
     assert np.allclose(scaled, 2.0 * base, rtol=1e-15)
 
 

@@ -117,17 +117,3 @@ def test_gain_sidecar_round_trip(tmp_path):
     for (s_got, K_got), (s_want, K_want) in zip(segments, record.gain_segments):
         assert s_got == s_want
         assert np.array_equal(K_got, K_want)
-
-
-def test_gain_at_resolves_segments():
-    record = synthetic_record()
-    K0 = record.gain_segments[0][1]
-    K1 = record.gain_segments[1][1]
-    assert np.array_equal(record.gain_at(1), K0)
-    assert np.array_equal(record.gain_at(7), K0)
-    assert np.array_equal(record.gain_at(8), K1)
-    assert np.array_equal(record.gain_at(50), K1)
-    bare = synthetic_record()
-    bare.gain_segments = []
-    with pytest.raises(IncompleteLog):
-        bare.gain_at(1)

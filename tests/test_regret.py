@@ -2,7 +2,7 @@
 
 The decomposition is an algebraic identity, so every test here has an
 independent expected value: hand expansion for T = 1, a manually driven
-closed loop for longer records, and direct arithmetic for the ledger.
+closed loop for longer records, and hand arithmetic for stage costs.
 """
 
 import numpy as np
@@ -11,30 +11,21 @@ import pytest
 from alqr.control_math import CostWeights, solve_dare
 from alqr.errors import IncompleteLog
 from alqr.records import TrialRecord
-from alqr.regret import RegretLedger, decompose, decompose_at
+from alqr.regret import decompose, decompose_at, stage_costs
 from helpers import drive_trial, reference_spec
 
 
-def test_accrue_increments():
-    ledger = RegretLedger(J_star=1.0)
+def test_stage_costs_hand_values():
     cost = CostWeights(Q=np.eye(2), R=np.eye(1))
-    ledger.accrue(np.zeros(2), np.zeros(1), cost)
-    assert ledger.cumulative_cost == 0.0
-    ledger.accrue(np.array([1.0, 0.0]), np.array([1.0]), cost)
-    assert abs(ledger.cumulative_cost - 2.0) < 1e-15
+    X = np.array([[0.0, 0.0], [1.0, 0.0]])
+    U = np.array([[0.0], [1.0]])
+    stage = stage_costs(X, U, cost)
+    assert stage.shape == (2,)
+    assert stage[0] == 0.0
+    assert abs(stage[1] - 2.0) < 1e-15
     scalar_cost = CostWeights(Q=np.array([[2.0]]), R=np.array([[3.0]]))
-    other = RegretLedger(J_star=1.0)
-    other.accrue(np.array([1.0]), np.array([-1.0]), scalar_cost)
-    assert abs(other.cumulative_cost - 5.0) < 1e-15
-    assert other.steps == 1
-
-
-def test_regret_arithmetic():
-    ledger = RegretLedger(J_star=8.0, cumulative_cost=100.0, steps=10)
-    assert abs(ledger.regret() - 20.0) < 1e-12
-    balanced = RegretLedger(J_star=8.0, cumulative_cost=80.0, steps=10)
-    assert abs(balanced.regret()) < 1e-12
-    assert abs(ledger.relative_average_regret() - 20.0 / 80.0) < 1e-15
+    other = stage_costs(np.array([[1.0]]), np.array([[-1.0]]), scalar_cost)
+    assert abs(other[0] - 5.0) < 1e-15
 
 
 def test_decompose_zero_noise_optimal_gain():
