@@ -36,7 +36,6 @@ from .records import TrialRecord, load_trial_csv, save_trial_csv
 from .regret import DecompositionReport, decompose, decompose_at, stage_costs
 from .diagnostics import (
     SlopeEstimate,
-    TrialDiagnostics,
     compute_trial_diagnostics,
     detect_t_nocb,
     detect_t_stab,

@@ -128,9 +128,10 @@ def _cmd_simulate(args) -> int:
                             path="--workers")
     workers = resolve_workers(args.workers)
     os.makedirs(args.out, exist_ok=True)
-    summary = run_experiment(settings.experiment, out_dir=args.out,
-                             workers=workers,
-                             write_trial_logs=settings.write_trial_logs)
+    log_dir = (os.path.join(args.out, "trials")
+               if settings.write_trial_logs else None)
+    summary = run_experiment(settings.experiment, log_dir=log_dir,
+                             workers=workers)
     _write_text(os.path.join(args.out, "config.json"),
                 _dump_json(settings.document))
     _write_text(os.path.join(args.out, "summary.json"),

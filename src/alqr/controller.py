@@ -150,7 +150,7 @@ class AdaptiveController:
             u_cb = np.zeros(self.input_dim)
             self.xi -= 1
             active = True
-        v = draw_probe_noise(stream, self.input_dim)
+        v = draw_probe_noise(stream, self.input_dim, k)
         u_pr = k ** PROBE_EXPONENT * v
         return InputBreakdown(u_ce=u_ce, u_cb=u_cb, u_pr=u_pr, u=u_cb + u_pr,
                               breaker_active=active,

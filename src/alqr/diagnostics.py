@@ -22,25 +22,6 @@ from .records import TrialRecord
 
 
 @dataclass(frozen=True)
-class TrialDiagnostics:
-    """Scalar diagnostics of one trial.
-
-    t_nocb: first step from which the breaker never interferes again
-    (1 when it never fired at all). t_stab: first step from which both
-    contraction conditions hold for every later logged step. Censored
-    flags mark values that ran into the end of the log, where the defining
-    "for all later k" clause could not be observed.
-    """
-
-    t_nocb: int
-    t_nocb_censored: bool
-    t_stab: int
-    t_stab_censored: bool
-    noise_event_holds: bool
-    max_state_norm_ratio: float
-
-
-@dataclass(frozen=True)
 class SlopeEstimate:
     """Least-squares line through (log T, log value) over a window."""
 
@@ -143,14 +124,14 @@ def max_state_norm_ratio(record: TrialRecord, delta: float) -> float:
 
 def compute_trial_diagnostics(record: TrialRecord, oracle: RiccatiSolution,
                               truth: PlantSpec, delta: float,
-                              log_base: float = math.e) -> TrialDiagnostics:
+                              log_base: float = math.e) -> dict:
+    """The six scalar diagnostics, keyed by their TrialSummary field names."""
     t_nocb, nocb_cens = detect_t_nocb(record)
     t_stab, stab_cens = detect_t_stab(record, oracle, truth, log_base)
-    return TrialDiagnostics(
-        t_nocb=t_nocb, t_nocb_censored=nocb_cens,
-        t_stab=t_stab, t_stab_censored=stab_cens,
-        noise_event_holds=check_noise_event(record, delta),
-        max_state_norm_ratio=max_state_norm_ratio(record, delta))
+    return {"t_nocb": t_nocb, "t_nocb_censored": nocb_cens,
+            "t_stab": t_stab, "t_stab_censored": stab_cens,
+            "noise_event_holds": check_noise_event(record, delta),
+            "max_state_norm_ratio": max_state_norm_ratio(record, delta)}
 
 
 def fit_regret_slope(curve, window) -> SlopeEstimate:

@@ -52,12 +52,7 @@ class EstimatorState:
         self._pending_x: list[np.ndarray] = []
 
     def _flush(self) -> None:
-        if not self._pending_z:
-            return
-        Z = np.array(self._pending_z)
-        Xn = np.array(self._pending_x)
-        self._V += Z.T @ Z
-        self._S += Xn.T @ Z
+        self._V, self._S = self._effective()
         self._pending_z.clear()
         self._pending_x.clear()
 

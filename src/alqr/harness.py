@@ -28,7 +28,6 @@ from .control_math import (
 from .controller import AdaptiveController, ControllerConfig
 from .diagnostics import (
     SlopeEstimate,
-    TrialDiagnostics,
     compute_trial_diagnostics,
     fit_regret_slope,
     tnocb_histogram,
@@ -118,29 +117,48 @@ class ExperimentConfig:
         return checkpoint_steps(self.horizon, self.checkpoint_factor)
 
 
-@dataclass
-class TrialResult:
-    """One trial's outputs: the raw log plus its checkpoint curves.
+@dataclass(frozen=True)
+class TrialSummary:
+    """Scalar per-trial facts kept after the bulky log is dropped.
 
-    ``final_regret`` is the total stage cost minus T J*. On a diverged trial
-    ``failed`` is set, the arrays are truncated to the steps that completed,
-    and ``final_regret`` and ``diagnostics`` are None. The record may be
-    dropped (set to None) by the experiment reduction to bound memory; the
-    curves always survive.
+    A failed (diverged) trial sets only the first five fields; the rest
+    stay None. ``final_regret`` is the total stage cost minus T J*.
+    t_nocb: first step from which the breaker never interferes again
+    (1 when it never fired at all). t_stab: first step from which both
+    contraction conditions hold for every later logged step. Censored
+    flags mark values that ran into the end of the log, where the defining
+    "for all later k" clause could not be observed.
     """
 
     trial_index: int
     seed: int
+    failed: bool
+    failure_step: int | None
+    failure_reason: str
+    final_regret: float | None = None
+    final_rel_avg_regret: float | None = None
+    t_nocb: int | None = None
+    t_nocb_censored: bool | None = None
+    t_stab: int | None = None
+    t_stab_censored: bool | None = None
+    noise_event_holds: bool | None = None
+    max_state_norm_ratio: float | None = None
+
+
+@dataclass
+class TrialResult:
+    """One trial's outputs: its summary, the raw log and checkpoint curves.
+
+    On a diverged trial the record's arrays are truncated to the steps that
+    completed and the curves are NaN past them. The record may be dropped
+    (set to None) by the experiment reduction to bound memory; the summary
+    and the curves always survive.
+    """
+
+    summary: TrialSummary
     record: TrialRecord | None
-    final_regret: float | None
-    diagnostics: TrialDiagnostics | None
-    checkpoints: np.ndarray
-    regret_curve: np.ndarray
     rel_avg_regret: np.ndarray
     est_error_sq: np.ndarray
-    failed: bool = False
-    failure_step: int | None = None
-    failure_reason: str = ""
 
 
 def run_trial(config: ExperimentConfig, trial_index: int,
@@ -175,10 +193,8 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     est_sq = np.full(len(cps), np.nan)
     cp_idx = 0
 
-    steps_done = 0
     failure_step = None
     failure_reason = ""
-    x_final = None
     for k in range(1, T + 1):
         if ctrl.update_gain(k):
             if segments[-1][0] == k:
@@ -186,7 +202,7 @@ def run_trial(config: ExperimentConfig, trial_index: int,
             else:
                 segments.append((k, ctrl.Khat.copy()))
         out = ctrl.compute_input(k, x, stream)
-        w = draw_process_noise(stream, spec)
+        w = draw_process_noise(stream, spec, k)
         i = k - 1
         X[i] = x
         U_ce[i] = out.u_ce
@@ -200,70 +216,45 @@ def run_trial(config: ExperimentConfig, trial_index: int,
         try:
             x = step(x, out.u, w, spec, k)
         except DivergedState as exc:
-            steps_done = k
             failure_step = k
             failure_reason = str(exc)
             break
         ctrl.estimator.absorb(z, x)
-        stream.advance()
-        steps_done = k
         if cp_idx < len(cps) and k == cps[cp_idx]:
             err = estimation_error(ctrl.estimator.estimate(), spec.sys)
             est_sq[cp_idx] = err * err
             cp_idx += 1
-    else:
-        x_final = x
 
+    # k is the last step run, whether it completed or diverged
     failed = failure_step is not None
-    sl = slice(0, steps_done)
+    sl = slice(0, k)
     X, U_ce, U_cb, U_pr, W, breaker = (
         X[sl], U_ce[sl], U_cb[sl], U_pr[sl], W[sl], breaker[sl])
     stage = stage_costs(X, U_cb + U_pr, spec.cost)
     record = TrialRecord(
         trial_index=trial_index, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
-        U_pr=U_pr, W=W, breaker=breaker, stage_cost=stage, x_final=x_final,
-        gain_segments=segments)
+        U_pr=U_pr, W=W, breaker=breaker, stage_cost=stage,
+        x_final=None if failed else x, gain_segments=segments)
 
-    usable = cps <= steps_done
+    usable = cps <= k
     cum = np.cumsum(stage)
-    regret_curve = np.full(len(cps), np.nan)
     rel = np.full(len(cps), np.nan)
-    idx = cps[usable] - 1
-    regret_curve[usable] = cum[idx] - cps[usable] * oracle.J_star
-    rel[usable] = regret_curve[usable] / (cps[usable] * oracle.J_star)
+    c = cps[usable]
+    rel[usable] = (cum[c - 1] - c * oracle.J_star) / (c * oracle.J_star)
 
-    final_regret = diagnostics = None
+    facts = {}
     if not failed:
-        # np.sum, not cum[-1]: the two differ in the last bits
-        final_regret = float(np.sum(stage)) - steps_done * oracle.J_star
-        diagnostics = compute_trial_diagnostics(
+        facts = compute_trial_diagnostics(
             record, oracle, spec, config.delta,
             log_base=config.controller.log_base)
-    return TrialResult(
-        trial_index=trial_index, seed=seed, record=record,
-        final_regret=final_regret,
-        diagnostics=diagnostics, checkpoints=cps, regret_curve=regret_curve,
-        rel_avg_regret=rel, est_error_sq=est_sq, failed=failed,
-        failure_step=failure_step, failure_reason=failure_reason)
-
-
-@dataclass(frozen=True)
-class TrialSummary:
-    """Scalar per-trial facts kept after the bulky log is dropped."""
-
-    trial_index: int
-    seed: int
-    failed: bool
-    failure_step: int | None
-    failure_reason: str
-    final_regret: float | None
-    final_rel_avg_regret: float | None
-    t_nocb: int | None
-    t_nocb_censored: bool | None
-    t_stab: int | None
-    t_stab_censored: bool | None
-    noise_event_holds: bool | None
-    max_state_norm_ratio: float | None
+        # np.sum, not cum[-1]: the two differ in the last bits
+        facts["final_regret"] = float(np.sum(stage)) - T * oracle.J_star
+        facts["final_rel_avg_regret"] = float(rel[-1])
+    summary = TrialSummary(
+        trial_index=trial_index, seed=seed, failed=failed,
+        failure_step=failure_step, failure_reason=failure_reason, **facts)
+    return TrialResult(summary=summary, record=record, rel_avg_regret=rel,
+                       est_error_sq=est_sq)
 
 
 def _slope_dict(est: SlopeEstimate | None) -> dict | None:
@@ -336,34 +327,12 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, count)
 
 
-def _summarize(result: TrialResult) -> TrialSummary:
-    diag = result.diagnostics
-    done = not result.failed
-    return TrialSummary(
-        trial_index=result.trial_index,
-        seed=result.seed,
-        failed=result.failed,
-        failure_step=result.failure_step,
-        failure_reason=result.failure_reason,
-        final_regret=result.final_regret,
-        final_rel_avg_regret=(float(result.rel_avg_regret[-1])
-                              if done else None),
-        t_nocb=diag.t_nocb if diag else None,
-        t_nocb_censored=diag.t_nocb_censored if diag else None,
-        t_stab=diag.t_stab if diag else None,
-        t_stab_censored=diag.t_stab_censored if diag else None,
-        noise_event_holds=diag.noise_event_holds if diag else None,
-        max_state_norm_ratio=diag.max_state_norm_ratio if diag else None)
-
-
 def _trial_task(config: ExperimentConfig, trial_index: int,
-                out_dir: str | None, write_logs: bool) -> TrialResult:
-    """Worker body: run one trial, optionally persist its log, slim it."""
+                log_dir: str | None) -> TrialResult:
+    """Worker body: run one trial, write its log when asked, slim it."""
     result = run_trial(config, trial_index)
-    if write_logs and out_dir is not None and result.record is not None:
-        trials_dir = os.path.join(out_dir, "trials")
-        os.makedirs(trials_dir, exist_ok=True)
-        base = os.path.join(trials_dir, f"trial_{trial_index}")
+    if log_dir is not None:
+        base = os.path.join(log_dir, f"trial_{trial_index}")
         save_trial_csv(result.record, base + ".csv")
         save_gain_sidecar(result.record, base + "_gains.json")
     result.record = None
@@ -383,33 +352,33 @@ def default_slope_window(horizon: int) -> tuple[float, float]:
     return (float(min(1000, max(1, horizon // 10))), float(horizon))
 
 
-def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
-                   workers: int | None = None,
-                   write_trial_logs: bool = False) -> ExperimentSummary:
+def run_experiment(config: ExperimentConfig, log_dir: str | None = None,
+                   workers: int | None = None) -> ExperimentSummary:
     """Run all trials and reduce them to an ExperimentSummary.
 
     Trials execute serially or in a process pool; results are merged by
-    trial index so the summary never depends on scheduling. Per-trial
-    records are written to ``out_dir/trials`` by the worker that produced
-    them (when asked) and dropped before aggregation.
+    trial index so the summary never depends on scheduling. When
+    ``log_dir`` is given, each trial's record is written there as
+    ``trial_<i>.csv`` and ``trial_<i>_gains.json`` by the worker that
+    produced it; records are dropped before aggregation.
     """
     oracle = solve_dare(config.plant.sys, config.plant.cost, config.plant.W)
     n_workers = resolve_workers(workers)
+    if log_dir is not None:
+        os.makedirs(log_dir, exist_ok=True)
     indices = range(config.trials)
     if n_workers == 1 or config.trials == 1:
-        results = [_trial_task(config, i, out_dir, write_trial_logs)
-                   for i in indices]
+        results = [_trial_task(config, i, log_dir) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(
                 _trial_task, [config] * config.trials, indices,
-                [out_dir] * config.trials, [write_trial_logs] * config.trials,
-                chunksize=1))
+                [log_dir] * config.trials, chunksize=1))
 
     cps = config.checkpoints()
     rel_curves = np.vstack([r.rel_avg_regret for r in results])
     est_sq_curves = np.vstack([r.est_error_sq for r in results])
-    completed = ~np.array([r.failed for r in results])
+    completed = ~np.array([r.summary.failed for r in results])
     if not completed.any():
         worst = np.full(len(cps), np.nan)
         median = np.full(len(cps), np.nan)
@@ -430,7 +399,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | None = None,
     else:
         mean_curve = median_curve = worst_curve = []
 
-    summaries = [_summarize(r) for r in results]
+    summaries = [r.summary for r in results]
     tnocb_values = [s.t_nocb for s in summaries if s.t_nocb is not None]
     edges, counts = tnocb_histogram(tnocb_values, config.horizon)
     noise_flags = [s.noise_event_holds for s in summaries

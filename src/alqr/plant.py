@@ -74,16 +74,12 @@ class NoiseStream:
     chunks by a counter-mode bit generator whose key encodes (seed, lane)
     and whose counter encodes the chunk index, so access at any step is
     O(1) amortized and identical no matter what was drawn before.
-
-    ``counter`` is the current step position (1-based); ``advance`` moves it
-    forward. Reading does not advance.
     """
 
     def __init__(self, seed: int, state_dim: int, input_dim: int):
         if state_dim < 1 or input_dim < 1:
             raise ValueError("dimensions must be >= 1")
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.counter = 1
         self._dims = {"w": state_dim, "v": input_dim}
         # per lane: (chunk_index, chunk_array)
         self._cache: dict[str, tuple[int, np.ndarray]] = {}
@@ -121,18 +117,16 @@ class NoiseStream:
             filled += take
         return out
 
-    def advance(self, steps: int = 1) -> None:
-        self.counter += steps
+
+def draw_process_noise(stream: NoiseStream, spec: PlantSpec,
+                       k: int) -> np.ndarray:
+    """State noise L g at step k (1-based), where L = spec.chol_W."""
+    return spec.chol_W @ stream.lane_row("w", k)
 
 
-def draw_process_noise(stream: NoiseStream, spec: PlantSpec) -> np.ndarray:
-    """State noise L g at the stream's current step, where L = spec.chol_W."""
-    return spec.chol_W @ stream.lane_row("w", stream.counter)
-
-
-def draw_probe_noise(stream: NoiseStream, m: int) -> np.ndarray:
-    """Standard-normal probe vector at the stream's current step."""
-    g = stream.lane_row("v", stream.counter)
+def draw_probe_noise(stream: NoiseStream, m: int, k: int) -> np.ndarray:
+    """Standard-normal probe vector at step k (1-based)."""
+    g = stream.lane_row("v", k)
     if g.shape[0] != m:
         raise ValueError(f"stream provisions {g.shape[0]} probe dims, asked {m}")
     return g

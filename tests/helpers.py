@@ -41,7 +41,7 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
         else:
             ctrl.Khat = force_gain
         out = ctrl.compute_input(k, x, stream)
-        w = draw_process_noise(stream, spec)
+        w = draw_process_noise(stream, spec, k)
         X[k - 1] = x
         U_ce[k - 1] = out.u_ce; U_cb[k - 1] = out.u_cb; U_pr[k - 1] = out.u_pr
         W[k - 1] = w
@@ -51,7 +51,6 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
         z = np.concatenate([x, out.u])
         x = step(x, out.u, w, spec, k)
         ctrl.estimator.absorb(z, x)
-        stream.advance()
     if force_gain is not None:
         segments = [(1, np.asarray(force_gain, dtype=float))]
     return TrialRecord(trial_index=0, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,

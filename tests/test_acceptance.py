@@ -110,7 +110,7 @@ def test_a3_regret_decomposition_identity(ref_plant, ref_oracle):
     worst = 0.0
     for idx in range(config.trials):
         result = run_trial(config, idx, oracle=ref_oracle)
-        assert not result.failed, f"trial {idx} diverged"
+        assert not result.summary.failed, f"trial {idx} diverged"
         reports = decompose_at(result.record, ref_oracle, ref_plant, cps)
         for cp, rep in zip(cps, reports):
             tol = 1e-6 * (1.0 + abs(rep.regret))

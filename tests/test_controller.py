@@ -121,7 +121,6 @@ def test_probe_decay_exact():
     ctrl = make_controller(n=2, m=2)
     stream = NoiseStream(seed=9, state_dim=2, input_dim=2)
     for k in (1, 7, 100, 4096):
-        stream.counter = k
         out = ctrl.compute_input(k, np.zeros(2), stream)
         v = stream.lane_row("v", k)
         assert np.array_equal(out.u_pr, k ** -0.25 * v)
@@ -134,7 +133,6 @@ def test_superposition_identity():
     ctrl.Khat = np.array([[0.3]])
     stream = NoiseStream(seed=10, state_dim=1, input_dim=1)
     for k in range(1, 30):
-        stream.counter = k
         out = ctrl.compute_input(k, np.array([1.0]), stream)
         assert np.array_equal(out.u, out.u_cb + out.u_pr)
         if out.breaker_active:
@@ -151,7 +149,6 @@ def test_breaker_arithmetic_replay():
     stream = NoiseStream(seed=11, state_dim=1, input_dim=1)
     events = []
     for k in range(1, 400):
-        stream.counter = k
         out = ctrl.compute_input(k, np.array([1.0]), stream)
         events.append((k, out.breaker_triggered_now, out.breaker_active))
     config = ControllerConfig()

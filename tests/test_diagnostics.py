@@ -265,9 +265,9 @@ def test_est_event_needs_final_state(scalar_setup):
 def test_trial_diagnostics_consistency(driven):
     spec, oracle, record = driven
     diag = compute_trial_diagnostics(record, oracle, spec, delta=0.01)
-    assert (diag.t_nocb, diag.t_nocb_censored) == detect_t_nocb(record)
-    assert (diag.t_stab, diag.t_stab_censored) == detect_t_stab(
+    assert (diag["t_nocb"], diag["t_nocb_censored"]) == detect_t_nocb(record)
+    assert (diag["t_stab"], diag["t_stab_censored"]) == detect_t_stab(
         record, oracle, spec)
-    assert diag.noise_event_holds == check_noise_event(record, 0.01)
-    assert diag.max_state_norm_ratio == max_state_norm_ratio(record, 0.01)
-    assert diag.max_state_norm_ratio > 0.0
+    assert diag["noise_event_holds"] == check_noise_event(record, 0.01)
+    assert diag["max_state_norm_ratio"] == max_state_norm_ratio(record, 0.01)
+    assert diag["max_state_norm_ratio"] > 0.0

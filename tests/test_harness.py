@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from alqr.control_math import CostWeights, SystemMatrices, solve_dare
-from alqr.harness import (ExperimentConfig, checkpoint_steps,
+from alqr.harness import (ExperimentConfig, TrialSummary, checkpoint_steps,
                           generate_stand_in_plant, resolve_workers,
                           run_experiment, run_trial, trial_seed)
 from alqr.plant import PlantSpec
@@ -82,9 +82,10 @@ def test_single_step_trial(ref):
     assert record.breaker[0] == 0
     u = record.U_pr[0]
     expected = float(u @ spec.cost.R @ u) - oracle.J_star
-    assert result.final_regret == pytest.approx(expected, rel=1e-12)
-    assert result.regret_curve[-1] == pytest.approx(expected, rel=1e-12)
-    assert not result.failed
+    assert result.summary.final_regret == pytest.approx(expected, rel=1e-12)
+    assert result.rel_avg_regret[-1] == pytest.approx(
+        expected / oracle.J_star, rel=1e-12)
+    assert not result.summary.failed
 
 
 def test_trial_is_deterministic(ref):
@@ -92,7 +93,7 @@ def test_trial_is_deterministic(ref):
     config = make_config(spec, horizon=150)
     a = run_trial(config, 3)
     b = run_trial(config, 3)
-    assert a.seed == b.seed
+    assert a.summary.seed == b.summary.seed
     for name in ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost"):
         assert np.array_equal(getattr(a.record, name),
                               getattr(b.record, name))
@@ -127,7 +128,7 @@ def test_trial_record_satisfies_decomposition(ref):
     result = run_trial(make_config(spec, horizon=2000), 1)
     report = decompose(result.record, oracle, spec)
     assert report.within_tolerance
-    assert report.regret == pytest.approx(result.final_regret,
+    assert report.regret == pytest.approx(result.summary.final_regret,
                                           rel=1e-9, abs=1e-9)
 
 
@@ -139,12 +140,18 @@ def test_diverged_trial_marked_failed():
     wild = PlantSpec(sys=spec.sys, W=1e26 * np.eye(spec.n), cost=spec.cost)
     config = make_config(wild, horizon=50, trials=3)
     result = run_trial(config, 0)
-    assert result.failed
-    assert result.failure_step is not None
-    assert result.record.horizon == result.failure_step
+    failure = result.summary
+    assert failure.failed
+    assert failure.failure_step is not None
+    assert result.record.horizon == failure.failure_step
     assert result.record.x_final is None
-    assert result.diagnostics is None
-    assert "state" in result.failure_reason or result.failure_reason
+    # the regret and diagnostic fields keep their None defaults
+    assert failure == TrialSummary(
+        trial_index=0, seed=failure.seed, failed=True,
+        failure_step=failure.failure_step,
+        failure_reason=failure.failure_reason)
+    assert "passed the overflow guard" in failure.failure_reason
+    assert f"at step {failure.failure_step}" in failure.failure_reason
 
     summary = run_experiment(config)
     assert summary.failed_count == 3
@@ -210,7 +217,7 @@ def test_resolve_workers(monkeypatch):
 def test_trial_logs_written(tmp_path, ref):
     spec, _ = ref
     config = make_config(spec, horizon=40, trials=2)
-    run_experiment(config, out_dir=str(tmp_path), write_trial_logs=True)
+    run_experiment(config, log_dir=str(tmp_path / "trials"))
     for idx in range(2):
         base = tmp_path / "trials" / f"trial_{idx}"
         assert (base.parent / (base.name + ".csv")).exists()

@@ -74,8 +74,8 @@ def test_plant_spec_rejects_bad_w():
 def test_noise_same_counter_same_vector():
     spec = make_spec(np.zeros((3, 3)), np.zeros((3, 2)))
     stream = NoiseStream(seed=99, state_dim=3, input_dim=2)
-    a = draw_process_noise(stream, spec)
-    b = draw_process_noise(stream, spec)
+    a = draw_process_noise(stream, spec, 1)
+    b = draw_process_noise(stream, spec, 1)
     assert np.array_equal(a, b)
 
 
@@ -108,19 +108,18 @@ def test_noise_block_matches_rows():
 def test_cholesky_scaling_scalar():
     s1 = NoiseStream(seed=5, state_dim=1, input_dim=1)
     s4 = NoiseStream(seed=5, state_dim=1, input_dim=1)
-    base = draw_process_noise(s1, make_spec([[0.5]], [[1.0]], W=[[1.0]]))
-    scaled = draw_process_noise(s4, make_spec([[0.5]], [[1.0]], W=[[4.0]]))
+    base = draw_process_noise(s1, make_spec([[0.5]], [[1.0]], W=[[1.0]]), 1)
+    scaled = draw_process_noise(s4, make_spec([[0.5]], [[1.0]], W=[[4.0]]), 1)
     assert np.allclose(scaled, 2.0 * base, rtol=1e-15)
 
 
 def test_probe_noise_dimension_and_determinism():
     stream = NoiseStream(seed=17, state_dim=3, input_dim=2)
-    v1 = draw_probe_noise(stream, 2)
-    v2 = draw_probe_noise(stream, 2)
+    v1 = draw_probe_noise(stream, 2, 1)
+    v2 = draw_probe_noise(stream, 2, 1)
     assert v1.shape == (2,)
     assert np.array_equal(v1, v2)
-    stream.advance()
-    assert not np.array_equal(draw_probe_noise(stream, 2), v1)
+    assert not np.array_equal(draw_probe_noise(stream, 2, 2), v1)
 
 
 def test_empirical_covariance_of_draws():

@@ -51,6 +51,20 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert back.x_final is None
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("W", np.zeros((50, 2))),
+    ("breaker", np.zeros((49,), dtype=np.int8)),
+    ("stage_cost", np.zeros((50, 1))),
+    ("x_final", np.zeros(2)),
+])
+def test_save_rejects_misshaped_field(tmp_path, field, bad):
+    record = synthetic_record()
+    setattr(record, field, bad)
+    with pytest.raises(IncompleteLog) as info:
+        save_trial_csv(record, str(tmp_path / "trial.csv"))
+    assert field in str(info.value)
+
+
 def test_save_twice_identical_bytes(tmp_path):
     record = synthetic_record(seed=5)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
