@@ -27,7 +27,6 @@ from .errors import (
 from .plant import (
     NoiseStream,
     PlantSpec,
-    plant_spec_from_dict,
     plant_spec_to_dict,
 )
 from .estimator import EstimatorState, ParameterEstimate, estimation_error

@@ -17,6 +17,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -172,8 +173,8 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
                         f"recomputed {expected[row - 1]!r}")})
 
     # the boundary state one past the log, by the same dynamics formula
-    record.x_final = (spec.sys.A @ record.X[-1] + spec.sys.B @ U[-1]
-                      + record.W[-1])
+    record = replace(record, x_final=(spec.sys.A @ record.X[-1]
+                                      + spec.sys.B @ U[-1] + record.W[-1]))
     cps = experiment.checkpoints()
     cps = cps[cps <= T].tolist()
     if not cps or cps[-1] != T:
@@ -195,10 +196,9 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
     info["noise_event_holds"] = check_noise_event(record, experiment.delta)
     gains_path = os.path.splitext(path)[0] + "_gains.json"
     if os.path.exists(gains_path):
-        record.gain_segments = load_gain_sidecar(gains_path)
         t_stab, stab_censored = detect_t_stab(
-            record, oracle, spec,
-            log_base=experiment.controller.log_base)
+            replace(record, gain_segments=load_gain_sidecar(gains_path)),
+            oracle, spec, log_base=experiment.controller.log_base)
         info["t_stab"] = t_stab
         info["t_stab_censored"] = stab_censored
     return info

@@ -292,12 +292,16 @@ def solve_dare(sys: SystemMatrices, cost: CostWeights, W=None,
                 f"Riccati iteration did not converge in {max_iter} iterations; "
                 f"the pair may not be stabilizable", iterations=max_iter)
 
-    K = synthesize_gain(A, B, P, R)
-    BtPA = B.T @ P @ A
-    G = R + B.T @ P @ B
+    try:
+        K = synthesize_gain(A, B, P, R)
+    except ValueError as exc:
+        # a converged iterate that is not SPD is no stabilizing solution
+        raise NonConvergence(
+            f"Riccati iterate after {iterations} iterations is not a "
+            f"valid value matrix: {exc}", iterations=iterations) from exc
+    # K = -(R + B'PB)^-1 B'PA, so the Riccati map's correction is (B'PA)'K
     residual = float(np.linalg.norm(
-        A.T @ P @ A - BtPA.T @ np.linalg.solve(0.5 * (G + G.T), BtPA) + Q - P,
-        "fro"))
+        A.T @ P @ A + (B.T @ P @ A).T @ K + Q - P, "fro"))
     if residual > residual_tol * (1.0 + np.linalg.norm(P, "fro")):
         raise NonConvergence(
             f"DARE residual {residual:.3e} exceeds tolerance "

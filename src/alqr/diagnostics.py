@@ -40,7 +40,6 @@ def detect_t_nocb(record: TrialRecord) -> tuple[int, bool]:
     or 1 if the breaker never fired. Censored means the breaker was still
     active at the final logged step, so the true value lies past the log.
     """
-    record.validate()
     active = np.flatnonzero(record.breaker != 0)
     if active.size == 0:
         return 1, False
@@ -59,7 +58,6 @@ def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
     Returns 1 + the last failing step (1 if none fail) and a censored flag
     set when the final step itself fails.
     """
-    record.validate()
     if not record.gain_segments:
         raise IncompleteLog(
             f"trial {record.trial_index}: gain history required")
@@ -105,7 +103,6 @@ def check_noise_event(record: TrialRecord, delta: float) -> bool:
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-    record.validate()
     T = record.horizon
     ks = np.arange(1, T + 1, dtype=float)
     bound = noise_bound(ks, record.n, delta)
@@ -116,7 +113,6 @@ def check_noise_event(record: TrialRecord, delta: float) -> bool:
 
 def max_state_norm_ratio(record: TrialRecord, delta: float) -> float:
     """max_k ||x_k|| / log(k/delta) over the logged trajectory."""
-    record.validate()
     ks = np.arange(1, record.horizon + 1, dtype=float)
     denom = np.log(ks / delta)
     return float(np.max(np.linalg.norm(record.X, axis=1) / denom))
@@ -196,7 +192,6 @@ def check_cov_event(record: TrialRecord, delta: float,
     so the scan assumes W = I: the sum is centered on the identity and the
     constant is calibrated for it.
     """
-    record.validate()
     n = record.n
     if not 0.0 < delta <= 1.0 / (8 * n * n):
         raise ValueError(f"delta must be in (0, 1/(8 n^2)], got {delta}")
@@ -228,7 +223,6 @@ def check_cross_event(record: TrialRecord, oracle: RiccatiSolution,
     """
     if not 0.0 < delta <= 1.0 / 6.0:
         raise ValueError(f"delta must be in (0, 1/6], got {delta}")
-    record.validate()
     from .control_math import solve_discrete_lyapunov  # local to avoid cycle
     A, B, P = truth.sys.A, truth.sys.B, oracle.P_star
     cert = solve_discrete_lyapunov(A, truth.cost.Q)
@@ -256,7 +250,6 @@ def check_est_event(record: TrialRecord, truth: PlantSpec, delta: float,
     where checked counts the steps past burn-in; the event is vacuously
     true when none qualify.
     """
-    record.validate()
     n, m = record.n, record.m
     C_theta = (3200.0 * n / 9.0) * (2.5 * n + 2.0)
     k0 = math.ceil(600.0 * (m + n) * math.log(1.0 / delta) + 5400.0)
@@ -269,11 +262,8 @@ def check_est_event(record: TrialRecord, truth: PlantSpec, delta: float,
         if not 1 <= k <= T:
             raise ValueError(f"step {k} outside 1..{T}")
         for i in range(prev, k):
-            x_next = record.X[i + 1] if i + 1 < T else record.x_final
-            if x_next is None:
-                raise IncompleteLog(
-                    f"trial {record.trial_index}: final state required")
-            est.absorb(np.concatenate([record.X[i], U[i]]), x_next)
+            est.absorb(np.concatenate([record.X[i], U[i]]),
+                       record.state_after(i + 1))
         prev = k
         if k < k0:
             continue

@@ -95,9 +95,6 @@ class EstimatorState:
         Rank deficiency yields the minimum-norm solution, so an empty state
         returns the zero matrix with rank 0.
         """
-        if self._count == 0:
-            return ParameterEstimate(
-                Theta=np.zeros_like(self._S), rank=0, state_dim=self.state_dim)
         V, S = self._effective()
         # V is symmetric PSD; eigendecomposition doubles as its SVD
         eigvals, eigvecs = np.linalg.eigh(V)

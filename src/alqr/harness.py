@@ -187,7 +187,8 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     U_pr = np.empty((T, m))
     W = np.empty((T, n))
     breaker = np.empty(T, dtype=np.int8)
-    segments = [(1, ctrl.Khat.copy())]
+    # both schedules fire at k=1, so the first segment starts there
+    segments = []
 
     cps = config.checkpoints()
     est_sq = np.full(len(cps), np.nan)
@@ -197,10 +198,7 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     failure_reason = ""
     for k in range(1, T + 1):
         if ctrl.update_gain(k):
-            if segments[-1][0] == k:
-                segments[-1] = (k, ctrl.Khat.copy())
-            else:
-                segments.append((k, ctrl.Khat.copy()))
+            segments.append((k, ctrl.Khat.copy()))
         out = ctrl.compute_input(k, x, stream)
         w = draw_process_noise(stream, spec, k)
         i = k - 1
@@ -379,25 +377,23 @@ def run_experiment(config: ExperimentConfig, log_dir: str | None = None,
     rel_curves = np.vstack([r.rel_avg_regret for r in results])
     est_sq_curves = np.vstack([r.est_error_sq for r in results])
     completed = ~np.array([r.summary.failed for r in results])
-    if not completed.any():
-        worst = np.full(len(cps), np.nan)
-        median = np.full(len(cps), np.nan)
-        mean = np.full(len(cps), np.nan)
-        est_sq_median = np.full(len(cps), np.nan)
-    else:
+    if completed.any():
         ok = rel_curves[completed]
         worst = np.max(ok, axis=0)
         median = np.median(ok, axis=0)
         mean = np.mean(ok, axis=0)
         est_sq_median = np.median(est_sq_curves[completed], axis=0)
-
-    window = default_slope_window(config.horizon)
-    if completed.any():
         mean_curve = list(zip(cps.tolist(), mean.tolist()))
         median_curve = list(zip(cps.tolist(), median.tolist()))
         worst_curve = list(zip(cps.tolist(), worst.tolist()))
     else:
+        worst = np.full(len(cps), np.nan)
+        median = np.full(len(cps), np.nan)
+        mean = np.full(len(cps), np.nan)
+        est_sq_median = np.full(len(cps), np.nan)
         mean_curve = median_curve = worst_curve = []
+
+    window = default_slope_window(config.horizon)
 
     summaries = [r.summary for r in results]
     tnocb_values = [s.t_nocb for s in summaries if s.t_nocb is not None]

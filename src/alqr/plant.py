@@ -158,13 +158,3 @@ def plant_spec_to_dict(spec: PlantSpec) -> dict:
         "R": spec.cost.R.tolist(),
     }
 
-
-def plant_spec_from_dict(doc: dict) -> PlantSpec:
-    missing = [key for key in ("A", "B", "W", "Q", "R") if key not in doc]
-    if missing:
-        raise ValueError(f"plant matrices missing: {', '.join(missing)}")
-    sys = SystemMatrices(A=np.array(doc["A"], dtype=float),
-                         B=np.array(doc["B"], dtype=float))
-    cost = CostWeights(Q=np.array(doc["Q"], dtype=float),
-                       R=np.array(doc["R"], dtype=float))
-    return PlantSpec(sys=sys, W=np.array(doc["W"], dtype=float), cost=cost)

@@ -25,14 +25,15 @@ BREAKER_DWELL = 1   # dwell period running, feedback zeroed
 BREAKER_TRIGGER = 2  # threshold exceeded this step, dwell counter set
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialRecord:
-    """Completed trajectory of one trial.
+    """Completed trajectory of one trial, shape-checked at construction.
 
     ``X[i]`` is the state at step i+1; ``x_final`` is the state the plant
     was left in after the last step. ``gain_segments`` lists
     ``(from_step, K)`` pairs: K is the feedback gain in effect from that
-    step until the next segment starts.
+    step until the next segment starts. A field whose shape disagrees with
+    ``X`` and ``U_ce`` raises IncompleteLog naming the field.
     """
 
     trial_index: int
@@ -44,7 +45,7 @@ class TrialRecord:
     W: np.ndarray            # (T, n)
     breaker: np.ndarray      # (T,) int8 codes above
     stage_cost: np.ndarray   # (T,)
-    x_final: np.ndarray      # (n,)
+    x_final: np.ndarray | None  # (n,)
     gain_segments: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
     @property
@@ -59,7 +60,7 @@ class TrialRecord:
     def m(self) -> int:
         return self.U_ce.shape[1]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         T, n = self.X.shape
         m = self.U_ce.shape[1]
         for name, arr, shape in (("U_ce", self.U_ce, (T, m)),
@@ -72,12 +73,22 @@ class TrialRecord:
                 raise IncompleteLog(
                     f"trial {self.trial_index}: field {name} has shape "
                     f"{None if arr is None else arr.shape}, expected {shape}")
-        # x_final may be absent on records parsed back from CSV; consumers
-        # that need the horizon boundary raise IncompleteLog themselves
+        # x_final is absent on records parsed back from CSV; state_after
+        # raises IncompleteLog when the horizon boundary is asked for
         if self.x_final is not None and tuple(self.x_final.shape) != (n,):
             raise IncompleteLog(
                 f"trial {self.trial_index}: x_final has shape "
                 f"{self.x_final.shape}, expected {(n,)}")
+
+    def state_after(self, step: int) -> np.ndarray:
+        """The state x_{step+1} that step ``step`` (1..T) led to."""
+        if step < self.horizon:
+            return self.X[step]
+        if self.x_final is None:
+            raise IncompleteLog(
+                f"trial {self.trial_index}: final state absent, cannot "
+                f"give the state after step {step}")
+        return self.x_final
 
 
 def csv_header(n: int, m: int) -> str:
@@ -91,7 +102,6 @@ def csv_header(n: int, m: int) -> str:
 
 
 def save_trial_csv(record: TrialRecord, path: str) -> None:
-    record.validate()
     T = record.horizon
     lines = [csv_header(record.n, record.m)]
     X, U_ce, U_cb, U_pr, W = (record.X, record.U_ce, record.U_cb,
@@ -125,8 +135,6 @@ def load_trial_csv(path: str, trial_index: int = -1,
     with open(path) as f:
         header = f.readline().rstrip("\n")
         names = header.split(",")
-        if names[0] != "k" or names[-1] != "stage_cost" or "breaker" not in names:
-            raise IncompleteLog(f"{path}: unrecognized header {header!r}")
         n = sum(1 for c in names if c.startswith("x_"))
         m = sum(1 for c in names if c.startswith("u_ce_"))
         if n < 1 or m < 1 or names != csv_header(n, m).split(","):
@@ -168,8 +176,7 @@ def load_trial_csv(path: str, trial_index: int = -1,
         raise IncompleteLog(f"{path}: breaker codes outside 0..2")
     return TrialRecord(trial_index=trial_index, seed=seed, X=X, U_ce=U_ce,
                        U_cb=U_cb, U_pr=U_pr, W=W, breaker=breaker,
-                       stage_cost=stage, x_final=None,  # type: ignore[arg-type]
-                       gain_segments=[])
+                       stage_cost=stage, x_final=None, gain_segments=[])
 
 
 def save_gain_sidecar(record: TrialRecord, path: str) -> None:

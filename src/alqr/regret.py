@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control_math import CostWeights, RiccatiSolution
-from .errors import IncompleteLog
 from .plant import PlantSpec
 from .records import TrialRecord
 
@@ -66,7 +65,6 @@ def stage_costs(X: np.ndarray, U: np.ndarray,
 
 def _per_step_terms(record: TrialRecord, oracle: RiccatiSolution,
                     truth: PlantSpec) -> dict[str, np.ndarray]:
-    record.validate()
     A, B = truth.sys.A, truth.sys.B
     P, K_star, R = oracle.P_star, oracle.K_star, truth.cost.R
     X, U_cb, U_pr, W = record.X, record.U_cb, record.U_pr, record.W
@@ -94,14 +92,7 @@ def _boundary_term(record: TrialRecord, oracle: RiccatiSolution,
     # x_1' P* x_1 - x_{upto+1}' P* x_{upto+1}
     P = oracle.P_star
     x1 = record.X[0]
-    if upto < record.horizon:
-        x_end = record.X[upto]
-    else:
-        if record.x_final is None:
-            raise IncompleteLog(
-                f"trial {record.trial_index}: final state absent, cannot "
-                f"evaluate the boundary term at the horizon")
-        x_end = record.x_final
+    x_end = record.state_after(upto)
     return float(x1 @ P @ x1 - x_end @ P @ x_end)
 
 

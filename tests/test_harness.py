@@ -160,6 +160,17 @@ def test_diverged_trial_marked_failed():
     assert summary.noise_event_fraction == 0.0
 
 
+def test_huge_noise_gain_solve_failure_falls_back():
+    # at W = 1e14 I some early estimates give a Riccati iterate that is not
+    # positive definite; the controller must fall back to the zero gain,
+    # not let the error escape the trial
+    base = generate_stand_in_plant(3, 2, 0.9, 42)
+    loud = PlantSpec(sys=base.sys, W=1e14 * np.eye(3), cost=base.cost)
+    config = make_config(loud, horizon=300, trials=6)
+    for i in range(config.trials):
+        assert not run_trial(config, i).summary.failed
+
+
 def test_experiment_aggregates(ref):
     spec, _ = ref
     config = make_config(spec, horizon=300, trials=5)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
+from alqr.config import parse_config_document
 from alqr.control_math import CostWeights, SystemMatrices, solve_discrete_lyapunov
-from alqr.errors import DivergedState, UnstableMatrix
+from alqr.errors import ConfigInvalid, DivergedState, UnstableMatrix
 from alqr.plant import (
     NoiseStream,
     PlantSpec,
     draw_probe_noise,
     draw_process_noise,
-    plant_spec_from_dict,
     plant_spec_to_dict,
     step,
 )
@@ -156,16 +156,21 @@ def test_stationary_covariance_matches_lyapunov():
     assert err < 0.05
 
 
+def run_document(plant: dict) -> dict:
+    return {"plant": plant, "horizon": 10, "trials": 1, "base_seed": 0,
+            "checkpoint_factor": 1.2, "delta": 0.05}
+
+
 def test_plant_spec_dict_round_trip():
     rng = np.random.default_rng(2)
     A = rng.standard_normal((3, 3)) * 0.25
     spec = make_spec(A, rng.standard_normal((3, 2)))
     doc = plant_spec_to_dict(spec)
-    back = plant_spec_from_dict(doc)
+    back = parse_config_document(run_document(doc)).experiment.plant
     assert np.array_equal(back.sys.A, spec.sys.A)
     assert np.array_equal(back.sys.B, spec.sys.B)
     assert np.array_equal(back.W, spec.W)
     assert np.array_equal(back.cost.Q, spec.cost.Q)
     assert np.array_equal(back.cost.R, spec.cost.R)
-    with pytest.raises(ValueError):
-        plant_spec_from_dict({"A": doc["A"]})
+    with pytest.raises(ConfigInvalid):
+        parse_config_document(run_document({"A": doc["A"]}))

@@ -1,5 +1,7 @@
 """CSV and sidecar round-trip fidelity tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,12 +59,21 @@ def test_csv_round_trip_bit_exact(tmp_path):
     ("stage_cost", np.zeros((50, 1))),
     ("x_final", np.zeros(2)),
 ])
-def test_save_rejects_misshaped_field(tmp_path, field, bad):
-    record = synthetic_record()
-    setattr(record, field, bad)
+def test_save_rejects_misshaped_field(field, bad):
+    # a misshaped record never reaches save_trial_csv: building it fails
     with pytest.raises(IncompleteLog) as info:
-        save_trial_csv(record, str(tmp_path / "trial.csv"))
+        replace(synthetic_record(), **{field: bad})
     assert field in str(info.value)
+
+
+def test_state_after_steps_and_horizon():
+    record = synthetic_record(T=50)
+    assert np.array_equal(record.state_after(1), record.X[1])
+    assert np.array_equal(record.state_after(49), record.X[49])
+    assert np.array_equal(record.state_after(50), record.x_final)
+    with pytest.raises(IncompleteLog) as info:
+        replace(record, x_final=None).state_after(50)
+    assert "trial 4" in str(info.value)
 
 
 def test_save_twice_identical_bytes(tmp_path):

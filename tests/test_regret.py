@@ -5,6 +5,8 @@ independent expected value: hand expansion for T = 1, a manually driven
 closed loop for longer records, and hand arithmetic for stage costs.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,8 +132,7 @@ def test_r6_nonpositive_from_zero_start():
 def test_decompose_missing_final_state():
     spec = reference_spec()
     oracle = solve_dare(spec.sys, spec.cost, spec.W)
-    record = drive_trial(spec, T=30, seed=1)
-    record.x_final = None
+    record = replace(drive_trial(spec, T=30, seed=1), x_final=None)
     with pytest.raises(IncompleteLog):
         decompose(record, oracle, spec)
     # prefixes short of the horizon never touch the final state
