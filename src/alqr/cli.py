@@ -23,6 +23,9 @@ import numpy as np
 
 from .config import (
     RunSettings,
+    _as_int,
+    _as_number,
+    _reject_unknown,
     apply_overrides,
     load_config_file,
     parse_config_document,
@@ -163,14 +166,14 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
     expected = stage_costs(record.X, U, spec.cost)
     gap = np.abs(record.stage_cost - expected)
     tol = STAGE_RTOL * np.maximum(1.0, np.abs(expected))
-    bad = np.flatnonzero(gap > tol)
+    bad = np.flatnonzero(~(gap <= tol))  # a NaN gap is bad too
     if bad.size:
         row = int(bad[0]) + 1
         failures.append({
             "trial": idx, "kind": "stage_cost", "row": row,
             "message": (f"stage_cost at step {row} is "
-                        f"{record.stage_cost[row - 1]!r}, "
-                        f"recomputed {expected[row - 1]!r}")})
+                        f"{float(record.stage_cost[row - 1])!r}, "
+                        f"recomputed {float(expected[row - 1])!r}")})
 
     # the boundary state one past the log, by the same dynamics formula
     record = replace(record, x_final=(spec.sys.A @ record.X[-1]
@@ -198,7 +201,7 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
     if os.path.exists(gains_path):
         t_stab, stab_censored = detect_t_stab(
             replace(record, gain_segments=load_gain_sidecar(gains_path)),
-            oracle, spec, log_base=experiment.controller.log_base)
+            oracle, spec, experiment.controller)
         info["t_stab"] = t_stab
         info["t_stab_censored"] = stab_censored
     return info
@@ -240,19 +243,14 @@ def _cmd_gen_plant(args) -> int:
 
 
 def _verify_knobs(overrides) -> dict:
-    knobs = {"dare_rtol": 1e-12, "horizon": 500, "seed": 0}
-    for assignment in overrides:
-        if "=" not in assignment:
-            raise ConfigInvalid("override must look like key=value",
-                                path=assignment)
-        key, raw = assignment.split("=", 1)
-        if key not in knobs:
-            raise ConfigInvalid(f"unknown verify knob {key!r}", path=key)
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigInvalid(f"bad value {raw!r}", path=key) from exc
-        knobs[key] = value
+    knobs = apply_overrides({"dare_rtol": 1e-12, "horizon": 500, "seed": 0},
+                            overrides)
+    _reject_unknown(knobs, ("dare_rtol", "horizon", "seed"), "")
+    if not _as_number(knobs["dare_rtol"], "dare_rtol") > 0.0:
+        raise ConfigInvalid(f"must be > 0, got {knobs['dare_rtol']}",
+                            path="dare_rtol")
+    _as_int(knobs["horizon"], "horizon", minimum=1)
+    _as_int(knobs["seed"], "seed", minimum=0)
     return knobs
 
 
@@ -286,9 +284,9 @@ def _cmd_verify(args) -> int:
                  f"max|dP0|={lyap_err:.3e}"))
 
     # cost-difference decomposition must telescope on a real trajectory
-    seed = int(knobs["seed"])
+    seed = knobs["seed"]
     spec = generate_stand_in_plant(3, 2, 0.9, seed)
-    config = ExperimentConfig(plant=spec, horizon=int(knobs["horizon"]),
+    config = ExperimentConfig(plant=spec, horizon=knobs["horizon"],
                               trials=1, base_seed=seed)
     result = run_trial(config, 0)
     oracle = solve_dare(spec.sys, spec.cost, spec.W)

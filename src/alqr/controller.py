@@ -63,8 +63,13 @@ class ControllerConfig:
         return self.log(k)
 
     def dwell(self, k: int) -> int:
-        """Dwell length t_k after a trigger at step k."""
-        return int(math.floor(self.log(k)))
+        """Dwell length t_k after a trigger at step k: the largest t with
+        log_base**t <= k, so exact where k is a power of the base."""
+        t = math.floor(self.log(k))
+        # the float log can land one off next to a power of the base
+        if self.log_base ** (t + 1) <= k:
+            return t + 1
+        return t if self.log_base ** t <= k else t - 1
 
     def schedule_fires(self, k: int) -> bool:
         if self.gain_update_schedule == "every-step":

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control_math import RiccatiSolution, stability_margin
+from .controller import ControllerConfig
 from .errors import EmptyWindow, IncompleteLog
 from .estimator import EstimatorState, estimation_error
 from .plant import PlantSpec
@@ -49,12 +50,13 @@ def detect_t_nocb(record: TrialRecord) -> tuple[int, bool]:
 
 def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
                   truth: PlantSpec,
-                  log_base: float = math.e) -> tuple[int, bool]:
+                  controller: ControllerConfig = ControllerConfig()
+                  ) -> tuple[int, bool]:
     """First step from which both contraction conditions hold onward.
 
     Step k passes when, in the P* metric with rho = (1 + rho*)/2, both the
     dwell map A^(t_k) and the closed loop A + B Khat_k are rho-contractive,
-    where t_k = floor(log(k)) and Khat_k is the gain in effect at k.
+    where t_k = controller.dwell(k) and Khat_k is the gain in effect at k.
     Returns 1 + the last failing step (1 if none fail) and a censored flag
     set when the final step itself fails.
     """
@@ -64,29 +66,28 @@ def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
     T = record.horizon
     A, B, P = truth.sys.A, truth.sys.B, oracle.P_star
     rho = 0.5 * (1.0 + oracle.rho_star)
+    base = controller.log_base
 
-    ks = np.arange(1, T + 1, dtype=float)
-    t_k = np.floor(np.log(ks) / math.log(log_base)).astype(int)
-    power_ok = np.empty(int(t_k.max()) + 1, dtype=bool)
+    # (first step, last step, map that must be rho-contractive over them)
+    spans = []
     A_pow = np.eye(truth.n)
-    for t in range(len(power_ok)):
-        if t > 0:
-            A_pow = A_pow @ A
-        power_ok[t] = stability_margin(A_pow, P) < rho
-    ok = power_ok[t_k]
-
+    for t in range(controller.dwell(T) + 1):
+        # dwell(k) = t exactly for base**t <= k < base**(t+1)
+        spans.append((math.ceil(base ** t), math.ceil(base ** (t + 1)) - 1,
+                      A_pow))
+        A_pow = A_pow @ A
     segments = sorted(record.gain_segments, key=lambda seg: seg[0])
     for idx, (start, K) in enumerate(segments):
         end = segments[idx + 1][0] - 1 if idx + 1 < len(segments) else T
-        if start > T or end < start:
-            continue
-        if not stability_margin(A + B @ K, P) < rho:
-            ok[start - 1:end] = False
+        spans.append((start, end, A + B @ K))
 
-    bad = np.flatnonzero(~ok)
-    if bad.size == 0:
+    last_bad = 0
+    for start, end, M in spans:
+        end = min(end, T)
+        if start <= end and not stability_margin(M, P) < rho:
+            last_bad = max(last_bad, end)
+    if last_bad == 0:
         return 1, False
-    last_bad = int(bad[-1]) + 1
     return last_bad + 1, last_bad == T
 
 
@@ -118,12 +119,13 @@ def max_state_norm_ratio(record: TrialRecord, delta: float) -> float:
     return float(np.max(np.linalg.norm(record.X, axis=1) / denom))
 
 
-def compute_trial_diagnostics(record: TrialRecord, oracle: RiccatiSolution,
-                              truth: PlantSpec, delta: float,
-                              log_base: float = math.e) -> dict:
+def compute_trial_diagnostics(
+        record: TrialRecord, oracle: RiccatiSolution, truth: PlantSpec,
+        delta: float, controller: ControllerConfig = ControllerConfig()
+) -> dict:
     """The six scalar diagnostics, keyed by their TrialSummary field names."""
     t_nocb, nocb_cens = detect_t_nocb(record)
-    t_stab, stab_cens = detect_t_stab(record, oracle, truth, log_base)
+    t_stab, stab_cens = detect_t_stab(record, oracle, truth, controller)
     return {"t_nocb": t_nocb, "t_nocb_censored": nocb_cens,
             "t_stab": t_stab, "t_stab_censored": stab_cens,
             "noise_event_holds": check_noise_event(record, delta),

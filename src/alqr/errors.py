@@ -14,37 +14,25 @@ class AlqrError(Exception):
 class UnstableMatrix(AlqrError):
     """A matrix required to be Schur stable has spectral radius >= 1."""
 
-    def __init__(self, message: str, spectral_radius: float | None = None):
-        super().__init__(message)
-        self.spectral_radius = spectral_radius
-
 
 class NonConvergence(AlqrError):
     """An iterative solver failed to meet its tolerance within its budget."""
 
-    def __init__(self, message: str, iterations: int | None = None,
-                 residual: float | None = None):
+    def __init__(self, message: str, iterations: int | None = None):
         super().__init__(message)
         self.iterations = iterations
-        self.residual = residual
 
 
 class IllConditioned(AlqrError):
     """A linear solve encountered a matrix too close to singular to trust."""
 
-    def __init__(self, message: str, condition_number: float | None = None):
-        super().__init__(message)
-        self.condition_number = condition_number
-
 
 class DivergedState(AlqrError):
     """The simulated state left the trusted numeric range."""
 
-    def __init__(self, message: str, step: int | None = None,
-                 norm: float | None = None):
+    def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
-        self.norm = norm
 
 
 class ConfigInvalid(AlqrError):

@@ -33,7 +33,8 @@ class TrialRecord:
     was left in after the last step. ``gain_segments`` lists
     ``(from_step, K)`` pairs: K is the feedback gain in effect from that
     step until the next segment starts. A field whose shape disagrees with
-    ``X`` and ``U_ce`` raises IncompleteLog naming the field.
+    ``X`` and ``U_ce``, or a gain that is not (m, n), raises IncompleteLog
+    naming the field.
     """
 
     trial_index: int
@@ -79,6 +80,12 @@ class TrialRecord:
             raise IncompleteLog(
                 f"trial {self.trial_index}: x_final has shape "
                 f"{self.x_final.shape}, expected {(n,)}")
+        for start, K in self.gain_segments:
+            if np.shape(K) != (m, n):
+                raise IncompleteLog(
+                    f"trial {self.trial_index}: field gain_segments has a "
+                    f"gain of shape {np.shape(K)} from step {start}, "
+                    f"expected {(m, n)}")
 
     def state_after(self, step: int) -> np.ndarray:
         """The state x_{step+1} that step ``step`` (1..T) led to."""
@@ -194,12 +201,17 @@ def save_gain_sidecar(record: TrialRecord, path: str) -> None:
 
 
 def load_gain_sidecar(path: str) -> list[tuple[int, np.ndarray]]:
+    """Gain segments from a sidecar; IncompleteLog names a bad file."""
     if not os.path.exists(path):
         raise IncompleteLog(f"gain sidecar missing: {path}")
-    with open(path) as f:
-        doc = json.load(f)
-    segments = [(int(seg["from_step"]), np.array(seg["K"], dtype=float))
-                for seg in doc.get("gain_segments", [])]
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        segments = [(int(seg["from_step"]), np.array(seg["K"], dtype=float))
+                    for seg in doc.get("gain_segments", [])]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IncompleteLog(f"{path}: malformed gain sidecar: "
+                            f"{type(exc).__name__}: {exc}") from None
     if not segments:
         raise IncompleteLog(f"{path}: no gain segments recorded")
     return segments

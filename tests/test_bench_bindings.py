@@ -13,7 +13,9 @@ import os
 
 import pytest
 
+from alqr.control_math import RiccatiSolution
 from alqr.controller import InputBreakdown
+from alqr.errors import NonConvergence
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
                       "tracer.py")
@@ -49,3 +51,10 @@ def test_input_breakdown_keeps_hooked_fields():
     fields = InputBreakdown.__dataclass_fields__
     assert "breaker_triggered_now" in fields
     assert "breaker_active" in fields
+
+
+def test_solve_dare_outcomes_keep_iterations():
+    # the solve_dare hook counts outcome.iterations and reads a missing
+    # attribute as zero, on success and on NonConvergence alike
+    assert "iterations" in RiccatiSolution.__dataclass_fields__
+    assert NonConvergence("gave up", iterations=7).iterations == 7

@@ -177,19 +177,21 @@ class TestAnalyze:
         with open(log) as f:
             lines = f.read().splitlines()
         parts = lines[5].split(",")  # header + 4 rows, so this is step 5
-        parts[-1] = "999.0"
-        lines[5] = ",".join(parts)
-        with open(log, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        # a NaN compares false against any tolerance, so it needs its own case
+        for value in ("999.0", "nan"):
+            parts[-1] = value
+            lines[5] = ",".join(parts)
+            with open(log, "w") as f:
+                f.write("\n".join(lines) + "\n")
 
-        code = cli.main(["analyze", "--out", out])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 1
-        bad = [f for f in report["failures"] if f["kind"] == "stage_cost"]
-        assert bad and bad[0]["trial"] == 1 and bad[0]["row"] == 5
-        assert "step 5" in bad[0]["message"]
-        # the other trials still check out
-        assert all(f["trial"] == 1 for f in report["failures"])
+            code = cli.main(["analyze", "--out", out])
+            report = json.loads(capsys.readouterr().out)
+            assert code == 1
+            bad = [f for f in report["failures"] if f["kind"] == "stage_cost"]
+            assert bad and bad[0]["trial"] == 1 and bad[0]["row"] == 5
+            assert f"step 5 is {value}" in bad[0]["message"]
+            # the other trials still check out
+            assert all(f["trial"] == 1 for f in report["failures"])
 
     def test_mangled_line_reported_as_parse_failure(self, tmp_path, capsys):
         _, out = simulate(tmp_path)
@@ -231,6 +233,30 @@ class TestAnalyze:
         assert info["steps"] == 1
         assert info["worst_residual"] < 1e-12
         assert info["t_nocb"] == 1 and not info["t_nocb_censored"]
+
+    @pytest.mark.parametrize("sidecar, named", [
+        ('{"trial": 2, "seed": 0, "gain_segments": [{"from_step": 1, "K"',
+         "trial_2_gains.json"),
+        ('{"trial": 2, "seed": 0, "gain_segments": [{"K": [[0.0]]}]}',
+         "trial_2_gains.json"),
+        ('{"trial": 2, "seed": 0, "gain_segments": '
+         '[{"from_step": 1, "K": [[0.0, 0.0]]}]}', "gain_segments"),
+    ], ids=["truncated", "no_from_step", "wrong_shape"])
+    def test_malformed_gain_sidecar_is_parse_failure(self, tmp_path, capsys,
+                                                     sidecar, named):
+        _, out = simulate(tmp_path)
+        capsys.readouterr()
+        path = os.path.join(out, "trials", "trial_2_gains.json")
+        with open(path, "w") as f:
+            f.write(sidecar)
+
+        code = cli.main(["analyze", "--out", out])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [(f["trial"], f["kind"]) for f in report["failures"]] == [
+            (2, "parse")]
+        assert named in report["failures"][0]["message"]
+        assert [info["trial"] for info in report["trials"]] == [0, 1]
 
     def test_no_logs_is_unusable(self, tmp_path, capsys):
         out = tmp_path / "empty"
@@ -302,6 +328,20 @@ class TestVerify:
         err = stderr_json(capsys)
         assert err["error"] == "ConfigInvalid"
         assert err["path"] == "nonsense"
+
+    @pytest.mark.parametrize("assignment, knob", [
+        ("horizon=0", "horizon"),
+        ("horizon=-5", "horizon"),
+        ("horizon=1.5", "horizon"),
+        ("seed=-1", "seed"),
+        ('dare_rtol="x"', "dare_rtol"),
+    ])
+    def test_bad_knob_value_is_unusable(self, capsys, assignment, knob):
+        code = cli.main(["verify", "--set", assignment])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "ConfigInvalid"
+        assert err["path"] == knob
 
 
 def test_unknown_subcommand_exits_via_argparse():

@@ -188,3 +188,9 @@ def test_config_log_base_override():
     assert abs(config.threshold(100) - 2.0) < 1e-12
     assert config.dwell(100) == 2
     assert config.dwell(99) == 1
+    # floor(log k / log base) lands one short at these powers of the base
+    assert config.dwell(1000) == 3
+    assert config.dwell(999) == 2
+    base_three = ControllerConfig(log_base=3.0)
+    assert base_three.dwell(243) == 5
+    assert base_three.dwell(242) == 4

@@ -58,6 +58,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     ("breaker", np.zeros((49,), dtype=np.int8)),
     ("stage_cost", np.zeros((50, 1))),
     ("x_final", np.zeros(2)),
+    ("gain_segments", [(1, np.zeros((3, 2)))]),
 ])
 def test_save_rejects_misshaped_field(field, bad):
     # a misshaped record never reaches save_trial_csv: building it fails
