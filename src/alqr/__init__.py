@@ -2,7 +2,6 @@
 
 from .control_math import (
     CostWeights,
-    LyapunovCertificate,
     RiccatiSolution,
     SystemMatrices,
     controllability_rank,
@@ -32,7 +31,7 @@ from .plant import (
 from .estimator import EstimatorState, ParameterEstimate, estimation_error
 from .controller import AdaptiveController, ControllerConfig, InputBreakdown
 from .records import TrialRecord, load_trial_csv, save_trial_csv
-from .regret import DecompositionReport, decompose, decompose_at, stage_costs
+from .regret import DecompositionReport, decompose_at, stage_costs
 from .diagnostics import (
     SlopeEstimate,
     compute_trial_diagnostics,

@@ -196,7 +196,8 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
     t_nocb, censored = detect_t_nocb(record)
     info["t_nocb"] = t_nocb
     info["t_nocb_censored"] = censored
-    info["noise_event_holds"] = check_noise_event(record, experiment.delta)
+    info["noise_event_holds"] = check_noise_event(record, spec,
+                                                  experiment.delta)
     gains_path = os.path.splitext(path)[0] + "_gains.json"
     if os.path.exists(gains_path):
         t_stab, stab_censored = detect_t_stab(
@@ -277,9 +278,9 @@ def _cmd_verify(args) -> int:
 
     # Lyapunov series vs the closed form p0 = q / (1 - a^2)
     a_diag = np.diag([0.5, 0.8])
-    cert = solve_discrete_lyapunov(a_diag, np.eye(2))
+    P0 = solve_discrete_lyapunov(a_diag, np.eye(2))
     p0_true = np.diag([1.0 / (1.0 - 0.25), 1.0 / (1.0 - 0.64)])
-    lyap_err = float(np.max(np.abs(cert.P0 - p0_true)))
+    lyap_err = float(np.max(np.abs(P0 - p0_true)))
     rows.append(("lyapunov-closed-form", lyap_err <= 1e-10,
                  f"max|dP0|={lyap_err:.3e}"))
 

@@ -97,20 +97,6 @@ class CostWeights:
 
 
 @dataclass(frozen=True)
-class LyapunovCertificate:
-    """Solution P0 of A'P0 A - P0 + Q = 0 plus its contraction factor.
-
-    rho0 is the smallest scalar (up to inflation) with A'P0 A <= rho0 P0,
-    clamped into the open interval (0, 1).
-    """
-
-    P0: np.ndarray
-    rho0: float
-    iterations: int
-    residual: float
-
-
-@dataclass(frozen=True)
 class RiccatiSolution:
     """Stabilizing DARE solution and the quantities derived from it.
 
@@ -169,14 +155,12 @@ def controllability_rank(sys: SystemMatrices, rtol: float = RANK_RTOL) -> int:
 
 def solve_discrete_lyapunov(A, Q, rtol: float = LYAP_RTOL,
                             max_iter: int = LYAP_MAX_ITER,
-                            residual_tol: float = LYAP_RESIDUAL_TOL) -> LyapunovCertificate:
-    """Solve A'PA - P + Q = 0 for a Schur-stable A and SPD Q.
+                            residual_tol: float = LYAP_RESIDUAL_TOL) -> np.ndarray:
+    """Solve A'PA - P + Q = 0 for a Schur-stable A and SPD Q; returns P.
 
     Accumulates the series P = sum_j (A')^j Q A^j term by term until the
-    current term is negligible relative to the partial sum. The certificate
-    factor rho0 is the largest generalized eigenvalue of (A'P0 A, P0),
-    inflated so the inequality A'P0 A < rho0 P0 holds strictly, and clamped
-    into (0, 1).
+    current term is negligible relative to the partial sum, then checks the
+    residual of the symmetrized sum.
     """
     A = _clean_matrix(A, "A")
     Q = _check_spd(_clean_matrix(Q, "Q"), "Q")
@@ -206,11 +190,7 @@ def solve_discrete_lyapunov(A, Q, rtol: float = LYAP_RTOL,
         raise NonConvergence(
             f"Lyapunov residual {residual:.3e} exceeds tolerance",
             iterations=iterations)
-
-    rho0 = stability_margin(A, P) * EIG_INFLATION
-    rho0 = min(max(rho0, 1e-15), 1.0 - 1e-15)
-    return LyapunovCertificate(P0=P, rho0=rho0, iterations=iterations,
-                               residual=residual)
+    return P
 
 
 def _gain(A, B, P, R) -> np.ndarray:

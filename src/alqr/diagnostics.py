@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .control_math import RiccatiSolution, stability_margin
 from .controller import ControllerConfig
 from .errors import EmptyWindow, IncompleteLog
-from .estimator import EstimatorState, estimation_error
 from .plant import PlantSpec
 from .records import TrialRecord
 
@@ -96,18 +96,24 @@ def noise_bound(k, n: int, delta: float):
     return 2.0 * math.sqrt(n + 1) * np.sqrt(np.log(np.asarray(k, dtype=float) / delta))
 
 
-def check_noise_event(record: TrialRecord, delta: float) -> bool:
-    """Whether max(||w_k||, ||v_k||) stays under the regularity envelope.
+def check_noise_event(record: TrialRecord, truth: PlantSpec,
+                      delta: float) -> bool:
+    """Whether max(||L^-1 w_k||, ||v_k||) stays under the regularity envelope.
 
-    The probe draws v_k are recovered from the logged inputs by undoing the
-    k^(-1/4) scaling.
+    The envelope is built for standard normal draws, so the process noise is
+    whitened first by the Cholesky factor L = truth.chol_W of its covariance
+    (at W = I the whitened rows equal the logged ones). The probe draws v_k
+    are recovered from the logged inputs by undoing the k^(-1/4) scaling.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
     T = record.horizon
     ks = np.arange(1, T + 1, dtype=float)
     bound = noise_bound(ks, record.n, delta)
-    w_norms = np.linalg.norm(record.W, axis=1)
+    # a NaN row fails the comparison below rather than raising here
+    white = scipy.linalg.solve_triangular(truth.chol_W, record.W.T,
+                                          lower=True, check_finite=False).T
+    w_norms = np.linalg.norm(white, axis=1)
     v_norms = np.linalg.norm(record.U_pr, axis=1) * ks ** 0.25
     return bool(np.all(w_norms <= bound) and np.all(v_norms <= bound))
 
@@ -128,7 +134,7 @@ def compute_trial_diagnostics(
     t_stab, stab_cens = detect_t_stab(record, oracle, truth, controller)
     return {"t_nocb": t_nocb, "t_nocb_censored": nocb_cens,
             "t_stab": t_stab, "t_stab_censored": stab_cens,
-            "noise_event_holds": check_noise_event(record, delta),
+            "noise_event_holds": check_noise_event(record, truth, delta),
             "max_state_norm_ratio": max_state_norm_ratio(record, delta)}
 
 
@@ -181,96 +187,3 @@ def tnocb_histogram(values, horizon: int) -> tuple[list[float], list[int]]:
     counts, _ = np.histogram(np.asarray(values, dtype=float), bins=edges)
     return edges, [int(c) for c in counts]
 
-
-# --- verbose monitors: direct scans of the concentration events ---------
-
-
-def check_cov_event(record: TrialRecord, delta: float,
-                    at_steps=None) -> bool:
-    """Empirical covariance concentration scan.
-
-    Checks ||sum_{i<=k} (w_i w_i' - I)|| <= 7 n sqrt(k) log(8 n^2 k / delta)
-    at the given steps (default: every step). The record does not carry W,
-    so the scan assumes W = I: the sum is centered on the identity and the
-    constant is calibrated for it.
-    """
-    n = record.n
-    if not 0.0 < delta <= 1.0 / (8 * n * n):
-        raise ValueError(f"delta must be in (0, 1/(8 n^2)], got {delta}")
-    T = record.horizon
-    steps = range(1, T + 1) if at_steps is None else sorted(at_steps)
-    W_cov = np.eye(n)
-    running = np.zeros((n, n))
-    prev = 0
-    for k in steps:
-        if not 1 <= k <= T:
-            raise ValueError(f"step {k} outside 1..{T}")
-        block = record.W[prev:k]
-        running += block.T @ block - (k - prev) * W_cov
-        prev = k
-        bound = 7.0 * n * math.sqrt(k) * math.log(8 * n * n * k / delta)
-        if np.linalg.norm(running, 2) > bound:
-            return False
-    return True
-
-
-def check_cross_event(record: TrialRecord, oracle: RiccatiSolution,
-                      truth: PlantSpec, delta: float) -> bool:
-    """Noise/state cross-term concentration scan.
-
-    Checks |sum_{i<=k} w_i' P* (A x_i + B u_cb_i)| against
-    C_cross sqrt(k) log(k/delta)^2 at every step, with
-    C_cross = 4 sqrt(n+1) ||P*|| (||A|| C_x + ||B||) and C_x the state-norm
-    envelope constant built from the open-loop certificate.
-    """
-    if not 0.0 < delta <= 1.0 / 6.0:
-        raise ValueError(f"delta must be in (0, 1/6], got {delta}")
-    from .control_math import solve_discrete_lyapunov  # local to avoid cycle
-    A, B, P = truth.sys.A, truth.sys.B, oracle.P_star
-    cert = solve_discrete_lyapunov(A, truth.cost.Q)
-    n = record.n
-    C_x = ((np.linalg.norm(B, 2) + 1.0) * (2.0 * math.sqrt(n + 1) + 1.0)
-           * np.linalg.norm(cert.P0, 2) * np.linalg.norm(np.linalg.inv(cert.P0), 2)
-           / (1.0 - cert.rho0 ** 0.5))
-    C_cross = (4.0 * math.sqrt(n + 1) * np.linalg.norm(P, 2)
-               * (np.linalg.norm(A, 2) * C_x + np.linalg.norm(B, 2)))
-    closed = record.X @ A.T + record.U_cb @ B.T
-    terms = np.einsum("ij,jl,il->i", record.W, P, closed)
-    partial = np.abs(np.cumsum(terms))
-    ks = np.arange(1, record.horizon + 1, dtype=float)
-    bound = C_cross * np.sqrt(ks) * np.log(ks / delta) ** 2
-    return bool(np.all(partial <= bound))
-
-
-def check_est_event(record: TrialRecord, truth: PlantSpec, delta: float,
-                    at_steps) -> tuple[bool, int]:
-    """Estimation-error concentration scan at selected steps.
-
-    Replays the log's (z, x_next) pairs and checks
-    ||Theta_hat_k - Theta||^2 <= C_Theta k^(-1/2) log(k/delta) at each
-    requested step at or past the burn-in k0. Returns (holds, checked)
-    where checked counts the steps past burn-in; the event is vacuously
-    true when none qualify.
-    """
-    n, m = record.n, record.m
-    C_theta = (3200.0 * n / 9.0) * (2.5 * n + 2.0)
-    k0 = math.ceil(600.0 * (m + n) * math.log(1.0 / delta) + 5400.0)
-    T = record.horizon
-    U = record.U_cb + record.U_pr
-    est = EstimatorState(n, m)
-    prev = 0
-    checked = 0
-    for k in sorted(at_steps):
-        if not 1 <= k <= T:
-            raise ValueError(f"step {k} outside 1..{T}")
-        for i in range(prev, k):
-            est.absorb(np.concatenate([record.X[i], U[i]]),
-                       record.state_after(i + 1))
-        prev = k
-        if k < k0:
-            continue
-        checked += 1
-        err = estimation_error(est.estimate(), truth.sys)
-        if err ** 2 > C_theta * k ** -0.5 * math.log(k / delta):
-            return False, checked
-    return True, checked

@@ -131,9 +131,3 @@ def decompose_at(record: TrialRecord, oracle: RiccatiSolution,
             total=total, regret=regret, residual=abs(total - regret)))
     return reports
 
-
-def decompose(record: TrialRecord, oracle: RiccatiSolution,
-              truth: PlantSpec, upto: int | None = None) -> DecompositionReport:
-    """Decomposition over the first ``upto`` steps (default: whole trial)."""
-    T = record.horizon
-    return decompose_at(record, oracle, truth, [T if upto is None else upto])[0]

@@ -2,21 +2,21 @@
 
 Synthetic records with hand-placed breaker flags and gains pin down the
 two detection times exactly; the envelope checks are exercised against
-bounds recomputed inline. Concentration monitors run on a short manually
-driven trial plus hand-built violating records.
+bounds recomputed inline, with the noise event also checked under a
+non-identity W. The combined per-trial diagnostics run on a short manually
+driven trial.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from alqr.control_math import CostWeights, SystemMatrices, solve_dare
 from alqr.controller import ControllerConfig
-from alqr.diagnostics import (check_cov_event, check_cross_event,
-                              check_est_event, check_noise_event,
-                              compute_trial_diagnostics, detect_t_nocb,
-                              detect_t_stab, fit_regret_slope,
+from alqr.diagnostics import (check_noise_event, compute_trial_diagnostics,
+                              detect_t_nocb, detect_t_stab, fit_regret_slope,
                               max_state_norm_ratio, noise_bound,
                               tnocb_histogram)
 from alqr.errors import EmptyWindow, IncompleteLog
@@ -35,10 +35,10 @@ def make_record(T, n=1, m=1, **over):
     return TrialRecord(**fields)
 
 
-def scalar_spec():
+def scalar_spec(w=1.0):
     return PlantSpec(sys=SystemMatrices(A=np.array([[0.5]]),
                                         B=np.array([[1.0]])),
-                     W=np.eye(1),
+                     W=w * np.eye(1),
                      cost=CostWeights(Q=np.eye(1), R=np.eye(1)))
 
 
@@ -125,17 +125,23 @@ def test_t_stab_log_base_two(scalar_setup):
 
 def test_noise_event_zero_noise_holds():
     record = make_record(50)
-    assert check_noise_event(record, delta=0.5)
+    assert check_noise_event(record, scalar_spec(), delta=0.5)
 
 
 def test_noise_event_flags_large_process_noise():
+    unit = scalar_spec()
     record = make_record(50)
     limit = noise_bound(1, 1, 0.5)
     record.W[0, 0] = 8.0
     assert 8.0 > limit
-    assert not check_noise_event(record, delta=0.5)
+    assert not check_noise_event(record, unit, delta=0.5)
     record.W[0, 0] = 0.9 * limit
-    assert check_noise_event(record, delta=0.5)
+    assert check_noise_event(record, unit, delta=0.5)
+    # the same draw under W = 100 I is logged 10x larger; whitening by
+    # chol(W) = 10 brings it back under the envelope
+    loud = replace(record, W=10.0 * record.W)
+    assert not check_noise_event(loud, unit, delta=0.5)
+    assert check_noise_event(loud, scalar_spec(100.0), delta=0.5)
 
 
 def test_noise_event_recovers_probe_draw():
@@ -143,15 +149,15 @@ def test_noise_event_recovers_probe_draw():
     record = make_record(50)
     record.U_pr[15, 0] = 5.0
     assert 10.0 > noise_bound(16, 1, 0.5)
-    assert not check_noise_event(record, delta=0.5)
+    assert not check_noise_event(record, scalar_spec(), delta=0.5)
 
 
 def test_noise_event_delta_range():
     record = make_record(5)
     with pytest.raises(ValueError):
-        check_noise_event(record, delta=0.6)
+        check_noise_event(record, scalar_spec(), delta=0.6)
     with pytest.raises(ValueError):
-        check_noise_event(record, delta=0.0)
+        check_noise_event(record, scalar_spec(), delta=0.0)
 
 
 def test_max_state_norm_ratio_manual():
@@ -202,74 +208,12 @@ def test_tnocb_histogram_bins():
     assert sum(counts) == 1
 
 
-def test_cov_event_holds_on_gaussian_noise(driven):
-    spec, oracle, record = driven
-    assert check_cov_event(record, delta=0.01)
-    assert check_cov_event(record, delta=0.01, at_steps=[10, 400])
-
-
-def test_cov_event_flags_inflated_noise():
-    record = make_record(50, W=10.0 * np.ones((50, 1)))
-    assert not check_cov_event(record, delta=0.1)
-
-
-def test_cov_event_argument_checks():
-    record = make_record(10)
-    with pytest.raises(ValueError):
-        check_cov_event(record, delta=0.2)  # above 1/(8 n^2) for n = 1
-    with pytest.raises(ValueError):
-        check_cov_event(record, delta=0.1, at_steps=[0])
-    with pytest.raises(ValueError):
-        check_cov_event(record, delta=0.1, at_steps=[11])
-
-
-def test_cross_event_holds_on_driven_trial(driven):
-    spec, oracle, record = driven
-    assert check_cross_event(record, oracle, spec, delta=0.1)
-
-
-def test_cross_event_flags_aligned_feedback(scalar_setup):
-    # x_1 = 0, so the k = 1 term is w_1 p* u_cb_1 = 2 * 1.1328 * 100,
-    # well above C_cross * ln(6)^2 which is about 178 for this plant
-    spec, oracle = scalar_setup
-    record = make_record(5)
-    record.U_cb[0, 0] = 100.0
-    record.W[0, 0] = 2.0
-    assert not check_cross_event(record, oracle, spec, delta=1.0 / 6.0)
-    with pytest.raises(ValueError):
-        check_cross_event(record, oracle, spec, delta=0.2)
-
-
-def test_est_event_past_burn_in(scalar_setup):
-    # delta = 1/2 puts the burn-in at ceil(1200 ln 2 + 5400) = 6232
-    spec, oracle = scalar_setup
-    record = drive_trial(spec, 7000, seed=3)
-    holds, checked = check_est_event(record, spec, delta=0.5,
-                                     at_steps=[6232, 7000])
-    assert holds
-    assert checked == 2
-    holds, checked = check_est_event(record, spec, delta=0.5,
-                                     at_steps=[100])
-    assert holds
-    assert checked == 0
-
-
-def test_est_event_needs_final_state(scalar_setup):
-    spec, oracle = scalar_setup
-    record = make_record(10, x_final=None)
-    with pytest.raises(IncompleteLog):
-        check_est_event(record, spec, delta=0.5, at_steps=[10])
-    good = make_record(10)
-    with pytest.raises(ValueError):
-        check_est_event(good, spec, delta=0.5, at_steps=[11])
-
-
 def test_trial_diagnostics_consistency(driven):
     spec, oracle, record = driven
     diag = compute_trial_diagnostics(record, oracle, spec, delta=0.01)
     assert (diag["t_nocb"], diag["t_nocb_censored"]) == detect_t_nocb(record)
     assert (diag["t_stab"], diag["t_stab_censored"]) == detect_t_stab(
         record, oracle, spec)
-    assert diag["noise_event_holds"] == check_noise_event(record, 0.01)
+    assert diag["noise_event_holds"] == check_noise_event(record, spec, 0.01)
     assert diag["max_state_norm_ratio"] == max_state_norm_ratio(record, 0.01)
     assert diag["max_state_norm_ratio"] > 0.0

@@ -17,7 +17,7 @@ from alqr.harness import (ExperimentConfig, TrialSummary, checkpoint_steps,
                           run_experiment, run_trial, trial_seed)
 from alqr.plant import PlantSpec
 from alqr.records import load_gain_sidecar, load_trial_csv
-from alqr.regret import decompose
+from alqr.regret import decompose_at
 from helpers import drive_trial, reference_spec
 
 
@@ -126,7 +126,7 @@ def test_trial_matches_handwritten_loop(ref):
 def test_trial_record_satisfies_decomposition(ref):
     spec, oracle = ref
     result = run_trial(make_config(spec, horizon=2000), 1)
-    report = decompose(result.record, oracle, spec)
+    report = decompose_at(result.record, oracle, spec, [2000])[0]
     assert report.within_tolerance
     assert report.regret == pytest.approx(result.summary.final_regret,
                                           rel=1e-9, abs=1e-9)
@@ -169,6 +169,19 @@ def test_huge_noise_gain_solve_failure_falls_back():
     config = make_config(loud, horizon=300, trials=6)
     for i in range(config.trials):
         assert not run_trial(config, i).summary.failed
+
+
+def test_noise_event_is_scale_free_in_w():
+    # W = 100 I logs every draw 10x larger; after whitening by chol(W) the
+    # per-trial noise event reads the same as at W = I
+    base = generate_stand_in_plant(3, 2, 0.9, 42)
+    loud = PlantSpec(sys=base.sys, W=100.0 * np.eye(3), cost=base.cost)
+    flags = []
+    for spec in (base, loud):
+        summary = run_experiment(make_config(spec, horizon=2000, trials=3))
+        flags.append([t.noise_event_holds for t in summary.trial_summaries])
+    assert flags[0] == flags[1]
+    assert None not in flags[0]
 
 
 def test_experiment_aggregates(ref):

@@ -142,7 +142,7 @@ def test_stationary_covariance_matches_lyapunov():
     # which is the transposed form of the Lyapunov solver's equation
     A = np.array([[0.7, 0.2], [-0.1, 0.5]])
     spec = make_spec(A, np.zeros((2, 1)))
-    target = solve_discrete_lyapunov(A.T, np.eye(2)).P0
+    target = solve_discrete_lyapunov(A.T, np.eye(2))
     stream = NoiseStream(seed=13, state_dim=2, input_dim=1)
     T = 1_000_000
     w = stream.block("w", 1, T)

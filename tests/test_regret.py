@@ -13,7 +13,7 @@ import pytest
 from alqr.control_math import CostWeights, solve_dare
 from alqr.errors import IncompleteLog
 from alqr.records import TrialRecord
-from alqr.regret import decompose, decompose_at, stage_costs
+from alqr.regret import decompose_at, stage_costs
 from helpers import drive_trial, reference_spec
 
 
@@ -42,7 +42,7 @@ def test_decompose_zero_noise_optimal_gain():
         U_cb=np.zeros((T, m)), U_pr=np.zeros((T, m)), W=np.zeros((T, n)),
         breaker=np.zeros(T, dtype=np.int8), stage_cost=np.zeros(T),
         x_final=np.zeros(n), gain_segments=[(1, oracle.K_star)])
-    report = decompose(record, oracle, spec)
+    report = decompose_at(record, oracle, spec, [record.horizon])[0]
     assert abs(report.R5 + T * oracle.J_star) < 1e-12
     for name in ("R1", "R2", "R3", "R4", "R6", "R7"):
         assert getattr(report, name) == 0.0
@@ -66,7 +66,7 @@ def test_decompose_single_step_hand_expansion():
         U_pr=u_pr[None, :], W=w[None, :],
         breaker=np.zeros(1, dtype=np.int8), stage_cost=np.array([stage]),
         x_final=x2, gain_segments=[(1, np.zeros((spec.m, spec.n)))])
-    report = decompose(record, oracle, spec)
+    report = decompose_at(record, oracle, spec, [record.horizon])[0]
     expected = stage - oracle.J_star
     assert abs(report.regret - expected) < 1e-12
     assert abs(report.total - expected) < 1e-9
@@ -86,12 +86,12 @@ def test_decompose_identity_on_driven_trial():
     oracle = solve_dare(spec.sys, spec.cost, spec.W)
     record = drive_trial(spec, T=600, seed=2024)
     checkpoints = [1, 2, 3, 10, 50, 100, 599, 600]
-    for report in decompose_at(record, oracle, spec, checkpoints):
+    reports = decompose_at(record, oracle, spec, checkpoints)
+    for report in reports:
         assert report.residual <= 1e-6 * (1.0 + abs(report.regret))
-    # prefix call agrees with the vectorized path
-    single = decompose(record, oracle, spec, upto=50)
-    batch = decompose_at(record, oracle, spec, [50])[0]
-    assert single == batch
+    # a single-prefix call agrees with the same prefix in the batch
+    single = decompose_at(record, oracle, spec, [50])[0]
+    assert single == reports[checkpoints.index(50)]
 
 
 def test_decompose_identity_with_forced_breaker_activity():
@@ -101,7 +101,7 @@ def test_decompose_identity_with_forced_breaker_activity():
     force = np.full((spec.m, spec.n), 4.0)
     record = drive_trial(spec, T=300, seed=55, force_gain=force)
     assert np.any(record.breaker == 2) and np.any(record.breaker == 1)
-    report = decompose(record, oracle, spec)
+    report = decompose_at(record, oracle, spec, [record.horizon])[0]
     assert report.residual <= 1e-6 * (1.0 + abs(report.regret))
 
 
@@ -116,7 +116,7 @@ def test_r1_respects_breaker_gain_selection():
         K_k = np.zeros_like(force) if record.breaker[i] != 0 else force
         err = (K_k - oracle.K_star) @ record.X[i]
         manual += float(err @ G @ err)
-    report = decompose(record, oracle, spec)
+    report = decompose_at(record, oracle, spec, [record.horizon])[0]
     assert abs(report.R1 - manual) < 1e-9 * (1.0 + abs(manual))
 
 
@@ -125,7 +125,7 @@ def test_r6_nonpositive_from_zero_start():
     oracle = solve_dare(spec.sys, spec.cost, spec.W)
     for seed in (1, 2, 3):
         record = drive_trial(spec, T=120, seed=seed)
-        report = decompose(record, oracle, spec)
+        report = decompose_at(record, oracle, spec, [record.horizon])[0]
         assert report.R6 <= 0.0
 
 
@@ -134,9 +134,9 @@ def test_decompose_missing_final_state():
     oracle = solve_dare(spec.sys, spec.cost, spec.W)
     record = replace(drive_trial(spec, T=30, seed=1), x_final=None)
     with pytest.raises(IncompleteLog):
-        decompose(record, oracle, spec)
+        decompose_at(record, oracle, spec, [record.horizon])
     # prefixes short of the horizon never touch the final state
-    report = decompose(record, oracle, spec, upto=29)
+    report = decompose_at(record, oracle, spec, [29])[0]
     assert report.residual <= 1e-6 * (1.0 + abs(report.regret))
 
 
