@@ -6,7 +6,6 @@ from .control_math import (
     SystemMatrices,
     controllability_rank,
     solve_dare,
-    solve_discrete_lyapunov,
     spectral_radius,
     stability_margin,
     synthesize_gain,

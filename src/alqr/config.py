@@ -4,7 +4,7 @@ A run is described by one JSON object; every semantic field is explicit so
 a config file is a complete, diff-able replay key. The plant is given
 either as row-major matrices or as a generator block that is resolved
 deterministically from its seed. Command-line overrides use dotted paths
-(``controller.log_base=2``) and are applied to the parsed document before
+(``plant.generator.seed=7``) and are applied to the parsed document before
 any validation happens. Validation errors carry the dotted path of the
 offending field.
 """
@@ -29,7 +29,7 @@ _REQUIRED_TOP = ("plant", "horizon", "trials", "base_seed",
 _PLANT_KEYS = {"A", "B", "W", "Q", "R", "generator"}
 _MATRIX_KEYS = ("A", "B", "W", "Q", "R")
 _GENERATOR_KEYS = {"n", "m", "target_rho", "seed"}
-_CONTROLLER_KEYS = {"gain_update_schedule", "log_base", "rank_rtol"}
+_CONTROLLER_KEYS = {"gain_update_schedule"}
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,6 @@ def _parse_controller(doc: dict, path: str) -> ControllerConfig:
             raise ConfigInvalid(f"must be a string, got {value!r}",
                                 path=_join(path, "gain_update_schedule"))
         kwargs["gain_update_schedule"] = value
-    if "log_base" in block:
-        kwargs["log_base"] = _as_number(block["log_base"],
-                                        _join(path, "log_base"))
-    if "rank_rtol" in block:
-        kwargs["rank_rtol"] = _as_number(block["rank_rtol"],
-                                         _join(path, "rank_rtol"))
     try:
         return ControllerConfig(**kwargs)
     except ValueError as exc:

@@ -1,10 +1,10 @@
 """Exact discrete-time LQR mathematics.
 
-Solvers for the discrete Lyapunov and algebraic Riccati equations, optimal
-gain synthesis, controllability rank, and quadratic stability margins. All
-functions here are pure: given the same matrices they return the same values,
-and nothing is cached or mutated, so results are safe to share across threads
-or processes.
+The discrete algebraic Riccati solver, optimal gain synthesis,
+controllability rank, and quadratic stability margins. All functions here
+are pure: given the same matrices they return the same values, and nothing
+is cached or mutated, so results are safe to share across threads or
+processes.
 
 Conventions: the plant is x' = A x + B u with n states and m inputs; costs
 are x'Qx + u'Ru per step with Q, R symmetric positive definite.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import IllConditioned, NonConvergence, UnstableMatrix
+from .errors import IllConditioned, NonConvergence
 
 # Shared numeric policy. Margins are inflated by EIG_INFLATION so strict
 # matrix inequalities extracted from eigensolves hold under round-off.
@@ -27,9 +27,6 @@ COND_CAP = 1e12
 DARE_RTOL = 1e-12
 DARE_MAX_ITER = 100_000
 DARE_RESIDUAL_TOL = 1e-9
-LYAP_RTOL = 1e-13
-LYAP_MAX_ITER = 200_000
-LYAP_RESIDUAL_TOL = 1e-9
 RANK_RTOL = 1e-10
 
 
@@ -151,46 +148,6 @@ def controllability_rank(sys: SystemMatrices, rtol: float = RANK_RTOL) -> int:
     if svals[0] == 0.0:
         return 0
     return int(np.sum(svals > n * rtol * svals[0]))
-
-
-def solve_discrete_lyapunov(A, Q, rtol: float = LYAP_RTOL,
-                            max_iter: int = LYAP_MAX_ITER,
-                            residual_tol: float = LYAP_RESIDUAL_TOL) -> np.ndarray:
-    """Solve A'PA - P + Q = 0 for a Schur-stable A and SPD Q; returns P.
-
-    Accumulates the series P = sum_j (A')^j Q A^j term by term until the
-    current term is negligible relative to the partial sum, then checks the
-    residual of the symmetrized sum.
-    """
-    A = _clean_matrix(A, "A")
-    Q = _check_spd(_clean_matrix(Q, "Q"), "Q")
-    if A.shape != Q.shape:
-        raise ValueError(f"A and Q shapes differ: {A.shape} vs {Q.shape}")
-    sr = spectral_radius(A)
-    if sr >= 1.0 - 1e-12:
-        raise UnstableMatrix(
-            f"spectral radius {sr:.6f} >= 1; no Lyapunov solution exists")
-
-    P = Q.copy()
-    term = Q.copy()
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        term = A.T @ term @ A
-        P += term
-        if np.linalg.norm(term, "fro") <= rtol * np.linalg.norm(P, "fro"):
-            break
-    else:
-        raise NonConvergence(
-            f"Lyapunov series did not settle in {max_iter} iterations "
-            f"(spectral radius {sr:.6f})", iterations=max_iter)
-
-    P = 0.5 * (P + P.T)
-    residual = float(np.linalg.norm(A.T @ P @ A - P + Q, "fro"))
-    if residual > residual_tol * max(1.0, np.linalg.norm(Q, "fro")):
-        raise NonConvergence(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance",
-            iterations=iterations)
-    return P
 
 
 def _gain(A, B, P, R) -> np.ndarray:

@@ -32,44 +32,36 @@ PROBE_EXPONENT = -0.25
 SCHEDULES = ("powers-of-two", "every-step")
 
 
+def threshold(k: int) -> float:
+    """Breaker threshold M_k = log k."""
+    return math.log(k)
+
+
+def dwell(k: int) -> int:
+    """Dwell length t_k after a trigger at step k: the largest t with
+    e**t <= k, so floor(log k) made exact next to powers of e."""
+    t = math.floor(math.log(k))
+    # the float log can land one off next to a power of e
+    if math.e ** (t + 1) <= k:
+        return t + 1
+    return t if math.e ** t <= k else t - 1
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Supervision rules and the gain-update schedule.
+    """The gain-update schedule.
 
-    The probe exponent is part of the algorithm, not a knob. The logarithm
-    base feeds both the threshold M_k and the dwell t_k; the default is the
-    natural log, with other bases allowed for sensitivity studies.
+    The probe exponent, the breaker's natural logarithm and the
+    controllability tolerance are part of the algorithm, not knobs.
     """
 
     gain_update_schedule: str = "powers-of-two"
-    log_base: float = math.e
-    rank_rtol: float = 1e-10
 
     def __post_init__(self):
         if self.gain_update_schedule not in SCHEDULES:
             raise ValueError(
                 f"gain_update_schedule must be one of {SCHEDULES}, "
                 f"got {self.gain_update_schedule!r}")
-        if not (self.log_base > 1.0):
-            raise ValueError(f"log_base must exceed 1, got {self.log_base}")
-        if not (0.0 < self.rank_rtol < 1.0):
-            raise ValueError(f"rank_rtol must be in (0,1), got {self.rank_rtol}")
-
-    def log(self, k: int) -> float:
-        return math.log(k) / math.log(self.log_base)
-
-    def threshold(self, k: int) -> float:
-        """Breaker threshold M_k."""
-        return self.log(k)
-
-    def dwell(self, k: int) -> int:
-        """Dwell length t_k after a trigger at step k: the largest t with
-        log_base**t <= k, so exact where k is a power of the base."""
-        t = math.floor(self.log(k))
-        # the float log can land one off next to a power of the base
-        if self.log_base ** (t + 1) <= k:
-            return t + 1
-        return t if self.log_base ** t <= k else t - 1
 
     def schedule_fires(self, k: int) -> bool:
         if self.gain_update_schedule == "every-step":
@@ -122,7 +114,7 @@ class AdaptiveController:
         est = self.estimator.estimate()
         sys_hat = SystemMatrices(A=est.A_hat, B=est.B_hat)
         new_gain = np.zeros((self.input_dim, self.state_dim))
-        if controllability_rank(sys_hat, rtol=self.config.rank_rtol) == self.state_dim:
+        if controllability_rank(sys_hat) == self.state_dim:
             try:
                 solution = solve_dare(sys_hat, self.cost)
                 new_gain = solution.K_star
@@ -143,8 +135,8 @@ class AdaptiveController:
         u_ce = self.Khat @ x
         triggered = False
         if self.xi == 0:
-            if float(np.linalg.norm(u_ce)) > self.config.threshold(k):
-                self.xi = self.config.dwell(k)
+            if float(np.linalg.norm(u_ce)) > threshold(k):
+                self.xi = dwell(k)
                 u_cb = np.zeros(self.input_dim)
                 triggered = True
                 active = True

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .control_math import RiccatiSolution, stability_margin
-from .controller import ControllerConfig
+from .controller import dwell
 from .errors import EmptyWindow, IncompleteLog
 from .plant import PlantSpec
 from .records import TrialRecord
@@ -49,14 +49,12 @@ def detect_t_nocb(record: TrialRecord) -> tuple[int, bool]:
 
 
 def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
-                  truth: PlantSpec,
-                  controller: ControllerConfig = ControllerConfig()
-                  ) -> tuple[int, bool]:
+                  truth: PlantSpec) -> tuple[int, bool]:
     """First step from which both contraction conditions hold onward.
 
     Step k passes when, in the P* metric with rho = (1 + rho*)/2, both the
     dwell map A^(t_k) and the closed loop A + B Khat_k are rho-contractive,
-    where t_k = controller.dwell(k) and Khat_k is the gain in effect at k.
+    where t_k = dwell(k) and Khat_k is the gain in effect at k.
     Returns 1 + the last failing step (1 if none fail) and a censored flag
     set when the final step itself fails.
     """
@@ -66,14 +64,13 @@ def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
     T = record.horizon
     A, B, P = truth.sys.A, truth.sys.B, oracle.P_star
     rho = 0.5 * (1.0 + oracle.rho_star)
-    base = controller.log_base
 
     # (first step, last step, map that must be rho-contractive over them)
     spans = []
     A_pow = np.eye(truth.n)
-    for t in range(controller.dwell(T) + 1):
-        # dwell(k) = t exactly for base**t <= k < base**(t+1)
-        spans.append((math.ceil(base ** t), math.ceil(base ** (t + 1)) - 1,
+    for t in range(dwell(T) + 1):
+        # dwell(k) = t exactly for e**t <= k < e**(t+1)
+        spans.append((math.ceil(math.e ** t), math.ceil(math.e ** (t + 1)) - 1,
                       A_pow))
         A_pow = A_pow @ A
     segments = sorted(record.gain_segments, key=lambda seg: seg[0])
@@ -127,11 +124,10 @@ def max_state_norm_ratio(record: TrialRecord, delta: float) -> float:
 
 def compute_trial_diagnostics(
         record: TrialRecord, oracle: RiccatiSolution, truth: PlantSpec,
-        delta: float, controller: ControllerConfig = ControllerConfig()
-) -> dict:
+        delta: float) -> dict:
     """The six scalar diagnostics, keyed by their TrialSummary field names."""
     t_nocb, nocb_cens = detect_t_nocb(record)
-    t_stab, stab_cens = detect_t_stab(record, oracle, truth, controller)
+    t_stab, stab_cens = detect_t_stab(record, oracle, truth)
     return {"t_nocb": t_nocb, "t_nocb_censored": nocb_cens,
             "t_stab": t_stab, "t_stab_censored": stab_cens,
             "noise_event_holds": check_noise_event(record, truth, delta),

@@ -242,8 +242,7 @@ def run_trial(config: ExperimentConfig, trial_index: int,
 
     facts = {}
     if not failed:
-        facts = compute_trial_diagnostics(
-            record, oracle, spec, config.delta, config.controller)
+        facts = compute_trial_diagnostics(record, oracle, spec, config.delta)
         # np.sum, not cum[-1]: the two differ in the last bits
         facts["final_regret"] = float(np.sum(stage)) - T * oracle.J_star
         facts["final_rel_avg_regret"] = float(rel[-1])

@@ -139,7 +139,8 @@ def load_trial_csv(path: str, trial_index: int = -1,
     """
     if not os.path.exists(path):
         raise IncompleteLog(f"trial log missing: {path}")
-    with open(path) as f:
+    # an undecodable byte becomes U+FFFD, which no header or number matches
+    with open(path, encoding="utf-8", errors="replace") as f:
         header = f.readline().rstrip("\n")
         names = header.split(",")
         n = sum(1 for c in names if c.startswith("x_"))
@@ -165,9 +166,9 @@ def load_trial_csv(path: str, trial_index: int = -1,
     if not rows:
         raise IncompleteLog(f"{path}: no data rows")
     data = np.array(rows)
-    ks = data[:, 0].astype(int)
-    if not np.array_equal(ks, np.arange(1, len(rows) + 1)):
-        raise IncompleteLog(f"{path}: step column is not contiguous from 1")
+    if not np.array_equal(data[:, 0], np.arange(1, len(rows) + 1)):
+        raise IncompleteLog(
+            f"{path}: step column is not the integers 1, 2, ... in order")
     offset = 1
     X = data[:, offset:offset + n]; offset += n
     U_ce = data[:, offset:offset + m]; offset += m

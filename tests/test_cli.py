@@ -74,8 +74,8 @@ class TestSimulate:
 
     def test_flag_overrides_reach_config(self, tmp_path):
         code, out = simulate(
-            tmp_path, extra=["--trials", "2", "--horizon", "50",
-                             "--seed", "99"])
+            tmp_path, extra=["--set", "trials=2", "--set", "horizon=50",
+                             "--set", "base_seed=99"])
         assert code == 0
         with open(os.path.join(out, "config.json")) as f:
             doc = json.load(f)
@@ -85,6 +85,19 @@ class TestSimulate:
         logs = os.listdir(os.path.join(out, "trials"))
         assert sorted(logs) == ["trial_0.csv", "trial_0_gains.json",
                                 "trial_1.csv", "trial_1_gains.json"]
+
+    @pytest.mark.parametrize("blocked", ["run", "run/trials"])
+    def test_uncreatable_output_dir_is_unusable(self, tmp_path, capsys,
+                                                blocked):
+        # a regular file stands where simulate needs a directory
+        path = tmp_path / blocked
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("")
+        code, _ = simulate(tmp_path)
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "IoError"
+        assert str(path) in err["message"]
 
     def test_set_override_reaches_controller(self, tmp_path):
         code, out = simulate(
@@ -210,6 +223,27 @@ class TestAnalyze:
         assert "parse" in kinds
         assert any(f["trial"] == 0 for f in report["failures"])
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: data + b"\xff\xfe",
+        lambda data: data.replace(b"\n3,", b"\n3.9,", 1),
+    ], ids=["invalid_utf8", "fractional_step"])
+    def test_unreadable_log_is_parse_failure(self, tmp_path, capsys,
+                                             corrupt):
+        _, out = simulate(tmp_path)
+        capsys.readouterr()
+        log = os.path.join(out, "trials", "trial_1.csv")
+        with open(log, "rb") as f:
+            data = f.read()
+        with open(log, "wb") as f:
+            f.write(corrupt(data))
+
+        code = cli.main(["analyze", "--out", out])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [(f["trial"], f["kind"]) for f in report["failures"]] == [
+            (1, "parse")]
+        assert [info["trial"] for info in report["trials"]] == [0, 2]
+
     def test_hand_built_single_step_log(self, tmp_path, capsys):
         out = tmp_path / "byhand"
         (out / "trials").mkdir(parents=True)
@@ -307,8 +341,10 @@ class TestVerify:
         code = cli.main(["verify"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 4
+        assert [row.split()[:2] for row in out.splitlines()] == [
+            ["PASS", "scalar-riccati-root"],
+            ["PASS", "scalar-riccati-residual"],
+            ["PASS", "regret-decomposition"]]
 
     def test_repeat_output_identical(self, capsys):
         assert cli.main(["verify"]) == 0

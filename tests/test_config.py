@@ -1,7 +1,5 @@
 """Config document validation and override tests."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -37,7 +35,6 @@ def test_minimal_document_parses():
     assert exp.trials == 1
     assert exp.plant.n == 1 and exp.plant.m == 1
     assert exp.controller.gain_update_schedule == "powers-of-two"
-    assert exp.controller.log_base == math.e
     assert settings.write_trial_logs
 
 
@@ -113,21 +110,23 @@ def test_plant_block_violations():
 
 
 def test_controller_block():
-    doc = minimal_doc(controller={"gain_update_schedule": "every-step",
-                                  "log_base": 2.0})
+    doc = minimal_doc(controller={"gain_update_schedule": "every-step"})
     settings = parse_config_document(doc)
     assert settings.experiment.controller.gain_update_schedule == "every-step"
-    assert settings.experiment.controller.log_base == 2.0
 
     doc = minimal_doc(controller={"gain_update_schedule": "sometimes"})
     with pytest.raises(ConfigInvalid) as err:
         parse_config_document(doc)
     assert err.value.path == "controller"
 
-    doc = minimal_doc(controller={"cadence": 3})
-    with pytest.raises(ConfigInvalid) as err:
-        parse_config_document(doc)
-    assert err.value.path == "controller"
+    # the breaker's natural log and the rank tolerance are not settable
+    for key, value in (("cadence", 3), ("log_base", 2.718281828459045),
+                       ("rank_rtol", 1e-10)):
+        doc = minimal_doc(controller={key: value})
+        with pytest.raises(ConfigInvalid) as err:
+            parse_config_document(doc)
+        assert err.value.path == "controller"
+        assert repr(key) in err.value.reason
 
 
 def test_overrides_reach_nested_fields():
@@ -162,7 +161,7 @@ def test_override_errors():
 
 def test_override_typo_caught_by_validation():
     doc = minimal_doc()
-    apply_overrides(doc, ["controler.log_base=2"])
+    apply_overrides(doc, ["controler.gain_update_schedule=every-step"])
     with pytest.raises(ConfigInvalid) as err:
         parse_config_document(doc)
     assert err.value.path == "controler"

@@ -1,9 +1,8 @@
 """Oracle tests for the LQR math core.
 
-The scalar cases have closed forms (quadratic formula for the Riccati
-equation, geometric series for the Lyapunov equation), so expected values
-are computed independently inside each test rather than taken from the
-functions under test.
+The scalar cases have closed forms (the quadratic formula for the Riccati
+equation), so expected values are computed independently inside each test
+rather than taken from the functions under test.
 """
 
 import math
@@ -16,12 +15,11 @@ from alqr.control_math import (
     SystemMatrices,
     controllability_rank,
     solve_dare,
-    solve_discrete_lyapunov,
     spectral_radius,
     stability_margin,
     synthesize_gain,
 )
-from alqr.errors import IllConditioned, NonConvergence, UnstableMatrix
+from alqr.errors import IllConditioned, NonConvergence
 
 
 def scalar_dare_oracle():
@@ -49,32 +47,6 @@ def test_spectral_radius_nilpotent():
 def test_spectral_radius_rotation():
     M = np.array([[0.0, 0.9], [-0.9, 0.0]])
     assert abs(spectral_radius(M) - 0.9) < 1e-12
-
-
-def test_lyapunov_zero_dynamics():
-    P0 = solve_discrete_lyapunov(np.zeros((3, 3)), np.eye(3))
-    assert np.allclose(P0, np.eye(3), atol=1e-14)
-
-
-def test_lyapunov_scalar_closed_form():
-    # p0 = q / (1 - a^2) = 1 / 0.75
-    P0 = solve_discrete_lyapunov(np.array([[0.5]]), np.array([[1.0]]))
-    assert abs(P0[0, 0] - 4.0 / 3.0) < 1e-12
-
-
-def test_lyapunov_residual_random():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        A = rng.standard_normal((4, 4))
-        A *= 0.9 / spectral_radius(A)
-        P0 = solve_discrete_lyapunov(A, np.eye(4))
-        residual = np.linalg.norm(A.T @ P0 @ A - P0 + np.eye(4), "fro")
-        assert residual <= 1e-9 * np.linalg.norm(np.eye(4), "fro")
-
-
-def test_lyapunov_rejects_unstable():
-    with pytest.raises(UnstableMatrix):
-        solve_discrete_lyapunov(1.01 * np.eye(2), np.eye(2))
 
 
 def test_dare_zero_dynamics_collapses_to_q():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from alqr.control_math import CostWeights
-from alqr.controller import AdaptiveController, ControllerConfig
+from alqr.controller import (AdaptiveController, ControllerConfig, dwell,
+                             threshold)
 from alqr.plant import NoiseStream
 
 
@@ -114,7 +115,7 @@ def test_dwell_end_defers_threshold_to_next_step():
     assert ctrl.xi == 0
     out2 = ctrl.compute_input(51, np.array([3.0]), stream)
     assert out2.breaker_triggered_now
-    assert ctrl.xi == ControllerConfig().dwell(51)
+    assert ctrl.xi == dwell(51)
 
 
 def test_probe_decay_exact():
@@ -151,22 +152,21 @@ def test_breaker_arithmetic_replay():
     for k in range(1, 400):
         out = ctrl.compute_input(k, np.array([1.0]), stream)
         events.append((k, out.breaker_triggered_now, out.breaker_active))
-    config = ControllerConfig()
     i = 0
     triggers = 0
     while i < len(events):
         k, trig, active = events[i]
         if trig:
             triggers += 1
-            dwell = config.dwell(k)
-            for j in range(1, dwell + 1):
+            t_k = dwell(k)
+            for j in range(1, t_k + 1):
                 if i + j >= len(events):
                     break
                 kj, trig_j, active_j = events[i + j]
                 assert active_j and not trig_j, f"dwell broken at step {kj}"
-            if i + dwell + 1 < len(events):
-                assert events[i + dwell + 1][1] or not events[i + dwell + 1][2]
-            i += dwell + 1
+            if i + t_k + 1 < len(events):
+                assert events[i + t_k + 1][1] or not events[i + t_k + 1][2]
+            i += t_k + 1
         else:
             assert not active
             i += 1
@@ -177,20 +177,14 @@ def test_config_validation():
     import pytest
     with pytest.raises(ValueError):
         ControllerConfig(gain_update_schedule="sometimes")
-    with pytest.raises(ValueError):
-        ControllerConfig(log_base=1.0)
-    with pytest.raises(ValueError):
-        ControllerConfig(rank_rtol=0.0)
 
 
 def test_config_log_base_override():
-    config = ControllerConfig(log_base=10.0)
-    assert abs(config.threshold(100) - 2.0) < 1e-12
-    assert config.dwell(100) == 2
-    assert config.dwell(99) == 1
-    # floor(log k / log base) lands one short at these powers of the base
-    assert config.dwell(1000) == 3
-    assert config.dwell(999) == 2
-    base_three = ControllerConfig(log_base=3.0)
-    assert base_three.dwell(243) == 5
-    assert base_three.dwell(242) == 4
+    # the breaker uses the natural log: dwell(k) steps up exactly at the
+    # first integer past each power of e
+    for t in range(1, 21):
+        k = math.ceil(math.e ** t)
+        assert dwell(k) == t, k
+        assert dwell(k - 1) == t - 1, k - 1
+    for k in (1, 2, 3, 100, 4096, 10 ** 7):
+        assert threshold(k) == math.log(k)

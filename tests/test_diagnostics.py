@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from alqr.control_math import CostWeights, SystemMatrices, solve_dare
-from alqr.controller import ControllerConfig
 from alqr.diagnostics import (check_noise_event, compute_trial_diagnostics,
                               detect_t_nocb, detect_t_stab, fit_regret_slope,
                               max_state_norm_ratio, noise_bound,
@@ -113,14 +112,6 @@ def test_t_stab_requires_gain_history(scalar_setup):
     record = make_record(10)
     with pytest.raises(IncompleteLog):
         detect_t_stab(record, oracle, spec)
-
-
-def test_t_stab_log_base_two(scalar_setup):
-    # base 2 makes t_k = 1 already at k = 2, so only step 1 fails
-    spec, oracle = scalar_setup
-    record = make_record(16, gain_segments=[(1, oracle.K_star)])
-    assert detect_t_stab(record, oracle, spec,
-                         ControllerConfig(log_base=2.0)) == (2, False)
 
 
 def test_noise_event_zero_noise_holds():

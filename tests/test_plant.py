@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from alqr.config import parse_config_document
-from alqr.control_math import CostWeights, SystemMatrices, solve_discrete_lyapunov
+from alqr.control_math import CostWeights, SystemMatrices
 from alqr.errors import ConfigInvalid, DivergedState, UnstableMatrix
 from alqr.plant import (
     NoiseStream,
@@ -139,10 +140,10 @@ def test_lane_cross_correlation():
 
 def test_stationary_covariance_matches_lyapunov():
     # with u = 0, the stationary covariance solves A S A' - S + W = 0,
-    # which is the transposed form of the Lyapunov solver's equation
+    # scipy's form of the discrete Lyapunov equation
     A = np.array([[0.7, 0.2], [-0.1, 0.5]])
     spec = make_spec(A, np.zeros((2, 1)))
-    target = solve_discrete_lyapunov(A.T, np.eye(2))
+    target = scipy.linalg.solve_discrete_lyapunov(A, np.eye(2))
     stream = NoiseStream(seed=13, state_dim=2, input_dim=1)
     T = 1_000_000
     w = stream.block("w", 1, T)

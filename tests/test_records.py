@@ -134,6 +134,19 @@ def test_load_rejects_gap_in_steps(tmp_path):
         load_trial_csv(str(path))
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data + b"\xff\xfe",
+    lambda data: data.replace(b"\n3,", b"\n3.9,", 1),
+], ids=["invalid_utf8", "fractional_step"])
+def test_load_rejects_unreadable_bytes(tmp_path, corrupt):
+    record = synthetic_record(T=5)
+    path = tmp_path / "trial.csv"
+    save_trial_csv(record, str(path))
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(IncompleteLog):
+        load_trial_csv(str(path))
+
+
 def test_gain_sidecar_round_trip(tmp_path):
     record = synthetic_record()
     path = tmp_path / "gains.json"
