@@ -200,6 +200,8 @@ def load_config_file(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"invalid UTF-8 in {path}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -27,6 +27,7 @@ from .control_math import (
 from .errors import IllConditioned, NonConvergence
 from .estimator import EstimatorState
 from .plant import NoiseStream, draw_probe_noise
+from .records import BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER
 
 PROBE_EXPONENT = -0.25
 SCHEDULES = ("powers-of-two", "every-step")
@@ -63,10 +64,14 @@ class ControllerConfig:
                 f"gain_update_schedule must be one of {SCHEDULES}, "
                 f"got {self.gain_update_schedule!r}")
 
-    def schedule_fires(self, k: int) -> bool:
+    def next_update(self, k: int) -> int:
+        """First step after step k (k >= 0) at which the schedule fires."""
         if self.gain_update_schedule == "every-step":
-            return True
-        return k >= 1 and (k & (k - 1)) == 0
+            return k + 1
+        return 1 << k.bit_length()
+
+    def schedule_fires(self, k: int) -> bool:
+        return k >= 1 and self.next_update(k - 1) == k
 
 
 @dataclass(frozen=True)
@@ -123,32 +128,37 @@ class AdaptiveController:
         self.Khat = new_gain
         return True
 
+    def breaker(self, k: int, u_ce: np.ndarray) -> int:
+        """Advance the circuit breaker at step k; returns its records code.
+
+        Exactly one of three branches runs: dwell continuation (decrements
+        the counter, BREAKER_DWELL), threshold trigger (sets the counter to
+        dwell(k), BREAKER_TRIGGER), or pass-through (BREAKER_CLEAR). A
+        dwell that reaches zero re-enables the threshold check only on the
+        next step. The norm is computed as np.linalg.norm does for a 1-D
+        float array.
+        """
+        if self.xi:
+            self.xi -= 1
+            return BREAKER_DWELL
+        if math.sqrt(u_ce.dot(u_ce)) > threshold(k):
+            self.xi = dwell(k)
+            return BREAKER_TRIGGER
+        return BREAKER_CLEAR
+
     def compute_input(self, k: int, x: np.ndarray,
                       stream: NoiseStream) -> InputBreakdown:
-        """Breaker decision and probe draw for step k.
+        """Breaker decision and probe draw for step k, one step at a time.
 
-        Exactly one of three branches runs: threshold trigger (sets the
-        dwell counter), dwell continuation (decrements it), or pass-through.
-        A dwell that reaches zero re-enables the threshold check only on
-        the next step.
+        run_trial calls the same breaker each step but draws the probe for
+        a whole noise chunk at once; this per-step form is the reference
+        loop the tests drive.
         """
         u_ce = self.Khat @ x
-        triggered = False
-        if self.xi == 0:
-            if float(np.linalg.norm(u_ce)) > threshold(k):
-                self.xi = dwell(k)
-                u_cb = np.zeros(self.input_dim)
-                triggered = True
-                active = True
-            else:
-                u_cb = u_ce
-                active = False
-        else:
-            u_cb = np.zeros(self.input_dim)
-            self.xi -= 1
-            active = True
+        code = self.breaker(k, u_ce)
+        u_cb = np.zeros(self.input_dim) if code else u_ce
         v = draw_probe_noise(stream, self.input_dim, k)
         u_pr = k ** PROBE_EXPONENT * v
         return InputBreakdown(u_ce=u_ce, u_cb=u_cb, u_pr=u_pr, u=u_cb + u_pr,
-                              breaker_active=active,
-                              breaker_triggered_now=triggered)
+                              breaker_active=code != BREAKER_CLEAR,
+                              breaker_triggered_now=code == BREAKER_TRIGGER)

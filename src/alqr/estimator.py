@@ -3,8 +3,9 @@
 State is kept as the sufficient statistics V = sum z z' and S = sum x_next z',
 so memory is O((m+n)^2) regardless of trajectory length, and the estimate
 S V^+ reproduces the batch least-squares solution exactly. Incoming pairs are
-buffered and folded into (V, S) in blocks, which keeps the per-step cost of
-``absorb`` to two list appends.
+copied into a preallocated 512-row buffer and folded into (V, S) each time it
+fills, so the sums are grouped the same way however the pairs arrive: one at
+a time or in blocks of any size.
 """
 
 from __future__ import annotations
@@ -48,13 +49,9 @@ class EstimatorState:
         self._V = np.zeros((d, d))
         self._S = np.zeros((state_dim, d))
         self._count = 0
-        self._pending_z: list[np.ndarray] = []
-        self._pending_x: list[np.ndarray] = []
-
-    def _flush(self) -> None:
-        self._V, self._S = self._effective()
-        self._pending_z.clear()
-        self._pending_x.clear()
+        self._Z = np.empty((_FLUSH_BLOCK, d))
+        self._Xn = np.empty((_FLUSH_BLOCK, state_dim))
+        self._fill = 0
 
     def _effective(self) -> tuple[np.ndarray, np.ndarray]:
         """Statistics including the uncommitted tail, without committing it.
@@ -63,11 +60,10 @@ class EstimatorState:
         trajectory comes out bit-identical whether or not anything looked
         at the estimator along the way.
         """
-        if not self._pending_z:
+        if not self._fill:
             return self._V, self._S
-        Z = np.array(self._pending_z)
-        Xn = np.array(self._pending_x)
-        return self._V + Z.T @ Z, self._S + Xn.T @ Z
+        Z = self._Z[:self._fill]
+        return self._V + Z.T @ Z, self._S + self._Xn[:self._fill].T @ Z
 
     @property
     def V(self) -> np.ndarray:
@@ -82,12 +78,29 @@ class EstimatorState:
         return self._count
 
     def absorb(self, z, x_next) -> None:
-        """Add one (regressor, successor-state) pair."""
-        self._pending_z.append(np.asarray(z, dtype=float))
-        self._pending_x.append(np.asarray(x_next, dtype=float))
-        self._count += 1
-        if len(self._pending_z) >= _FLUSH_BLOCK:
-            self._flush()
+        """Add a block of (regressor, successor-state) pairs, one per row.
+
+        ``z`` is (rows, n+m) and ``x_next`` is (rows, n); a single pair
+        may be given as two vectors. Rows are folded into (V, S) in groups
+        of 512 counted from the first pair ever absorbed, so how a
+        trajectory is split into blocks never changes the sums.
+        """
+        Z = np.reshape(z, (-1, self._Z.shape[1]))
+        Xn = np.reshape(x_next, (-1, self.state_dim))
+        if len(Z) != len(Xn):
+            raise ValueError(
+                f"{len(Z)} regressor rows but {len(Xn)} successor rows")
+        done = 0
+        while done < len(Z):
+            take = min(_FLUSH_BLOCK - self._fill, len(Z) - done)
+            self._Z[self._fill:self._fill + take] = Z[done:done + take]
+            self._Xn[self._fill:self._fill + take] = Xn[done:done + take]
+            self._fill += take
+            done += take
+            if self._fill == _FLUSH_BLOCK:
+                self._V, self._S = self._effective()
+                self._fill = 0
+        self._count += len(Z)
 
     def estimate(self, rtol: float = PINV_RTOL) -> ParameterEstimate:
         """Theta = S V^+ with the pseudoinverse truncated at rtol * sigma_max.

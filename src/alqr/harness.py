@@ -25,7 +25,7 @@ from .control_math import (
     solve_dare,
     spectral_radius,
 )
-from .controller import AdaptiveController, ControllerConfig
+from .controller import PROBE_EXPONENT, AdaptiveController, ControllerConfig
 from .diagnostics import (
     SlopeEstimate,
     compute_trial_diagnostics,
@@ -33,16 +33,16 @@ from .diagnostics import (
     tnocb_histogram,
 )
 from .errors import ConfigInvalid, DivergedState, EmptyWindow, GenerationFailed
-from .estimator import estimation_error
-from .plant import NoiseStream, PlantSpec, draw_process_noise, step
-from .records import (
-    BREAKER_CLEAR,
-    BREAKER_DWELL,
-    BREAKER_TRIGGER,
-    TrialRecord,
-    save_gain_sidecar,
-    save_trial_csv,
+from .estimator import EstimatorState, estimation_error
+# draw_process_noise is not called here; perfbench/tracer.py binds the name
+from .plant import (
+    NOISE_CHUNK,
+    NoiseStream,
+    PlantSpec,
+    draw_process_noise,
+    step,
 )
+from .records import TrialRecord, save_gain_sidecar, save_trial_csv
 from .regret import stage_costs
 
 GENERATOR_RETRY_CAP = 16
@@ -161,14 +161,34 @@ class TrialResult:
     est_error_sq: np.ndarray
 
 
+def _feed(estimator: EstimatorState, X: np.ndarray, U_cb: np.ndarray,
+          U_pr: np.ndarray, upto: int) -> None:
+    """Absorb the pairs of rows estimator.count .. upto-1 of the trial arrays.
+
+    Row i's pair is z = [X[i]; U_cb[i] + U_pr[i]] with successor X[i + 1].
+    Blocks are at most one noise chunk long, which bounds the temporaries.
+    """
+    for a in range(estimator.count, upto, NOISE_CHUNK):
+        b = min(a + NOISE_CHUNK, upto)
+        estimator.absorb(np.hstack([X[a:b], U_cb[a:b] + U_pr[a:b]]),
+                         X[a + 1:b + 1])
+
+
 def run_trial(config: ExperimentConfig, trial_index: int,
               oracle: RiccatiSolution | None = None) -> TrialResult:
     """Run one closed-loop trial; deterministic in (config, trial_index).
 
-    The per-step order is: gain update (when the schedule fires), input
-    computation, plant step, estimator update. Regret and estimation error
-    are recorded at the checkpoint grid. A DivergedState does not abort the
-    experiment: the trial comes back truncated and marked failed.
+    The horizon is walked in chunks of NOISE_CHUNK steps, aligned with the
+    noise stream's chunks. Per chunk, the process noise L g (L = chol W)
+    and the probe k^(-1/4) v are built for every step at once. Per step
+    only the feedback path runs: the gain update when the schedule fires,
+    u_ce = Khat x, the breaker, u = u_cb + u_pr, the log rows and the plant
+    step. The estimator is fed from the logged rows only when it is read,
+    at gain updates and at the checkpoints, where the estimation error is
+    recorded. The arithmetic is the per-step loop's (compute_input,
+    draw_process_noise), so logs match it bit for bit. A DivergedState does
+    not abort the experiment: the trial comes back truncated and marked
+    failed.
     """
     spec = config.plant
     n, m = spec.n, spec.m
@@ -179,49 +199,63 @@ def run_trial(config: ExperimentConfig, trial_index: int,
 
     ctrl = AdaptiveController(config.controller, n, m, spec.cost)
     stream = NoiseStream(seed=seed, state_dim=n, input_dim=m)
+    L = spec.chol_W
     x = np.zeros(n)
 
-    X = np.empty((T, n))
+    # T + 1 rows: X[k] is the successor of the state at step k
+    X = np.empty((T + 1, n))
+    X[0] = x
     U_ce = np.empty((T, m))
     U_cb = np.empty((T, m))
     U_pr = np.empty((T, m))
     W = np.empty((T, n))
     breaker = np.empty(T, dtype=np.int8)
-    # both schedules fire at k=1, so the first segment starts there
     segments = []
+    zero = np.zeros(m)
+    K = ctrl.Khat
+    next_update = config.controller.next_update(0)
 
     cps = config.checkpoints()
     est_sq = np.full(len(cps), np.nan)
+    # 0 never matches a step: the sentinel after the last checkpoint
+    cp_steps = cps.tolist() + [0]
     cp_idx = 0
 
     failure_step = None
     failure_reason = ""
-    for k in range(1, T + 1):
-        if ctrl.update_gain(k):
-            segments.append((k, ctrl.Khat.copy()))
-        out = ctrl.compute_input(k, x, stream)
-        w = draw_process_noise(stream, spec, k)
-        i = k - 1
-        X[i] = x
-        U_ce[i] = out.u_ce
-        U_cb[i] = out.u_cb
-        U_pr[i] = out.u_pr
-        W[i] = w
-        breaker[i] = (BREAKER_TRIGGER if out.breaker_triggered_now
-                      else BREAKER_DWELL if out.breaker_active
-                      else BREAKER_CLEAR)
-        z = np.concatenate([x, out.u])
-        try:
-            x = step(x, out.u, w, spec, k)
-        except DivergedState as exc:
-            failure_step = k
-            failure_reason = str(exc)
-            break
-        ctrl.estimator.absorb(z, x)
-        if cp_idx < len(cps) and k == cps[cp_idx]:
-            err = estimation_error(ctrl.estimator.estimate(), spec.sys)
-            est_sq[cp_idx] = err * err
-            cp_idx += 1
+    try:
+        for start in range(0, T, NOISE_CHUNK):
+            stop = min(start + NOISE_CHUNK, T)
+            G = stream.block("w", start + 1, stop - start)
+            W[start:stop] = (L[None] @ G[..., None])[..., 0]
+            scales = np.array([j ** PROBE_EXPONENT
+                               for j in range(start + 1, stop + 1)])
+            U_pr[start:stop] = scales[:, None] * stream.block(
+                "v", start + 1, stop - start)
+            for i in range(start, stop):
+                k = i + 1
+                if k == next_update:
+                    _feed(ctrl.estimator, X, U_cb, U_pr, i)
+                    ctrl.update_gain(k)
+                    K = ctrl.Khat
+                    segments.append((k, K.copy()))
+                    next_update = config.controller.next_update(k)
+                u_ce = K @ x
+                code = ctrl.breaker(k, u_ce)
+                u_cb = zero if code else u_ce
+                U_ce[i] = u_ce
+                U_cb[i] = u_cb
+                breaker[i] = code
+                x = step(x, u_cb + U_pr[i], W[i], spec, k)
+                X[k] = x
+                if k == cp_steps[cp_idx]:
+                    _feed(ctrl.estimator, X, U_cb, U_pr, k)
+                    err = estimation_error(ctrl.estimator.estimate(), spec.sys)
+                    est_sq[cp_idx] = err * err
+                    cp_idx += 1
+    except DivergedState as exc:
+        failure_step = k
+        failure_reason = str(exc)
 
     # k is the last step run, whether it completed or diverged
     failed = failure_step is not None

@@ -9,6 +9,7 @@ state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .errors import DivergedState, UnstableMatrix
 # simulation aborts once the state norm passes this guard
 STATE_NORM_GUARD = 1e12
 
-_CHUNK = 4096
+NOISE_CHUNK = 4096
 _LANES = {"w": 0, "v": 1}
 
 
@@ -90,7 +91,7 @@ class NoiseStream:
         key = (self.seed << 1) | _LANES[lane]
         bitgen = np.random.Philox(key=key, counter=chunk_index << 64)
         arr = np.random.Generator(bitgen).standard_normal(
-            (_CHUNK, self._dims[lane]))
+            (NOISE_CHUNK, self._dims[lane]))
         self._cache[lane] = (chunk_index, arr)
         return arr
 
@@ -101,7 +102,7 @@ class NoiseStream:
         if k < 1:
             raise ValueError("step index is 1-based")
         i = k - 1
-        return self._chunk(lane, i // _CHUNK)[i % _CHUNK]
+        return self._chunk(lane, i // NOISE_CHUNK)[i % NOISE_CHUNK]
 
     def block(self, lane: str, start_k: int, count: int) -> np.ndarray:
         """Rows for steps start_k .. start_k+count-1 as a (count, dim) array."""
@@ -109,9 +110,9 @@ class NoiseStream:
         filled = 0
         while filled < count:
             i = start_k - 1 + filled
-            chunk = self._chunk(lane, i // _CHUNK)
-            offset = i % _CHUNK
-            take = min(_CHUNK - offset, count - filled)
+            chunk = self._chunk(lane, i // NOISE_CHUNK)
+            offset = i % NOISE_CHUNK
+            take = min(NOISE_CHUNK - offset, count - filled)
             out[filled:filled + take] = chunk[offset:offset + take]
             filled += take
         return out
@@ -131,15 +132,16 @@ def draw_probe_noise(stream: NoiseStream, m: int, k: int) -> np.ndarray:
     return g
 
 
-def step(x, u, w, spec: PlantSpec, k: int) -> np.ndarray:
+def step(x: np.ndarray, u: np.ndarray, w: np.ndarray, spec: PlantSpec,
+         k: int) -> np.ndarray:
     """One transition x' = A x + B u + w at step k; pure in all arguments.
 
-    ``k`` only names the step in the DivergedState raised when x' passes
-    the overflow guard.
+    ``x``, ``u`` and ``w`` are 1-D float arrays. ``k`` only names the step
+    in the DivergedState raised when x' passes the overflow guard.
     """
-    x_next = spec.sys.A @ x + spec.sys.B @ np.asarray(u, dtype=float) \
-        + np.asarray(w, dtype=float)
-    norm = float(np.linalg.norm(x_next))
+    x_next = spec.sys.A @ x + spec.sys.B @ u + w
+    # what np.linalg.norm computes for a 1-D float array
+    norm = math.sqrt(x_next.dot(x_next))
     if not norm <= STATE_NORM_GUARD:  # NaN fails this too
         raise DivergedState(
             f"state norm {norm:.3e} passed the overflow guard at step {k}",

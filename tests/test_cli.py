@@ -145,6 +145,16 @@ class TestSimulate:
         assert code == 2
         assert stderr_json(capsys)["error"] == "IoError"
 
+    def test_undecodable_config_is_unusable(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"horizon": 5\xff}')
+        code = cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "ConfigInvalid"
+        assert str(path) in err["message"]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         _, out1 = simulate(tmp_path, out="run1")
         _, out2 = simulate(tmp_path, out="run2")

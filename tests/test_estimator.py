@@ -41,6 +41,28 @@ def test_absorb_accumulates_count_on_diagonal():
     assert est.count == 17
 
 
+def test_block_splits_match_per_row_absorbs():
+    # the sums are folded in 512-row groups counted from the first pair,
+    # so any split into blocks, with reads in between, gives the same bits
+    rng = np.random.default_rng(21)
+    Z = rng.standard_normal((1300, 5))
+    Xn = rng.standard_normal((1300, 3))
+    rows = EstimatorState(state_dim=3, input_dim=2)
+    for z, x in zip(Z, Xn):
+        rows.absorb(z, x)
+    for cuts in ([0, 1300], [0, 511, 513, 1024, 1025, 1300],
+                 [0, 7, 600, 601, 1100, 1300], [0, 1, 2, 1299, 1300]):
+        blocks = EstimatorState(state_dim=3, input_dim=2)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            blocks.absorb(Z[a:b], Xn[a:b])
+            blocks.estimate()
+        assert blocks.count == rows.count
+        assert np.array_equal(blocks.V, rows.V), cuts
+        assert np.array_equal(blocks.S, rows.S), cuts
+        assert np.array_equal(blocks.estimate().Theta,
+                              rows.estimate().Theta), cuts
+
+
 def test_trace_matches_sum_of_squares():
     rng = np.random.default_rng(8)
     est = EstimatorState(state_dim=2, input_dim=2)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from alqr.control_math import CostWeights, SystemMatrices, solve_dare
+from alqr.controller import ControllerConfig
 from alqr.harness import (ExperimentConfig, TrialSummary, checkpoint_steps,
                           generate_stand_in_plant, resolve_workers,
                           run_experiment, run_trial, trial_seed)
@@ -104,23 +105,40 @@ def test_trial_is_deterministic(ref):
 
 def test_trial_matches_handwritten_loop(ref):
     # the helpers module drives the same closed loop one step at a time
-    # with no shared code beyond the component calls themselves
+    # with no shared code beyond the component calls themselves; run_trial
+    # works in noise chunks of 4096 steps and feeds the estimator in
+    # blocks, so the cases cross chunk and 512-row fold boundaries
     spec, _ = ref
-    T = 200
-    config = make_config(spec, horizon=T, base_seed=99)
-    result = run_trial(config, 0)
-    manual = drive_trial(spec, T, seed=trial_seed(99, 0))
-    for name in ("X", "U_ce", "U_cb", "U_pr", "W", "breaker"):
-        assert np.array_equal(getattr(result.record, name),
-                              getattr(manual, name)), name
-    assert np.array_equal(result.record.x_final, manual.x_final)
-    assert np.allclose(result.record.stage_cost, manual.stage_cost,
-                       rtol=1e-12, atol=1e-12)
-    assert [s for s, _ in result.record.gain_segments] == \
-        [s for s, _ in manual.gain_segments]
-    for (_, ka), (_, kb) in zip(result.record.gain_segments,
-                                manual.gain_segments):
-        assert np.array_equal(ka, kb)
+    big = reference_spec(n=8, m=4)
+    # a dense SPD W, so chol W has nonzero entries below the diagonal
+    M = np.random.default_rng(3).standard_normal((8, 8))
+    dense_w = M @ M.T + 8 * np.eye(8)
+    cases = {
+        "3x2, T=200": (spec, 200, ControllerConfig()),
+        "3x2, T=9000": (spec, 9000, ControllerConfig()),
+        "8x4, dense W, T=4500": (
+            PlantSpec(sys=big.sys, W=dense_w, cost=big.cost), 4500,
+            ControllerConfig()),
+        "3x2, every-step, T=300": (spec, 300,
+                                   ControllerConfig("every-step")),
+    }
+    for label, (plant, T, controller) in cases.items():
+        config = make_config(plant, horizon=T, base_seed=99,
+                             controller=controller)
+        result = run_trial(config, 0)
+        manual = drive_trial(plant, T, seed=trial_seed(99, 0),
+                             config=controller)
+        for name in ("X", "U_ce", "U_cb", "U_pr", "W", "breaker"):
+            assert np.array_equal(getattr(result.record, name),
+                                  getattr(manual, name)), (label, name)
+        assert np.array_equal(result.record.x_final, manual.x_final), label
+        assert np.allclose(result.record.stage_cost, manual.stage_cost,
+                           rtol=1e-12, atol=1e-12), label
+        assert [s for s, _ in result.record.gain_segments] == \
+            [s for s, _ in manual.gain_segments], label
+        for (_, ka), (_, kb) in zip(result.record.gain_segments,
+                                    manual.gain_segments):
+            assert np.array_equal(ka, kb), label
 
 
 def test_trial_record_satisfies_decomposition(ref):
