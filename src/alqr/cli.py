@@ -278,8 +278,8 @@ def _cmd_verify(args) -> int:
     spec = generate_stand_in_plant(3, 2, 0.9, seed)
     config = ExperimentConfig(plant=spec, horizon=knobs["horizon"],
                               trials=1, base_seed=seed)
-    result = run_trial(config, 0)
     oracle = solve_dare(spec.sys, spec.cost, spec.W)
+    result = run_trial(config, 0, oracle)
     reports = decompose_at(result.record, oracle, spec,
                            config.checkpoints().tolist())
     worst = max(report.residual for report in reports)

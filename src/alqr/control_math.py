@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IllConditioned, NonConvergence
 
@@ -123,21 +122,24 @@ def spectral_radius(M) -> float:
 def stability_margin(M, P) -> float:
     """Smallest rho with M'PM <= rho P, for P symmetric positive definite.
 
-    Equals the largest eigenvalue of P^{-1/2} M'PM P^{-1/2}; a value below 1
-    certifies that x'Px contracts along x' = Mx.
+    Equals the largest eigenvalue of L^-1 M'PM L^-T, where P = LL'; a value
+    below 1 certifies that x'Px contracts along x' = Mx.
     """
     M = _clean_matrix(M, "M")
     P = _check_spd(_clean_matrix(P, "P"), "P")
+    L = np.linalg.cholesky(P)
     lhs = M.T @ P @ M
     lhs = 0.5 * (lhs + lhs.T)
-    eigs = scipy.linalg.eigh(lhs, P, eigvals_only=True)
+    # L^-1 (L^-1 lhs)' = L^-1 lhs L^-T, as lhs is symmetric
+    reduced = np.linalg.solve(L, np.linalg.solve(L, lhs).T)
+    eigs = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     return float(max(eigs[-1], 0.0))
 
 
-def controllability_rank(sys: SystemMatrices, rtol: float = RANK_RTOL) -> int:
+def controllability_rank(sys: SystemMatrices) -> int:
     """Numerical rank of [B, AB, ..., A^{n-1} B] via singular values.
 
-    Threshold is n * rtol * sigma_max, so the answer is scale invariant.
+    Threshold is n * RANK_RTOL * sigma_max, so the answer is scale invariant.
     """
     A, B, n = sys.A, sys.B, sys.n
     blocks = [B]
@@ -147,7 +149,7 @@ def controllability_rank(sys: SystemMatrices, rtol: float = RANK_RTOL) -> int:
     svals = np.linalg.svd(ctrb, compute_uv=False)
     if svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > n * rtol * svals[0]))
+    return int(np.sum(svals > n * RANK_RTOL * svals[0]))
 
 
 def _gain(A, B, P, R) -> np.ndarray:
@@ -173,7 +175,7 @@ def synthesize_gain(A, B, P, R) -> np.ndarray:
 
 
 def solve_dare(sys: SystemMatrices, cost: CostWeights, W=None,
-               rtol: float = DARE_RTOL, max_iter: int = DARE_MAX_ITER,
+               rtol: float = DARE_RTOL,
                residual_tol: float = DARE_RESIDUAL_TOL) -> RiccatiSolution:
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
@@ -199,7 +201,7 @@ def solve_dare(sys: SystemMatrices, cost: CostWeights, W=None,
     P = Q.copy()
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, DARE_MAX_ITER + 1):
             K = _gain(A, B, P, R)
             P_next = A.T @ P @ A + (B.T @ P @ A).T @ K + Q
             P_next = 0.5 * (P_next + P_next.T)
@@ -219,8 +221,9 @@ def solve_dare(sys: SystemMatrices, cost: CostWeights, W=None,
                 break
         else:
             raise NonConvergence(
-                f"Riccati iteration did not converge in {max_iter} iterations; "
-                f"the pair may not be stabilizable", iterations=max_iter)
+                f"Riccati iteration did not converge in {DARE_MAX_ITER} "
+                f"iterations; the pair may not be stabilizable",
+                iterations=DARE_MAX_ITER)
 
     try:
         K = synthesize_gain(A, B, P, R)

@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .control_math import RiccatiSolution, stability_margin
-from .controller import dwell
+from .controller import PROBE_EXPONENT, dwell
 from .errors import EmptyWindow, IncompleteLog
 from .plant import PlantSpec
 from .records import TrialRecord
@@ -100,7 +99,7 @@ def check_noise_event(record: TrialRecord, truth: PlantSpec,
     The envelope is built for standard normal draws, so the process noise is
     whitened first by the Cholesky factor L = truth.chol_W of its covariance
     (at W = I the whitened rows equal the logged ones). The probe draws v_k
-    are recovered from the logged inputs by undoing the k^(-1/4) scaling.
+    are recovered from the logged inputs by undoing the probe scale.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
@@ -108,10 +107,9 @@ def check_noise_event(record: TrialRecord, truth: PlantSpec,
     ks = np.arange(1, T + 1, dtype=float)
     bound = noise_bound(ks, record.n, delta)
     # a NaN row fails the comparison below rather than raising here
-    white = scipy.linalg.solve_triangular(truth.chol_W, record.W.T,
-                                          lower=True, check_finite=False).T
+    white = np.linalg.solve(truth.chol_W, record.W.T).T
     w_norms = np.linalg.norm(white, axis=1)
-    v_norms = np.linalg.norm(record.U_pr, axis=1) * ks ** 0.25
+    v_norms = np.linalg.norm(record.U_pr, axis=1) * ks ** -PROBE_EXPONENT
     return bool(np.all(w_norms <= bound) and np.all(v_norms <= bound))
 
 

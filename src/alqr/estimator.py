@@ -102,8 +102,8 @@ class EstimatorState:
                 self._fill = 0
         self._count += len(Z)
 
-    def estimate(self, rtol: float = PINV_RTOL) -> ParameterEstimate:
-        """Theta = S V^+ with the pseudoinverse truncated at rtol * sigma_max.
+    def estimate(self) -> ParameterEstimate:
+        """Theta = S V^+, the pseudoinverse truncated at PINV_RTOL * sigma_max.
 
         Rank deficiency yields the minimum-norm solution, so an empty state
         returns the zero matrix with rank 0.
@@ -111,7 +111,7 @@ class EstimatorState:
         V, S = self._effective()
         # V is symmetric PSD; eigendecomposition doubles as its SVD
         eigvals, eigvecs = np.linalg.eigh(V)
-        cutoff = rtol * max(eigvals[-1], 0.0)
+        cutoff = PINV_RTOL * max(eigvals[-1], 0.0)
         keep = eigvals > cutoff
         rank = int(np.sum(keep))
         if rank == 0:

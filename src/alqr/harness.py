@@ -358,9 +358,9 @@ def resolve_workers(requested: int | None = None) -> int:
 
 
 def _trial_task(config: ExperimentConfig, trial_index: int,
-                log_dir: str | None) -> TrialResult:
+                log_dir: str | None, oracle: RiccatiSolution) -> TrialResult:
     """Worker body: run one trial, write its log when asked, slim it."""
-    result = run_trial(config, trial_index)
+    result = run_trial(config, trial_index, oracle)
     if log_dir is not None:
         base = os.path.join(log_dir, f"trial_{trial_index}")
         save_trial_csv(result.record, base + ".csv")
@@ -398,12 +398,12 @@ def run_experiment(config: ExperimentConfig, log_dir: str | None = None,
         os.makedirs(log_dir, exist_ok=True)
     indices = range(config.trials)
     if n_workers == 1 or config.trials == 1:
-        results = [_trial_task(config, i, log_dir) for i in indices]
+        results = [_trial_task(config, i, log_dir, oracle) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(
                 _trial_task, [config] * config.trials, indices,
-                [log_dir] * config.trials, chunksize=1))
+                [log_dir] * config.trials, [oracle] * config.trials))
 
     cps = config.checkpoints()
     rel_curves = np.vstack([r.rel_avg_regret for r in results])

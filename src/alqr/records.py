@@ -128,14 +128,13 @@ def save_trial_csv(record: TrialRecord, path: str) -> None:
         f.write("\n")
 
 
-def load_trial_csv(path: str, trial_index: int = -1,
-                   seed: int = -1) -> TrialRecord:
+def load_trial_csv(path: str, trial_index: int = -1) -> TrialRecord:
     """Parse a trial CSV back into a TrialRecord.
 
-    The final state and gain history are not part of the CSV; callers that
-    need them reconstruct the former from the plant matrices and read the
-    latter from the sidecar. Raises IncompleteLog naming the row on any
-    structural or parse problem.
+    The seed (set to -1), final state and gain history are not part of the
+    CSV; callers that need the latter two rebuild the state from the plant
+    matrices and read the gains from the sidecar. Raises IncompleteLog
+    naming the row on any structural or parse problem.
     """
     if not os.path.exists(path):
         raise IncompleteLog(f"trial log missing: {path}")
@@ -182,7 +181,7 @@ def load_trial_csv(path: str, trial_index: int = -1,
         raise IncompleteLog(f"{path}: breaker column contains non-integer codes")
     if np.any((breaker < 0) | (breaker > 2)):
         raise IncompleteLog(f"{path}: breaker codes outside 0..2")
-    return TrialRecord(trial_index=trial_index, seed=seed, X=X, U_ce=U_ce,
+    return TrialRecord(trial_index=trial_index, seed=-1, X=X, U_ce=U_ce,
                        U_cb=U_cb, U_pr=U_pr, W=W, breaker=breaker,
                        stage_cost=stage, x_final=None, gain_segments=[])
 

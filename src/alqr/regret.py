@@ -47,11 +47,6 @@ class DecompositionReport:
         return {f"R{i}": getattr(self, f"R{i}") for i in range(1, 8)}
 
 
-def _quad_rows(M: np.ndarray, P: np.ndarray) -> np.ndarray:
-    # row-wise m_i' P m_i
-    return np.einsum("ij,jl,il->i", M, P, M)
-
-
 def _cross_rows(A: np.ndarray, P: np.ndarray, B: np.ndarray) -> np.ndarray:
     # row-wise a_i' P b_i
     return np.einsum("ij,jl,il->i", A, P, B)
@@ -60,7 +55,7 @@ def _cross_rows(A: np.ndarray, P: np.ndarray, B: np.ndarray) -> np.ndarray:
 def stage_costs(X: np.ndarray, U: np.ndarray,
                 cost: CostWeights) -> np.ndarray:
     """Per-step stage costs x_k'Q x_k + u_k'R u_k for row-stacked X and U."""
-    return _quad_rows(X, cost.Q) + _quad_rows(U, cost.R)
+    return _cross_rows(X, cost.Q, X) + _cross_rows(U, cost.R, U)
 
 
 def _per_step_terms(record: TrialRecord, oracle: RiccatiSolution,
@@ -78,12 +73,12 @@ def _per_step_terms(record: TrialRecord, oracle: RiccatiSolution,
     s = probe_through_plant + W                      # s_k
 
     return {
-        "d1": _quad_rows(gain_err, G),
+        "d1": _cross_rows(gain_err, G, gain_err),
         "d2": 2.0 * _cross_rows(probe_through_plant, P, closed),
         "d3": 2.0 * _cross_rows(W, P, closed),
-        "d4": _quad_rows(s, P) - _quad_rows(W, P),
-        "d5": _quad_rows(W, P),
-        "d7": 2.0 * _cross_rows(U_pr, R, U_cb) + _quad_rows(U_pr, R),
+        "d4": _cross_rows(s, P, s) - _cross_rows(W, P, W),
+        "d5": _cross_rows(W, P, W),
+        "d7": 2.0 * _cross_rows(U_pr, R, U_cb) + _cross_rows(U_pr, R, U_pr),
     }
 
 

@@ -2,13 +2,15 @@
 
 The scalar cases have closed forms (the quadratic formula for the Riccati
 equation), so expected values are computed independently inside each test
-rather than taken from the functions under test.
+rather than taken from the functions under test. scipy's generalized
+symmetric eigensolver is the independent reference for the margin.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from alqr.control_math import (
     CostWeights,
@@ -181,6 +183,22 @@ def test_stability_margin_scalar_closed_loop():
     closed = 0.5 + k_expect
     got = stability_margin(np.array([[closed]]), np.array([[p_expect]]))
     assert abs(got - closed ** 2) < 1e-10
+
+
+def test_stability_margin_matches_generalized_eigensolve():
+    # the largest eigenvalue of the pencil (M'PM, P), solved by scipy
+    for n in (1, 3, 8, 16):
+        for seed in range(5):
+            rng = np.random.default_rng([n, seed])
+            M = rng.standard_normal((n, n))
+            G = rng.standard_normal((n, n))
+            d = np.logspace(0.0, 1.0, n)
+            P = d[:, None] * (G @ G.T + np.eye(n)) * d[None, :]
+            lhs = M.T @ P @ M
+            lhs = 0.5 * (lhs + lhs.T)
+            expected = scipy.linalg.eigh(lhs, P, eigvals_only=True)[-1]
+            assert stability_margin(M, P) == pytest.approx(
+                expected, rel=1e-12), (n, seed)
 
 
 def test_system_matrices_validation():

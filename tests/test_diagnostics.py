@@ -135,6 +135,31 @@ def test_noise_event_flags_large_process_noise():
     assert check_noise_event(loud, scalar_spec(100.0), delta=0.5)
 
 
+def test_noise_event_whitens_by_the_lower_cholesky_factor():
+    # w_k = L g_k with a dense L, so only L^-1 w_k gives back g_k: a
+    # transposed or wrong-triangle solve misjudges rows at the envelope
+    n, T, delta = 4, 300, 0.05
+    rng = np.random.default_rng(8)
+    G = rng.standard_normal((n, n))
+    spec = PlantSpec(sys=SystemMatrices(A=0.5 * np.eye(n), B=np.ones((n, 1))),
+                     W=G @ G.T + 0.5 * np.eye(n),
+                     cost=CostWeights(Q=np.eye(n), R=np.eye(1)))
+    L = spec.chol_W
+    assert np.count_nonzero(np.tril(L, -1)) == n * (n - 1) // 2
+    dirs = rng.standard_normal((T, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    g = dirs * noise_bound(np.arange(1, T + 1), n, delta)[:, None]
+    inside = make_record(T, n=n, W=(1.0 - 1e-9) * g @ L.T)
+    assert check_noise_event(inside, spec, delta)
+    outside = inside.W.copy()
+    outside[T // 2] = (1.0 + 1e-9) * L @ g[T // 2]
+    assert not check_noise_event(replace(inside, W=outside), spec, delta)
+    # a NaN row fails the envelope instead of raising
+    nan_row = inside.W.copy()
+    nan_row[7] = np.nan
+    assert not check_noise_event(replace(inside, W=nan_row), spec, delta)
+
+
 def test_noise_event_recovers_probe_draw():
     # u_pr = 5 at k = 16 means the raw draw was 5 * 16^(1/4) = 10
     record = make_record(50)

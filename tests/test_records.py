@@ -42,7 +42,9 @@ def test_csv_round_trip_bit_exact(tmp_path):
     record = synthetic_record()
     path = tmp_path / "trial_4.csv"
     save_trial_csv(record, str(path))
-    back = load_trial_csv(str(path), trial_index=4, seed=123)
+    back = load_trial_csv(str(path), trial_index=4)
+    # the seed is not in the CSV
+    assert (back.trial_index, back.seed) == (4, -1)
     assert np.array_equal(back.X, record.X)
     assert np.array_equal(back.U_ce, record.U_ce)
     assert np.array_equal(back.U_cb, record.U_cb)
