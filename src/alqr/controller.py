@@ -48,6 +48,36 @@ def dwell(k: int) -> int:
     return t if math.e ** t <= k else t - 1
 
 
+def breaker(k: int, u_ce: np.ndarray, xi: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance the circuit breaker of every row at step k.
+
+    ``u_ce`` holds one proposed input per row (N, m) and ``xi`` the rows'
+    dwell counters (N,). Per row exactly one of three branches runs: dwell
+    continuation (decrements the counter, BREAKER_DWELL), threshold trigger
+    (sets the counter to dwell(k), BREAKER_TRIGGER), or pass-through
+    (BREAKER_CLEAR). A dwell that reaches zero re-enables the threshold
+    check only on the next step. Returns the feedback u_cb that passes (the
+    row of u_ce, or zeros where the code is not BREAKER_CLEAR), the (N,)
+    codes and the new counters. Each row's norm is a 1x1 matmul of the row
+    with itself, the same dot product np.linalg.norm takes of a 1-D float
+    array.
+    """
+    norms = np.sqrt(u_ce[:, None, :] @ u_ce[:, :, None])[:, 0, 0]
+    tripped = norms > threshold(k)
+    if not (np.count_nonzero(tripped) or np.count_nonzero(xi)):
+        # the usual step: no row dwells and none trips
+        return u_ce, np.zeros(len(xi), dtype=np.int8), xi
+    dwelling = xi > 0
+    tripped &= ~dwelling
+    active = tripped | dwelling
+    # BREAKER_CLEAR is 0, so each row gets exactly one of the codes
+    codes = (BREAKER_TRIGGER * tripped + BREAKER_DWELL * dwelling).astype(
+        np.int8)
+    return (np.where(active[:, None], 0.0, u_ce), codes,
+            np.where(tripped, dwell(k), xi - dwelling))
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """The gain-update schedule.
@@ -92,7 +122,9 @@ class InputBreakdown:
 
 
 class AdaptiveController:
-    """Per-trial controller state: breaker counter, cached gain, estimator."""
+    """Per-trial controller state: cached gain, estimator, and the breaker
+    counter that compute_input advances (run_trials keeps the counters and
+    gains of a batch stacked, and calls update_gain per trial)."""
 
     def __init__(self, config: ControllerConfig, state_dim: int,
                  input_dim: int, cost: CostWeights):
@@ -128,35 +160,17 @@ class AdaptiveController:
         self.Khat = new_gain
         return True
 
-    def breaker(self, k: int, u_ce: np.ndarray) -> int:
-        """Advance the circuit breaker at step k; returns its records code.
-
-        Exactly one of three branches runs: dwell continuation (decrements
-        the counter, BREAKER_DWELL), threshold trigger (sets the counter to
-        dwell(k), BREAKER_TRIGGER), or pass-through (BREAKER_CLEAR). A
-        dwell that reaches zero re-enables the threshold check only on the
-        next step. The norm is computed as np.linalg.norm does for a 1-D
-        float array.
-        """
-        if self.xi:
-            self.xi -= 1
-            return BREAKER_DWELL
-        if math.sqrt(u_ce.dot(u_ce)) > threshold(k):
-            self.xi = dwell(k)
-            return BREAKER_TRIGGER
-        return BREAKER_CLEAR
-
     def compute_input(self, k: int, x: np.ndarray,
                       stream: NoiseStream) -> InputBreakdown:
         """Breaker decision and probe draw for step k, one step at a time.
 
-        run_trial calls the same breaker each step but draws the probe for
-        a whole noise chunk at once; this per-step form is the reference
-        loop the tests drive.
+        The breaker is the batch rule ``breaker`` applied to one row, the
+        rule run_trial applies to every trial of a batch at once; this
+        per-step form is the reference loop the tests drive.
         """
         u_ce = self.Khat @ x
-        code = self.breaker(k, u_ce)
-        u_cb = np.zeros(self.input_dim) if code else u_ce
+        u_cb, codes, xi = breaker(k, u_ce[None], np.array([self.xi]))
+        u_cb, code, self.xi = u_cb[0], int(codes[0]), int(xi[0])
         v = draw_probe_noise(stream, self.input_dim, k)
         u_pr = k ** PROBE_EXPONENT * v
         return InputBreakdown(u_ce=u_ce, u_cb=u_cb, u_pr=u_pr, u=u_cb + u_pr,

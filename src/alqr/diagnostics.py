@@ -106,8 +106,12 @@ def check_noise_event(record: TrialRecord, truth: PlantSpec,
     T = record.horizon
     ks = np.arange(1, T + 1, dtype=float)
     bound = noise_bound(ks, record.n, delta)
-    # a NaN row fails the comparison below rather than raising here
-    white = np.linalg.solve(truth.chol_W, record.W.T).T
+    # forward substitution L white_k = w_k over the n columns; a NaN row
+    # fails the comparison below rather than raising here
+    L = truth.chol_W
+    white = np.empty_like(record.W)
+    for i in range(record.n):
+        white[:, i] = (record.W[:, i] - white[:, :i] @ L[i, :i]) / L[i, i]
     w_norms = np.linalg.norm(white, axis=1)
     v_norms = np.linalg.norm(record.U_pr, axis=1) * ks ** -PROBE_EXPONENT
     return bool(np.all(w_norms <= bound) and np.all(v_norms <= bound))

@@ -2,10 +2,14 @@
 
 A trial is a pure function of (config, trial_index): the per-trial seed is
 derived by a splitmix64 hash, so trials are independent, reorderable, and
-individually replayable. The experiment layer runs many trials, reduces
-their checkpoint curves to worst/median/mean statistics, fits log-log
-slopes, and tallies breaker-quiescence times. Failed (diverged) trials are
-counted and reported, never resampled.
+individually replayable. Trials run as lockstep batches (run_trials): one
+Python step advances the feedback path of every trial in the batch, and
+every stacked product equals its per-trial form bit for bit, so a trial's
+outputs do not depend on the batch it ran in; a single trial is a batch of
+one. The experiment layer runs the batches, reduces their checkpoint
+curves to worst/median/mean statistics, fits log-log slopes, and tallies
+breaker-quiescence times. Failed (diverged) trials are counted and
+reported, never resampled.
 """
 
 from __future__ import annotations
@@ -25,7 +29,12 @@ from .control_math import (
     solve_dare,
     spectral_radius,
 )
-from .controller import PROBE_EXPONENT, AdaptiveController, ControllerConfig
+from .controller import (
+    PROBE_EXPONENT,
+    AdaptiveController,
+    ControllerConfig,
+    breaker,
+)
 from .diagnostics import (
     SlopeEstimate,
     compute_trial_diagnostics,
@@ -46,6 +55,8 @@ from .records import TrialRecord, save_gain_sidecar, save_trial_csv
 from .regret import stage_costs
 
 GENERATOR_RETRY_CAP = 16
+# bytes of trial arrays one lockstep batch may hold (at least one trial)
+BATCH_BYTES = 192 << 20
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -174,101 +185,191 @@ def _feed(estimator: EstimatorState, X: np.ndarray, U_cb: np.ndarray,
                          X[a + 1:b + 1])
 
 
+def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
+    """Consecutive runs of trial indices, one per lockstep batch.
+
+    A batch holds as many trials as fit in BATCH_BYTES, and at least one.
+    The batch count is rounded up to a multiple of ``workers`` (while there
+    are trials to fill them), so a pool of that many workers gets an even
+    share; batch sizes differ by at most one.
+    """
+    n, m = config.plant.n, config.plant.m
+    # bytes per step: X, U_ce, U_cb, U_pr, W, stage cost, breaker code
+    per_trial = (config.horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
+    count = -(-config.trials // max(1, BATCH_BYTES // per_trial))
+    count = min(-(-count // workers) * workers, config.trials)
+    bounds = [config.trials * j // count for j in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def run_trial(config: ExperimentConfig, trial_index: int,
               oracle: RiccatiSolution | None = None) -> TrialResult:
     """Run one closed-loop trial; deterministic in (config, trial_index).
 
-    The horizon is walked in chunks of NOISE_CHUNK steps, aligned with the
-    noise stream's chunks. Per chunk, the process noise L g (L = chol W)
-    and the probe k^(-1/4) v are built for every step at once. Per step
-    only the feedback path runs: the gain update when the schedule fires,
-    u_ce = Khat x, the breaker, u = u_cb + u_pr, the log rows and the plant
-    step. The estimator is fed from the logged rows only when it is read,
-    at gain updates and at the checkpoints, where the estimation error is
-    recorded. The arithmetic is the per-step loop's (compute_input,
-    draw_process_noise), so logs match it bit for bit. A DivergedState does
-    not abort the experiment: the trial comes back truncated and marked
-    failed.
+    The trial is a lockstep batch of one (see run_trials), so its outputs
+    are the same bits as when it runs inside any batch. A DivergedState
+    does not raise: the trial comes back truncated and marked failed.
+    """
+    if oracle is None:
+        oracle = solve_dare(config.plant.sys, config.plant.cost,
+                            config.plant.W)
+    return run_trials(config, range(trial_index, trial_index + 1), oracle)[0]
+
+
+def run_trials(config: ExperimentConfig, indices,
+               oracle: RiccatiSolution) -> list[TrialResult]:
+    """Run the trials ``indices`` in lockstep, one TrialResult each.
+
+    The batch arrays are laid out (N, T(+1), ·), so every trial's slice is
+    contiguous and its TrialRecord holds views of them. The horizon is
+    walked in chunks of NOISE_CHUNK steps, aligned with the noise stream's
+    chunks: per chunk, each trial's process noise L g (L = chol W) and
+    probe k^(-1/4) v are built for every step at once. Per step the
+    feedback path runs once for the batch on stacked rows: u_ce = Khat x
+    with stacked gains, the breaker rule over rows, u = u_cb + u_pr and the
+    plant step. Gain updates fire at the same k for every trial and stay
+    per trial, and so do the estimator feeds, made from the logged rows
+    only when the estimate is read (at gain updates and at the checkpoints,
+    where the estimation error is recorded). Every stacked product is the
+    per-row one bit for bit, so a trial's outputs do not depend on the
+    batch it ran in. A row whose state passes the overflow guard leaves the
+    batch: its trial comes back truncated at that step and marked failed,
+    and the other rows run on.
     """
     spec = config.plant
     n, m = spec.n, spec.m
     T = config.horizon
-    if oracle is None:
-        oracle = solve_dare(spec.sys, spec.cost, spec.W)
-    seed = trial_seed(config.base_seed, trial_index)
-
-    ctrl = AdaptiveController(config.controller, n, m, spec.cost)
-    stream = NoiseStream(seed=seed, state_dim=n, input_dim=m)
+    N = len(indices)
+    seeds = [trial_seed(config.base_seed, i) for i in indices]
+    ctrls = [AdaptiveController(config.controller, n, m, spec.cost)
+             for _ in indices]
+    streams = [NoiseStream(seed=seed, state_dim=n, input_dim=m)
+               for seed in seeds]
     L = spec.chol_W
-    x = np.zeros(n)
 
-    # T + 1 rows: X[k] is the successor of the state at step k
-    X = np.empty((T + 1, n))
-    X[0] = x
-    U_ce = np.empty((T, m))
-    U_cb = np.empty((T, m))
-    U_pr = np.empty((T, m))
-    W = np.empty((T, n))
-    breaker = np.empty(T, dtype=np.int8)
-    segments = []
-    zero = np.zeros(m)
-    K = ctrl.Khat
+    # T + 1 rows per trial: X[r, k] is the successor of the state at step k
+    X = np.empty((N, T + 1, n))
+    X[:, 0] = 0.0
+    U_ce = np.empty((N, T, m))
+    U_cb = np.empty((N, T, m))
+    U_pr = np.empty((N, T, m))
+    W = np.empty((N, T, n))
+    breaker_codes = np.empty((N, T), dtype=np.int8)
+    segments = [[] for _ in indices]
+
+    # the active rows: their batch row numbers, and an index into the batch
+    # arrays that is a plain slice until a row leaves
+    live = list(range(N))
+    rows = slice(None)
+    x = np.zeros((N, n))
+    K = np.zeros((N, m, n))
+    xi = np.zeros(N, dtype=np.int64)
+    # batch row -> (step, message) of the DivergedState that ended it
+    failures: dict[int, tuple[int, str]] = {}
     next_update = config.controller.next_update(0)
 
     cps = config.checkpoints()
-    est_sq = np.full(len(cps), np.nan)
+    est_sq = np.full((N, len(cps)), np.nan)
     # 0 never matches a step: the sentinel after the last checkpoint
     cp_steps = cps.tolist() + [0]
     cp_idx = 0
 
-    failure_step = None
-    failure_reason = ""
-    try:
-        for start in range(0, T, NOISE_CHUNK):
-            stop = min(start + NOISE_CHUNK, T)
-            G = stream.block("w", start + 1, stop - start)
-            W[start:stop] = (L[None] @ G[..., None])[..., 0]
-            scales = np.array([j ** PROBE_EXPONENT
-                               for j in range(start + 1, stop + 1)])
-            U_pr[start:stop] = scales[:, None] * stream.block(
-                "v", start + 1, stop - start)
-            for i in range(start, stop):
-                k = i + 1
-                if k == next_update:
-                    _feed(ctrl.estimator, X, U_cb, U_pr, i)
+    for start in range(0, T, NOISE_CHUNK):
+        stop = min(start + NOISE_CHUNK, T)
+        count = stop - start
+        G = np.stack([streams[r].block("w", start + 1, count) for r in live])
+        W[rows, start:stop] = (L @ G[..., None])[..., 0]
+        scales = np.array([j ** PROBE_EXPONENT
+                           for j in range(start + 1, stop + 1)])
+        U_pr[rows, start:stop] = scales[:, None] * np.stack(
+            [streams[r].block("v", start + 1, count) for r in live])
+        for i in range(start, stop):
+            k = i + 1
+            if k == next_update:
+                for j, r in enumerate(live):
+                    ctrl = ctrls[r]
+                    _feed(ctrl.estimator, X[r], U_cb[r], U_pr[r], i)
                     ctrl.update_gain(k)
-                    K = ctrl.Khat
-                    segments.append((k, K.copy()))
-                    next_update = config.controller.next_update(k)
-                u_ce = K @ x
-                code = ctrl.breaker(k, u_ce)
-                u_cb = zero if code else u_ce
-                U_ce[i] = u_ce
-                U_cb[i] = u_cb
-                breaker[i] = code
-                x = step(x, u_cb + U_pr[i], W[i], spec, k)
-                X[k] = x
-                if k == cp_steps[cp_idx]:
-                    _feed(ctrl.estimator, X, U_cb, U_pr, k)
-                    err = estimation_error(ctrl.estimator.estimate(), spec.sys)
-                    est_sq[cp_idx] = err * err
-                    cp_idx += 1
-    except DivergedState as exc:
-        failure_step = k
-        failure_reason = str(exc)
+                    K[j] = ctrl.Khat
+                    segments[r].append((k, ctrl.Khat))
+                next_update = config.controller.next_update(k)
+            u_ce = (K @ x[..., None])[..., 0]
+            u_cb, codes, xi = breaker(k, u_ce, xi)
+            u = u_cb + U_pr[rows, i]
+            U_ce[rows, i] = u_ce
+            U_cb[rows, i] = u_cb
+            breaker_codes[rows, i] = codes
+            try:
+                x = step(x, u, W[rows, i], spec, k)
+            except DivergedState:
+                x, diverged = _step_rows(x, u, W[rows, i], spec, k)
+                for j, reason in diverged.items():
+                    failures[live[j]] = (k, reason)
+                keep = [j for j in range(len(live)) if j not in diverged]
+                live = [live[j] for j in keep]
+                if not live:
+                    break
+                rows = np.array(live)
+                x, K, xi = x[keep], K[keep], xi[keep]
+            X[rows, k] = x
+            if k == cp_steps[cp_idx]:
+                for r in live:
+                    estimator = ctrls[r].estimator
+                    _feed(estimator, X[r], U_cb[r], U_pr[r], k)
+                    err = estimation_error(estimator.estimate(), spec.sys)
+                    est_sq[r, cp_idx] = err * err
+                cp_idx += 1
+        if not live:
+            break
 
-    # k is the last step run, whether it completed or diverged
-    failed = failure_step is not None
-    sl = slice(0, k)
-    X, U_ce, U_cb, U_pr, W, breaker = (
-        X[sl], U_ce[sl], U_cb[sl], U_pr[sl], W[sl], breaker[sl])
+    x_final = dict(zip(live, x))
+    logs = (X, U_ce, U_cb, U_pr, W, breaker_codes)
+    return [_finish(config, oracle, index, seeds[r], failures.get(r),
+                    [a[r] for a in logs], x_final.get(r), segments[r],
+                    est_sq[r])
+            for r, index in enumerate(indices)]
+
+
+def _step_rows(x, u, w, spec: PlantSpec, k: int):
+    """Step each row alone, to tell which rows diverge at step k.
+
+    Returns x' (rows that diverged are left unset) and, by row position,
+    the message of each DivergedState.
+    """
+    x_next = np.empty_like(x)
+    diverged = {}
+    for j in range(len(x)):
+        try:
+            x_next[j] = step(x[j], u[j], w[j], spec, k)
+        except DivergedState as exc:
+            diverged[j] = str(exc)
+    return x_next, diverged
+
+
+def _finish(config: ExperimentConfig, oracle: RiccatiSolution,
+            trial_index: int, seed: int, failure: tuple[int, str] | None,
+            logs: list[np.ndarray], x_final: np.ndarray | None,
+            segments: list, est_sq: np.ndarray) -> TrialResult:
+    """One trial's record, curves and summary from its rows of the batch.
+
+    ``failure`` is the (step, message) of the divergence that ended the
+    trial, or None; a failed trial's ``x_final`` is None. ``logs`` are the
+    trial's X, U_ce, U_cb, U_pr, W and breaker arrays, cut here, as views,
+    to the last step run.
+    """
+    spec = config.plant
+    T = config.horizon
+    failed = failure is not None
+    end, failure_reason = failure if failed else (T, "")
+    X, U_ce, U_cb, U_pr, W, breaker_codes = (a[:end] for a in logs)
     stage = stage_costs(X, U_cb + U_pr, spec.cost)
     record = TrialRecord(
         trial_index=trial_index, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
-        U_pr=U_pr, W=W, breaker=breaker, stage_cost=stage,
-        x_final=None if failed else x, gain_segments=segments)
+        U_pr=U_pr, W=W, breaker=breaker_codes, stage_cost=stage,
+        x_final=x_final, gain_segments=segments)
 
-    usable = cps <= k
+    cps = config.checkpoints()
+    usable = cps <= end
     cum = np.cumsum(stage)
     rel = np.full(len(cps), np.nan)
     c = cps[usable]
@@ -282,7 +383,8 @@ def run_trial(config: ExperimentConfig, trial_index: int,
         facts["final_rel_avg_regret"] = float(rel[-1])
     summary = TrialSummary(
         trial_index=trial_index, seed=seed, failed=failed,
-        failure_step=failure_step, failure_reason=failure_reason, **facts)
+        failure_step=end if failed else None,
+        failure_reason=failure_reason, **facts)
     return TrialResult(summary=summary, record=record, rel_avg_regret=rel,
                        est_error_sq=est_sq)
 
@@ -357,16 +459,19 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, count)
 
 
-def _trial_task(config: ExperimentConfig, trial_index: int,
-                log_dir: str | None, oracle: RiccatiSolution) -> TrialResult:
-    """Worker body: run one trial, write its log when asked, slim it."""
-    result = run_trial(config, trial_index, oracle)
-    if log_dir is not None:
-        base = os.path.join(log_dir, f"trial_{trial_index}")
-        save_trial_csv(result.record, base + ".csv")
-        save_gain_sidecar(result.record, base + "_gains.json")
-    result.record = None
-    return result
+def _batch_task(config: ExperimentConfig, indices: range,
+                log_dir: str | None,
+                oracle: RiccatiSolution) -> list[TrialResult]:
+    """Worker body: run one batch, write its logs when asked, slim them."""
+    results = run_trials(config, indices, oracle)
+    for result in results:
+        if log_dir is not None:
+            base = os.path.join(log_dir,
+                                f"trial_{result.summary.trial_index}")
+            save_trial_csv(result.record, base + ".csv")
+            save_gain_sidecar(result.record, base + "_gains.json")
+        result.record = None
+    return results
 
 
 def _fit_or_none(curve, window) -> SlopeEstimate | None:
@@ -386,24 +491,26 @@ def run_experiment(config: ExperimentConfig, log_dir: str | None = None,
                    workers: int | None = None) -> ExperimentSummary:
     """Run all trials and reduce them to an ExperimentSummary.
 
-    Trials execute serially or in a process pool; results are merged by
-    trial index so the summary never depends on scheduling. When
-    ``log_dir`` is given, each trial's record is written there as
-    ``trial_<i>.csv`` and ``trial_<i>_gains.json`` by the worker that
-    produced it; records are dropped before aggregation.
+    Trials run in lockstep batches (trial_batches), serially or in a
+    process pool; results are merged by trial index, and a trial's outputs
+    do not depend on its batch, so the summary never depends on
+    scheduling. When ``log_dir`` is given, each trial's record is written
+    there as ``trial_<i>.csv`` and ``trial_<i>_gains.json`` by the worker
+    that produced it; records are dropped before aggregation.
     """
     oracle = solve_dare(config.plant.sys, config.plant.cost, config.plant.W)
     n_workers = resolve_workers(workers)
     if log_dir is not None:
         os.makedirs(log_dir, exist_ok=True)
-    indices = range(config.trials)
-    if n_workers == 1 or config.trials == 1:
-        results = [_trial_task(config, i, log_dir, oracle) for i in indices]
+    batches = trial_batches(config, n_workers)
+    if n_workers == 1 or len(batches) == 1:
+        done = [_batch_task(config, b, log_dir, oracle) for b in batches]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(
-                _trial_task, [config] * config.trials, indices,
-                [log_dir] * config.trials, [oracle] * config.trials))
+            done = list(pool.map(
+                _batch_task, [config] * len(batches), batches,
+                [log_dir] * len(batches), [oracle] * len(batches)))
+    results = [result for batch in done for result in batch]
 
     cps = config.checkpoints()
     rel_curves = np.vstack([r.rel_avg_regret for r in results])

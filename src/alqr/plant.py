@@ -9,7 +9,6 @@ state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,13 +135,19 @@ def step(x: np.ndarray, u: np.ndarray, w: np.ndarray, spec: PlantSpec,
          k: int) -> np.ndarray:
     """One transition x' = A x + B u + w at step k; pure in all arguments.
 
-    ``x``, ``u`` and ``w`` are 1-D float arrays. ``k`` only names the step
-    in the DivergedState raised when x' passes the overflow guard.
+    ``x``, ``u`` and ``w`` are 1-D float arrays, or (N, n), (N, m) and
+    (N, n) stacks of them for N trials in lockstep; every row of x' is then
+    the 1-D step of that row, bit for bit. The overflow guard is applied
+    per row: when the norm of a row of x' passes it, DivergedState is
+    raised naming k and the norm of the first such row.
     """
-    x_next = spec.sys.A @ x + spec.sys.B @ u + w
-    # what np.linalg.norm computes for a 1-D float array
-    norm = math.sqrt(x_next.dot(x_next))
-    if not norm <= STATE_NORM_GUARD:  # NaN fails this too
+    x_next = (spec.sys.A @ x[..., None] + spec.sys.B @ u[..., None])[..., 0]
+    x_next += w
+    # per row, the dot product np.linalg.norm takes of a 1-D float array
+    norms = np.sqrt(x_next[..., None, :] @ x_next[..., None])
+    ok = norms <= STATE_NORM_GUARD  # NaN fails this too
+    if np.count_nonzero(ok) < ok.size:
+        norm = norms[~ok][0]
         raise DivergedState(
             f"state norm {norm:.3e} passed the overflow guard at step {k}",
             step=k)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 
 from alqr.control_math import CostWeights
-from alqr.controller import (AdaptiveController, ControllerConfig, dwell,
-                             threshold)
+from alqr.controller import (AdaptiveController, ControllerConfig, breaker,
+                             dwell, threshold)
 from alqr.plant import NoiseStream
+from alqr.records import BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER
 
 
 def make_controller(n=1, m=1, schedule="powers-of-two"):
@@ -116,6 +117,29 @@ def test_dwell_end_defers_threshold_to_next_step():
     out2 = ctrl.compute_input(51, np.array([3.0]), stream)
     assert out2.breaker_triggered_now
     assert ctrl.xi == dwell(51)
+
+
+def test_breaker_rule_runs_each_row_on_its_own_branch():
+    # one call at k = 100 (log 100 = 4.605, dwell 4) with a row in each
+    # branch: dwelling, dwell ending, tripping, and passing at norms just
+    # under and at the threshold; each row matches the rule run alone
+    k = 100
+    u_ce = np.array([[30.0, 40.0], [30.0, 40.0], [3.0, 4.0], [0.0, 4.6],
+                     [0.0, math.log(k)]])
+    xi = np.array([3, 1, 0, 0, 0])
+    u_cb, codes, new_xi = breaker(k, u_ce, xi)
+    assert codes.dtype == np.int8
+    assert codes.tolist() == [BREAKER_DWELL, BREAKER_DWELL, BREAKER_TRIGGER,
+                              BREAKER_CLEAR, BREAKER_CLEAR]
+    assert new_xi.tolist() == [2, 0, dwell(k), 0, 0]
+    assert xi.tolist() == [3, 1, 0, 0, 0]
+    assert np.array_equal(u_cb[:3], np.zeros((3, 2)))
+    assert np.array_equal(u_cb[3:], u_ce[3:])
+    for row in range(len(xi)):
+        alone = breaker(k, u_ce[row:row + 1], xi[row:row + 1])
+        assert np.array_equal(alone[0], u_cb[row:row + 1])
+        assert alone[1].tolist() == [codes[row]]
+        assert alone[2].tolist() == [new_xi[row]]
 
 
 def test_probe_decay_exact():

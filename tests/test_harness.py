@@ -13,11 +13,14 @@ import pytest
 
 from alqr.control_math import CostWeights, SystemMatrices, solve_dare
 from alqr.controller import ControllerConfig
-from alqr.harness import (ExperimentConfig, TrialSummary, checkpoint_steps,
-                          generate_stand_in_plant, resolve_workers,
-                          run_experiment, run_trial, trial_seed)
+from alqr.errors import DivergedState
+from alqr.harness import (BATCH_BYTES, ExperimentConfig, TrialSummary,
+                          checkpoint_steps, generate_stand_in_plant,
+                          resolve_workers, run_experiment, run_trial,
+                          run_trials, trial_batches, trial_seed)
 from alqr.plant import PlantSpec
-from alqr.records import load_gain_sidecar, load_trial_csv
+from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, load_gain_sidecar,
+                          load_trial_csv)
 from alqr.regret import decompose_at
 from helpers import drive_trial, reference_spec
 
@@ -139,6 +142,134 @@ def test_trial_matches_handwritten_loop(ref):
         for (_, ka), (_, kb) in zip(result.record.gain_segments,
                                     manual.gain_segments):
             assert np.array_equal(ka, kb), label
+
+
+RECORD_ARRAYS = ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost")
+
+
+def assert_same_trial(a, b, label):
+    """Two TrialResults agree bit for bit in every output."""
+    for name in RECORD_ARRAYS:
+        assert np.array_equal(getattr(a.record, name),
+                              getattr(b.record, name)), (label, name)
+    if a.record.x_final is None:
+        assert b.record.x_final is None, label
+    else:
+        assert np.array_equal(a.record.x_final, b.record.x_final), label
+    assert [s for s, _ in a.record.gain_segments] == \
+        [s for s, _ in b.record.gain_segments], label
+    for (_, ka), (_, kb) in zip(a.record.gain_segments,
+                                b.record.gain_segments):
+        assert np.array_equal(ka, kb), label
+    assert a.summary == b.summary, label
+    assert np.array_equal(a.rel_avg_regret, b.rel_avg_regret,
+                          equal_nan=True), label
+    assert np.array_equal(a.est_error_sq, b.est_error_sq,
+                          equal_nan=True), label
+
+
+def dense_w_8x4():
+    big = reference_spec(n=8, m=4)
+    M = np.random.default_rng(3).standard_normal((8, 8))
+    return PlantSpec(sys=big.sys, W=M @ M.T + 8 * np.eye(8), cost=big.cost)
+
+
+def test_batch_rows_match_trials_run_alone(ref):
+    # a trial's outputs may not depend on the batch it runs in; the 3x2 and
+    # 8x4 horizons cross a noise chunk, and an every-step batch updates
+    # every trial's gain at every step (kept short: each update is a
+    # Riccati solve)
+    spec, _ = ref
+    cases = {
+        "3x2, T=4500": (spec, 4500, 4, ControllerConfig()),
+        "8x4, dense W, T=4200": (dense_w_8x4(), 4200, 3, ControllerConfig()),
+        "3x2, every-step, T=300": (spec, 300, 3,
+                                   ControllerConfig("every-step")),
+    }
+    for label, (plant, T, trials, controller) in cases.items():
+        config = make_config(plant, horizon=T, trials=trials, base_seed=21,
+                             controller=controller)
+        truth = solve_dare(plant.sys, plant.cost, plant.W)
+        batch = run_trials(config, range(trials), truth)
+        assert [r.summary.trial_index for r in batch] == list(range(trials))
+        for i, result in enumerate(batch):
+            assert not result.summary.failed, (label, i)
+            assert_same_trial(result, run_trial(config, i, truth),
+                              (label, i))
+
+
+def test_batch_rows_in_different_breaker_states(ref):
+    # loud noise trips the breaker early and often, so at some step one row
+    # dwells while another passes its feedback through; each row still
+    # equals its trial run alone
+    spec, _ = ref
+    loud = PlantSpec(sys=spec.sys, W=400.0 * np.eye(spec.n), cost=spec.cost)
+    config = make_config(loud, horizon=600, trials=4, base_seed=5)
+    truth = solve_dare(loud.sys, loud.cost, loud.W)
+    batch = run_trials(config, range(4), truth)
+    codes = np.vstack([r.record.breaker for r in batch])
+    mixed = np.any(codes == BREAKER_DWELL, axis=0) & \
+        np.any(codes == BREAKER_CLEAR, axis=0)
+    assert mixed.sum() >= 10
+    for i, result in enumerate(batch):
+        assert_same_trial(result, run_trial(config, i, truth), i)
+
+
+def test_mixed_batch_rows_fail_at_their_own_steps(ref):
+    # at W = 5e21 I two of six trials pass the overflow guard, one in the
+    # first noise chunk and one in the second, and the other four run on to
+    # the horizon; the failure step and text are what the hand-written loop
+    # raises for that trial
+    spec, _ = ref
+    wild = PlantSpec(sys=spec.sys, W=5e21 * np.eye(spec.n), cost=spec.cost)
+    config = make_config(wild, horizon=5000, trials=6, base_seed=11)
+    truth = solve_dare(wild.sys, wild.cost, wild.W)
+    batch = run_trials(config, range(6), truth)
+    steps = [r.summary.failure_step for r in batch]
+    assert steps == [None, 103, 4984, None, None, None]
+    for i, result in enumerate(batch):
+        assert_same_trial(result, run_trial(config, i, truth), i)
+        if steps[i] is None:
+            assert result.record.horizon == 5000
+            continue
+        with pytest.raises(DivergedState) as info:
+            drive_trial(wild, 5000, seed=trial_seed(11, i))
+        assert info.value.step == steps[i]
+        assert result.summary.failure_reason == str(info.value)
+        assert result.record.horizon == steps[i]
+        assert np.isnan(result.rel_avg_regret[-1])
+        assert np.isnan(result.est_error_sq[-1])
+
+
+def test_trial_batches_partition(ref):
+    spec, _ = ref
+    big = reference_spec(n=8, m=4)
+    row_bytes = {3: 8 * (2 * 3 + 3 * 2 + 1) + 1,
+                 8: 8 * (2 * 8 + 3 * 4 + 1) + 1}
+    cases = [(spec, 100_000, 50, 1), (spec, 100_000, 50, 2),
+             (spec, 10_000, 200, 2), (spec, 12_500, 4, 1),
+             (big, 2_500, 3, 1), (spec, 10 ** 7, 3, 1), (spec, 100, 1, 4),
+             (spec, 300, 5, 2)]
+    for plant, T, trials, workers in cases:
+        config = make_config(plant, horizon=T, trials=trials)
+        batches = trial_batches(config, workers)
+        label = (plant.n, T, trials, workers)
+        assert [i for b in batches for i in b] == list(range(trials)), label
+        assert all(len(b) >= 1 for b in batches), label
+        sizes = [len(b) for b in batches]
+        assert max(sizes) - min(sizes) <= 1, label
+        per_trial = (T + 1) * row_bytes[plant.n]
+        for b in batches:
+            assert len(b) == 1 or len(b) * per_trial <= BATCH_BYTES, label
+        assert len(batches) % workers == 0 or len(batches) == trials, label
+    # the acceptance long run never holds all 50 trials at once; the
+    # benchmark workloads each fit one batch
+    assert len(trial_batches(make_config(spec, horizon=100_000,
+                                         trials=50))) > 1
+    assert len(trial_batches(make_config(spec, horizon=12_500,
+                                         trials=4))) == 1
+    assert len(trial_batches(make_config(big, horizon=2_500,
+                                         trials=3))) == 1
 
 
 def test_trial_record_satisfies_decomposition(ref):

@@ -62,6 +62,36 @@ def test_step_diverged_guard():
     assert "at step 3" in str(info.value)
 
 
+def test_step_stacked_rows_match_single_rows():
+    # a lockstep batch steps (N, n) rows at once; each row must be the
+    # 1-D step of that row bit for bit, at every size the harness runs
+    rng = np.random.default_rng(8)
+    for n, m in ((3, 2), (8, 4), (16, 8)):
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+        spec = make_spec(A, rng.standard_normal((n, m)))
+        x = rng.standard_normal((50, n)) * 1e3
+        u = rng.standard_normal((50, m))
+        w = rng.standard_normal((50, n))
+        out = step(x, u, w, spec, 9)
+        assert out.shape == (50, n)
+        for r in range(50):
+            assert np.array_equal(out[r], step(x[r], u[r], w[r], spec, 9))
+
+
+def test_step_stacked_guard_names_the_failing_row():
+    spec = make_spec([[0.5]], [[1.0]])
+    x = np.array([[1.0], [8e12], [2.0]])
+    with pytest.raises(DivergedState) as info:
+        step(x, np.zeros((3, 1)), np.zeros((3, 1)), spec, 4)
+    assert info.value.step == 4
+    assert str(info.value) == \
+        "state norm 4.000e+12 passed the overflow guard at step 4"
+    nan_row = np.array([[1.0], [np.nan]])
+    with pytest.raises(DivergedState):
+        step(nan_row, np.zeros((2, 1)), np.zeros((2, 1)), spec, 5)
+
+
 def test_plant_spec_rejects_unstable_a():
     with pytest.raises(UnstableMatrix):
         make_spec([[1.0]], [[1.0]])
