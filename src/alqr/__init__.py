@@ -8,12 +8,10 @@ from .control_math import (
     solve_dare,
     spectral_radius,
     stability_margin,
-    synthesize_gain,
 )
 from .errors import (
     AlqrError,
     ConfigInvalid,
-    DivergedState,
     EmptyWindow,
     GenerationFailed,
     IllConditioned,

@@ -152,8 +152,13 @@ def controllability_rank(sys: SystemMatrices) -> int:
     return int(np.sum(svals > n * RANK_RTOL * svals[0]))
 
 
-def _gain(A, B, P, R) -> np.ndarray:
-    """K = -(R + B'PB)^-1 B'PA, refusing an ill-conditioned R + B'PB."""
+def synthesize_gain(A, B, P, R) -> np.ndarray:
+    """Optimal feedback gain K = -(R + B'PB)^-1 B'PA for value matrix P.
+
+    Refuses an ill-conditioned R + B'PB. The arguments are not re-checked:
+    A and B come from a SystemMatrices, R from CostWeights, and P from the
+    caller.
+    """
     BtP = B.T @ P
     G = R + BtP @ B
     G = 0.5 * (G + G.T)
@@ -163,15 +168,6 @@ def _gain(A, B, P, R) -> np.ndarray:
             f"R + B'PB condition number {geigs[-1] / max(geigs[0], 1e-300):.3e} "
             f"exceeds cap {COND_CAP:.1e}")
     return -np.linalg.solve(G, BtP @ A)
-
-
-def synthesize_gain(A, B, P, R) -> np.ndarray:
-    """Optimal feedback gain K = -(R + B'PB)^-1 B'PA for value matrix P."""
-    A = _clean_matrix(A, "A")
-    B = _clean_matrix(B, "B")
-    P = _check_spd(_clean_matrix(P, "P"), "P")
-    R = _check_spd(_clean_matrix(R, "R"), "R")
-    return _gain(A, B, P, R)
 
 
 def solve_dare(sys: SystemMatrices, cost: CostWeights, W=None,
@@ -202,7 +198,7 @@ def solve_dare(sys: SystemMatrices, cost: CostWeights, W=None,
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, DARE_MAX_ITER + 1):
-            K = _gain(A, B, P, R)
+            K = synthesize_gain(A, B, P, R)
             P_next = A.T @ P @ A + (B.T @ P @ A).T @ K + Q
             P_next = 0.5 * (P_next + P_next.T)
             delta = np.linalg.norm(P_next - P, "fro")
@@ -226,7 +222,7 @@ def solve_dare(sys: SystemMatrices, cost: CostWeights, W=None,
                 iterations=DARE_MAX_ITER)
 
     try:
-        K = synthesize_gain(A, B, P, R)
+        K = synthesize_gain(A, B, _check_spd(P, "P"), R)
     except ValueError as exc:
         # a converged iterate that is not SPD is no stabilizing solution
         raise NonConvergence(

@@ -2,8 +2,9 @@
 
 Every failure the library can detect maps to one of these, so callers can
 distinguish "your inputs are bad" (ConfigInvalid, UnstableMatrix) from
-"the computation broke down" (NonConvergence, DivergedState) without
-string-matching messages.
+"the computation broke down" (NonConvergence, IllConditioned) without
+string-matching messages. A simulated state that passes the overflow guard
+is no error: the harness marks its trial failed and runs on.
 """
 
 
@@ -25,14 +26,6 @@ class NonConvergence(AlqrError):
 
 class IllConditioned(AlqrError):
     """A linear solve encountered a matrix too close to singular to trust."""
-
-
-class DivergedState(AlqrError):
-    """The simulated state left the trusted numeric range."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
 
 
 class ConfigInvalid(AlqrError):

@@ -8,8 +8,9 @@ every stacked product equals its per-trial form bit for bit, so a trial's
 outputs do not depend on the batch it ran in; a single trial is a batch of
 one. The experiment layer runs the batches, reduces their checkpoint
 curves to worst/median/mean statistics, fits log-log slopes, and tallies
-breaker-quiescence times. Failed (diverged) trials are counted and
-reported, never resampled.
+breaker-quiescence times. A trial fails at the first step whose state
+passes the overflow guard (plant.STATE_NORM_GUARD); failed trials are cut
+at that step, counted and reported, never resampled.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .diagnostics import (
     fit_regret_slope,
     tnocb_histogram,
 )
-from .errors import ConfigInvalid, DivergedState, EmptyWindow, GenerationFailed
+from .errors import ConfigInvalid, EmptyWindow, GenerationFailed
 from .estimator import EstimatorState, estimation_error
 # draw_process_noise is not called here; perfbench/tracer.py binds the name
 from .plant import (
@@ -49,6 +50,7 @@ from .plant import (
     NoiseStream,
     PlantSpec,
     draw_process_noise,
+    overflow_failures,
     step,
 )
 from .records import TrialRecord, save_gain_sidecar, save_trial_csv
@@ -88,7 +90,9 @@ def checkpoint_steps(horizon: int, factor: float = 1.2) -> np.ndarray:
         if k > horizon:
             break
         points.add(k)
-        j += 1
+        # jump past the exponents whose ceiling repeats k (those below
+        # log_factor k, less one for the float log's error)
+        j = max(j + 1, math.floor(math.log(k) / math.log(factor)) - 1)
     decade = 10
     while decade <= horizon:
         points.add(decade)
@@ -160,10 +164,10 @@ class TrialSummary:
 class TrialResult:
     """One trial's outputs: its summary, the raw log and checkpoint curves.
 
-    On a diverged trial the record's arrays are truncated to the steps that
-    completed and the curves are NaN past them. The record may be dropped
-    (set to None) by the experiment reduction to bound memory; the summary
-    and the curves always survive.
+    A failed trial's record ends with its failure step; its regret curve is
+    NaN past that step and its estimation-error curve from it on. The
+    record may be dropped (set to None) by the experiment reduction to
+    bound memory; the summary and the curves always survive.
     """
 
     summary: TrialSummary
@@ -207,8 +211,9 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     """Run one closed-loop trial; deterministic in (config, trial_index).
 
     The trial is a lockstep batch of one (see run_trials), so its outputs
-    are the same bits as when it runs inside any batch. A DivergedState
-    does not raise: the trial comes back truncated and marked failed.
+    are the same bits as when it runs inside any batch. A state past the
+    overflow guard does not raise: the trial comes back cut at that step
+    and marked failed.
     """
     if oracle is None:
         oracle = solve_dare(config.plant.sys, config.plant.cost,
@@ -232,9 +237,11 @@ def run_trials(config: ExperimentConfig, indices,
     only when the estimate is read (at gain updates and at the checkpoints,
     where the estimation error is recorded). Every stacked product is the
     per-row one bit for bit, so a trial's outputs do not depend on the
-    batch it ran in. A row whose state passes the overflow guard leaves the
-    batch: its trial comes back truncated at that step and marked failed,
-    and the other rows run on.
+    batch it ran in. The overflow guard (overflow_failures) is checked
+    where per-trial work reads states: before a gain update, at a
+    checkpoint and at each chunk end. A row past it leaves the live rows
+    but keeps stepping, unread; its trial comes back cut at its first
+    failing step and marked failed. The batch stops once no row is live.
     """
     spec = config.plant
     n, m = spec.n, spec.m
@@ -257,15 +264,24 @@ def run_trials(config: ExperimentConfig, indices,
     breaker_codes = np.empty((N, T), dtype=np.int8)
     segments = [[] for _ in indices]
 
-    # the active rows: their batch row numbers, and an index into the batch
-    # arrays that is a plain slice until a row leaves
+    # the batch rows not yet failed; batch row -> (step, message) of its
+    # first state past the guard; the steps whose states were checked
     live = list(range(N))
-    rows = slice(None)
+    failures: dict[int, tuple[int, str]] = {}
+    checked = 0
+
+    def check(upto: int) -> bool:
+        """Guard the live rows' states after steps checked+1 .. upto."""
+        nonlocal live, checked
+        found = overflow_failures(X[live, checked + 1:upto + 1], checked + 1)
+        failures.update((live[j], failure) for j, failure in found.items())
+        live = [r for j, r in enumerate(live) if j not in found]
+        checked = upto
+        return bool(live)
+
     x = np.zeros((N, n))
     K = np.zeros((N, m, n))
     xi = np.zeros(N, dtype=np.int64)
-    # batch row -> (step, message) of the DivergedState that ended it
-    failures: dict[int, tuple[int, str]] = {}
     next_update = config.controller.next_update(0)
 
     cps = config.checkpoints()
@@ -277,90 +293,65 @@ def run_trials(config: ExperimentConfig, indices,
     for start in range(0, T, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, T)
         count = stop - start
-        G = np.stack([streams[r].block("w", start + 1, count) for r in live])
-        W[rows, start:stop] = (L @ G[..., None])[..., 0]
+        G = np.stack([s.block("w", start + 1, count) for s in streams])
+        W[:, start:stop] = (L @ G[..., None])[..., 0]
         scales = np.array([j ** PROBE_EXPONENT
                            for j in range(start + 1, stop + 1)])
-        U_pr[rows, start:stop] = scales[:, None] * np.stack(
-            [streams[r].block("v", start + 1, count) for r in live])
+        U_pr[:, start:stop] = scales[:, None] * np.stack(
+            [s.block("v", start + 1, count) for s in streams])
         for i in range(start, stop):
             k = i + 1
             if k == next_update:
-                for j, r in enumerate(live):
+                if not check(i):
+                    break
+                for r in live:
                     ctrl = ctrls[r]
                     _feed(ctrl.estimator, X[r], U_cb[r], U_pr[r], i)
                     ctrl.update_gain(k)
-                    K[j] = ctrl.Khat
+                    K[r] = ctrl.Khat
                     segments[r].append((k, ctrl.Khat))
                 next_update = config.controller.next_update(k)
             u_ce = (K @ x[..., None])[..., 0]
             u_cb, codes, xi = breaker(k, u_ce, xi)
-            u = u_cb + U_pr[rows, i]
-            U_ce[rows, i] = u_ce
-            U_cb[rows, i] = u_cb
-            breaker_codes[rows, i] = codes
-            try:
-                x = step(x, u, W[rows, i], spec, k)
-            except DivergedState:
-                x, diverged = _step_rows(x, u, W[rows, i], spec, k)
-                for j, reason in diverged.items():
-                    failures[live[j]] = (k, reason)
-                keep = [j for j in range(len(live)) if j not in diverged]
-                live = [live[j] for j in keep]
-                if not live:
-                    break
-                rows = np.array(live)
-                x, K, xi = x[keep], K[keep], xi[keep]
-            X[rows, k] = x
+            U_ce[:, i] = u_ce
+            U_cb[:, i] = u_cb
+            breaker_codes[:, i] = codes
+            x = step(x, u_cb + U_pr[:, i], W[:, i], spec)
+            X[:, k] = x
             if k == cp_steps[cp_idx]:
+                if not check(k):
+                    break
                 for r in live:
                     estimator = ctrls[r].estimator
                     _feed(estimator, X[r], U_cb[r], U_pr[r], k)
                     err = estimation_error(estimator.estimate(), spec.sys)
                     est_sq[r, cp_idx] = err * err
                 cp_idx += 1
-        if not live:
+        if not (live and check(stop)):
             break
 
-    x_final = dict(zip(live, x))
     logs = (X, U_ce, U_cb, U_pr, W, breaker_codes)
     return [_finish(config, oracle, index, seeds[r], failures.get(r),
-                    [a[r] for a in logs], x_final.get(r), segments[r],
-                    est_sq[r])
+                    [a[r] for a in logs], segments[r], est_sq[r])
             for r, index in enumerate(indices)]
-
-
-def _step_rows(x, u, w, spec: PlantSpec, k: int):
-    """Step each row alone, to tell which rows diverge at step k.
-
-    Returns x' (rows that diverged are left unset) and, by row position,
-    the message of each DivergedState.
-    """
-    x_next = np.empty_like(x)
-    diverged = {}
-    for j in range(len(x)):
-        try:
-            x_next[j] = step(x[j], u[j], w[j], spec, k)
-        except DivergedState as exc:
-            diverged[j] = str(exc)
-    return x_next, diverged
 
 
 def _finish(config: ExperimentConfig, oracle: RiccatiSolution,
             trial_index: int, seed: int, failure: tuple[int, str] | None,
-            logs: list[np.ndarray], x_final: np.ndarray | None,
-            segments: list, est_sq: np.ndarray) -> TrialResult:
+            logs: list[np.ndarray], segments: list,
+            est_sq: np.ndarray) -> TrialResult:
     """One trial's record, curves and summary from its rows of the batch.
 
-    ``failure`` is the (step, message) of the divergence that ended the
-    trial, or None; a failed trial's ``x_final`` is None. ``logs`` are the
-    trial's X, U_ce, U_cb, U_pr, W and breaker arrays, cut here, as views,
-    to the last step run.
+    ``failure`` is the (step, message) of the first state past the overflow
+    guard, or None. ``logs`` are the trial's X, U_ce, U_cb, U_pr, W and
+    breaker arrays, cut here, as views, to the failure step or the horizon;
+    a trial that ran to the horizon keeps X[T] as ``x_final``.
     """
     spec = config.plant
     T = config.horizon
     failed = failure is not None
     end, failure_reason = failure if failed else (T, "")
+    x_final = None if failed else logs[0][T]
     X, U_ce, U_cb, U_pr, W, breaker_codes = (a[:end] for a in logs)
     stage = stage_costs(X, U_cb + U_pr, spec.cost)
     record = TrialRecord(

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control_math import CostWeights, SystemMatrices, spectral_radius, _check_spd, _clean_matrix
-from .errors import DivergedState, UnstableMatrix
+from .errors import UnstableMatrix
 
-# simulation aborts once the state norm passes this guard
+# a trial fails at the first step whose state norm passes this guard
 STATE_NORM_GUARD = 1e12
 
 NOISE_CHUNK = 4096
@@ -131,27 +131,40 @@ def draw_probe_noise(stream: NoiseStream, m: int, k: int) -> np.ndarray:
     return g
 
 
-def step(x: np.ndarray, u: np.ndarray, w: np.ndarray, spec: PlantSpec,
-         k: int) -> np.ndarray:
-    """One transition x' = A x + B u + w at step k; pure in all arguments.
+def step(x: np.ndarray, u: np.ndarray, w: np.ndarray,
+         spec: PlantSpec) -> np.ndarray:
+    """One transition x' = A x + B u + w; pure in all arguments.
 
     ``x``, ``u`` and ``w`` are 1-D float arrays, or (N, n), (N, m) and
     (N, n) stacks of them for N trials in lockstep; every row of x' is then
-    the 1-D step of that row, bit for bit. The overflow guard is applied
-    per row: when the norm of a row of x' passes it, DivergedState is
-    raised naming k and the norm of the first such row.
+    the 1-D step of that row, bit for bit. No bound is checked here (see
+    overflow_failures).
     """
     x_next = (spec.sys.A @ x[..., None] + spec.sys.B @ u[..., None])[..., 0]
     x_next += w
-    # per row, the dot product np.linalg.norm takes of a 1-D float array
-    norms = np.sqrt(x_next[..., None, :] @ x_next[..., None])
-    ok = norms <= STATE_NORM_GUARD  # NaN fails this too
-    if np.count_nonzero(ok) < ok.size:
-        norm = norms[~ok][0]
-        raise DivergedState(
-            f"state norm {norm:.3e} passed the overflow guard at step {k}",
-            step=k)
     return x_next
+
+
+def overflow_failures(X: np.ndarray,
+                      first_step: int) -> dict[int, tuple[int, str]]:
+    """Rows of a state block that pass the overflow guard, and where.
+
+    X[r, j] of the (N, L, n) block is row r's state after step
+    first_step + j. Each row with a state whose norm passes
+    STATE_NORM_GUARD (a NaN norm too) maps to its first such step and the
+    message naming it.
+    """
+    # per state, the dot product np.linalg.norm takes of a 1-D float array
+    norms = np.sqrt(X[..., None, :] @ X[..., None])[..., 0, 0]
+    bad = ~(norms <= STATE_NORM_GUARD)
+    failures = {}
+    for r in np.flatnonzero(bad.any(axis=1)):
+        j = int(np.argmax(bad[r]))
+        k = first_step + j
+        failures[int(r)] = (
+            k, f"state norm {norms[r, j]:.3e} passed the overflow guard "
+               f"at step {k}")
+    return failures
 
 
 def plant_spec_to_dict(spec: PlantSpec) -> dict:

@@ -8,8 +8,18 @@ import numpy as np
 
 from alqr.control_math import CostWeights, SystemMatrices
 from alqr.controller import AdaptiveController, ControllerConfig
-from alqr.plant import NoiseStream, PlantSpec, draw_process_noise, step
+from alqr.plant import (STATE_NORM_GUARD, NoiseStream, PlantSpec,
+                        draw_process_noise, step)
 from alqr.records import TrialRecord
+
+
+class Diverged(Exception):
+    """drive_trial's state passed the overflow guard at ``step``."""
+
+    def __init__(self, norm, step):
+        super().__init__(
+            f"state norm {norm:.3e} passed the overflow guard at step {step}")
+        self.step = step
 
 
 def reference_spec(n=3, m=2, rho=0.9, seed=42):
@@ -22,7 +32,11 @@ def reference_spec(n=3, m=2, rho=0.9, seed=42):
 
 
 def drive_trial(spec, T, seed, force_gain=None, config=None):
-    """Run the closed loop step by step, logging everything by hand."""
+    """Run the closed loop step by step, logging everything by hand.
+
+    Raises Diverged at the first step whose successor state has a norm
+    past STATE_NORM_GUARD (or a NaN norm), as the harness reports it.
+    """
     n, m = spec.n, spec.m
     ctrl = AdaptiveController(config or ControllerConfig(), n, m, spec.cost)
     stream = NoiseStream(seed=seed, state_dim=n, input_dim=m)
@@ -49,7 +63,10 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
             1 if out.breaker_active else 0)
         stage[k - 1] = float(x @ spec.cost.Q @ x + out.u @ spec.cost.R @ out.u)
         z = np.concatenate([x, out.u])
-        x = step(x, out.u, w, spec, k)
+        x = step(x, out.u, w, spec)
+        norm = np.linalg.norm(x)
+        if not norm <= STATE_NORM_GUARD:
+            raise Diverged(norm, k)
         ctrl.estimator.absorb(z, x)
     if force_gain is not None:
         segments = [(1, np.asarray(force_gain, dtype=float))]

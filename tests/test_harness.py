@@ -6,6 +6,7 @@ Aggregation is checked for order-independence (serial vs process pool) and
 for the documented failure accounting.
 """
 
+import math
 import os
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 
 from alqr.control_math import CostWeights, SystemMatrices, solve_dare
 from alqr.controller import ControllerConfig
-from alqr.errors import DivergedState
 from alqr.harness import (BATCH_BYTES, ExperimentConfig, TrialSummary,
                           checkpoint_steps, generate_stand_in_plant,
                           resolve_workers, run_experiment, run_trial,
@@ -22,7 +22,7 @@ from alqr.plant import PlantSpec
 from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, load_gain_sidecar,
                           load_trial_csv)
 from alqr.regret import decompose_at
-from helpers import drive_trial, reference_spec
+from helpers import Diverged, drive_trial, reference_spec
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +58,22 @@ def test_checkpoint_grid():
         checkpoint_steps(10, factor=1.0)
     with pytest.raises(ValueError):
         checkpoint_steps(0)
+    # a factor near 1 puts every step on the grid
+    assert checkpoint_steps(100_000, factor=1 + 1e-12).tolist() == \
+        list(range(1, 100_001))
+    # the grid equals one built from every exponent j in turn
+    for factor in (1.0001, 1.001, 1.01, 1.05, 1.1, 1.2, 1.5, 2.0, 3.7):
+        geometric = []
+        j = 0
+        while math.ceil(factor ** j) <= 10 ** 6:
+            geometric.append(math.ceil(factor ** j))
+            j += 1
+        for horizon in (1, 2, 3, 10, 99, 1000, 4097, 65_536, 10 ** 6):
+            decades = [10 ** e for e in range(1, 7) if 10 ** e <= horizon]
+            want = sorted({p for p in geometric if p <= horizon}
+                          | set(decades) | {horizon})
+            assert checkpoint_steps(horizon, factor).tolist() == want, \
+                (factor, horizon)
 
 
 def test_config_validation(ref):
@@ -219,26 +235,36 @@ def test_mixed_batch_rows_fail_at_their_own_steps(ref):
     # at W = 5e21 I two of six trials pass the overflow guard, one in the
     # first noise chunk and one in the second, and the other four run on to
     # the horizon; the failure step and text are what the hand-written loop
-    # raises for that trial
+    # raises for that trial. Under every-step at W = 1e22 I a gain update
+    # follows every step, so a row not dropped before the update at its
+    # failure step + 1 would gain a segment past its failure
     spec, _ = ref
-    wild = PlantSpec(sys=spec.sys, W=5e21 * np.eye(spec.n), cost=spec.cost)
-    config = make_config(wild, horizon=5000, trials=6, base_seed=11)
-    truth = solve_dare(wild.sys, wild.cost, wild.W)
-    batch = run_trials(config, range(6), truth)
-    steps = [r.summary.failure_step for r in batch]
-    assert steps == [None, 103, 4984, None, None, None]
-    for i, result in enumerate(batch):
-        assert_same_trial(result, run_trial(config, i, truth), i)
-        if steps[i] is None:
-            assert result.record.horizon == 5000
-            continue
-        with pytest.raises(DivergedState) as info:
-            drive_trial(wild, 5000, seed=trial_seed(11, i))
-        assert info.value.step == steps[i]
-        assert result.summary.failure_reason == str(info.value)
-        assert result.record.horizon == steps[i]
-        assert np.isnan(result.rel_avg_regret[-1])
-        assert np.isnan(result.est_error_sq[-1])
+    cases = [(5e21, 5000, 11, ControllerConfig(),
+              [None, 103, 4984, None, None, None]),
+             (1e22, 100, 1, ControllerConfig("every-step"), [46, 85])]
+    for scale, T, seed, controller, want in cases:
+        wild = PlantSpec(sys=spec.sys, W=scale * np.eye(spec.n),
+                         cost=spec.cost)
+        config = make_config(wild, horizon=T, trials=len(want),
+                             base_seed=seed, controller=controller)
+        truth = solve_dare(wild.sys, wild.cost, wild.W)
+        batch = run_trials(config, range(len(want)), truth)
+        steps = [r.summary.failure_step for r in batch]
+        assert steps == want
+        for i, result in enumerate(batch):
+            assert_same_trial(result, run_trial(config, i, truth), i)
+            if steps[i] is None:
+                assert result.record.horizon == T
+                continue
+            with pytest.raises(Diverged) as info:
+                drive_trial(wild, T, seed=trial_seed(seed, i),
+                            config=controller)
+            assert info.value.step == steps[i]
+            assert result.summary.failure_reason == str(info.value)
+            assert result.record.horizon == steps[i]
+            assert result.record.gain_segments[-1][0] <= steps[i]
+            assert np.isnan(result.rel_avg_regret[-1])
+            assert np.isnan(result.est_error_sq[-1])
 
 
 def test_trial_batches_partition(ref):

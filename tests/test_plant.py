@@ -6,12 +6,13 @@ import scipy.linalg
 
 from alqr.config import parse_config_document
 from alqr.control_math import CostWeights, SystemMatrices
-from alqr.errors import ConfigInvalid, DivergedState, UnstableMatrix
+from alqr.errors import ConfigInvalid, UnstableMatrix
 from alqr.plant import (
     NoiseStream,
     PlantSpec,
     draw_probe_noise,
     draw_process_noise,
+    overflow_failures,
     plant_spec_to_dict,
     step,
 )
@@ -30,13 +31,13 @@ def make_spec(A, B, W=None, Q=None, R=None):
 
 def test_step_zero_everything():
     spec = make_spec(np.zeros((2, 2)), np.zeros((2, 1)))
-    out = step(np.zeros(2), np.zeros(1), np.zeros(2), spec, 1)
+    out = step(np.zeros(2), np.zeros(1), np.zeros(2), spec)
     assert np.array_equal(out, np.zeros(2))
 
 
 def test_step_scalar_arithmetic():
     spec = make_spec([[0.5]], [[1.0]])
-    out = step(np.array([2.0]), np.array([1.0]), np.array([0.25]), spec, 7)
+    out = step(np.array([2.0]), np.array([1.0]), np.array([0.25]), spec)
     assert abs(out[0] - 2.25) < 1e-15
 
 
@@ -48,18 +49,10 @@ def test_step_noise_identity():
         x = rng.standard_normal(3)
         u = rng.standard_normal(2)
         w = rng.standard_normal(3)
-        out = step(x, u, w, spec, 1)
+        out = step(x, u, w, spec)
         # defining identity, up to one rounding of the final addition
         assert np.allclose(out - (A @ x + spec.sys.B @ u), w,
                            rtol=0, atol=1e-12)
-
-
-def test_step_diverged_guard():
-    spec = make_spec([[0.5]], [[1.0]])
-    with pytest.raises(DivergedState) as info:
-        step(np.array([8e12]), np.zeros(1), np.zeros(1), spec, 3)
-    assert info.value.step == 3
-    assert "at step 3" in str(info.value)
 
 
 def test_step_stacked_rows_match_single_rows():
@@ -73,23 +66,55 @@ def test_step_stacked_rows_match_single_rows():
         x = rng.standard_normal((50, n)) * 1e3
         u = rng.standard_normal((50, m))
         w = rng.standard_normal((50, n))
-        out = step(x, u, w, spec, 9)
+        out = step(x, u, w, spec)
         assert out.shape == (50, n)
         for r in range(50):
-            assert np.array_equal(out[r], step(x[r], u[r], w[r], spec, 9))
+            assert np.array_equal(out[r], step(x[r], u[r], w[r], spec))
 
 
-def test_step_stacked_guard_names_the_failing_row():
+def test_overflow_guard_flags_a_state_past_the_bound():
     spec = make_spec([[0.5]], [[1.0]])
-    x = np.array([[1.0], [8e12], [2.0]])
-    with pytest.raises(DivergedState) as info:
-        step(x, np.zeros((3, 1)), np.zeros((3, 1)), spec, 4)
-    assert info.value.step == 4
-    assert str(info.value) == \
-        "state norm 4.000e+12 passed the overflow guard at step 4"
-    nan_row = np.array([[1.0], [np.nan]])
-    with pytest.raises(DivergedState):
-        step(nan_row, np.zeros((2, 1)), np.zeros((2, 1)), spec, 5)
+    x = step(np.array([8e12]), np.zeros(1), np.zeros(1), spec)
+    found = overflow_failures(x[None, None], 3)
+    assert list(found) == [0]
+    k, reason = found[0]
+    assert k == 3
+    assert "at step 3" in reason
+    # a norm at the bound itself passes
+    assert overflow_failures(np.array([[[1e12]]]), 3) == {}
+
+
+def test_overflow_guard_names_the_failing_row():
+    spec = make_spec([[0.5]], [[1.0]])
+    x = step(np.array([[1.0], [8e12], [2.0]]), np.zeros((3, 1)),
+             np.zeros((3, 1)), spec)
+    assert overflow_failures(x[:, None], 4) == {
+        1: (4, "state norm 4.000e+12 passed the overflow guard at step 4")}
+    nan_row = np.array([[[1.0]], [[np.nan]]])
+    assert [(r, k) for r, (k, _) in overflow_failures(nan_row, 5).items()] \
+        == [(1, 5)]
+
+
+def test_overflow_guard_reports_each_rows_first_failing_step():
+    # X[r, j] is row r's state after step first_step + j; norms are taken
+    # over the whole state, here 3-dimensional
+    past = [3e12, 4e12, 0.0]  # norm 5e12
+    ok = [1.0, -2.0, 0.5]
+    far = [0.0, 0.0, -7e13]
+    X = np.array([
+        [ok, past, ok, far],  # fails twice: the first step counts
+        [ok, ok, ok, ok],
+        [far, ok, ok, ok],  # fails at the block's first step
+        [ok, ok, ok, past],  # fails at the block's last step
+    ])
+    message = "state norm {} passed the overflow guard at step {}".format
+    assert overflow_failures(X, 4097) == {
+        0: (4098, message("5.000e+12", 4098)),
+        2: (4097, message("7.000e+13", 4097)),
+        3: (4100, message("5.000e+12", 4100)),
+    }
+    # an empty block, as at a gain update with no new states, passes
+    assert overflow_failures(X[:, :0], 9) == {}
 
 
 def test_plant_spec_rejects_unstable_a():
