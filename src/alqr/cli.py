@@ -159,8 +159,7 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
     record = load_trial_csv(path, trial_index=idx)
     T = record.horizon
 
-    U = record.U_cb + record.U_pr
-    expected = stage_costs(record.X, U, spec.cost)
+    expected = stage_costs(record.X, record.U_cb + record.U_pr, spec.cost)
     gap = np.abs(record.stage_cost - expected)
     tol = STAGE_RTOL * np.maximum(1.0, np.abs(expected))
     bad = np.flatnonzero(~(gap <= tol))  # a NaN gap is bad too
@@ -172,9 +171,6 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
                         f"{float(record.stage_cost[row - 1])!r}, "
                         f"recomputed {float(expected[row - 1])!r}")})
 
-    # the boundary state one past the log, by the same dynamics formula
-    record = replace(record, x_final=(spec.sys.A @ record.X[-1]
-                                      + spec.sys.B @ U[-1] + record.W[-1]))
     cps = experiment.checkpoints()
     cps = cps[cps <= T].tolist()
     if not cps or cps[-1] != T:

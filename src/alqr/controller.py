@@ -135,7 +135,6 @@ class AdaptiveController:
         self.xi = 0
         self.Khat = np.zeros((input_dim, state_dim))
         self.estimator = EstimatorState(state_dim, input_dim)
-        self.gain_update_failures = 0
 
     def update_gain(self, k: int) -> bool:
         """Resynthesize Khat from the current estimate if the schedule fires.
@@ -153,10 +152,9 @@ class AdaptiveController:
         new_gain = np.zeros((self.input_dim, self.state_dim))
         if controllability_rank(sys_hat) == self.state_dim:
             try:
-                solution = solve_dare(sys_hat, self.cost)
-                new_gain = solution.K_star
+                new_gain = solve_dare(sys_hat, self.cost).K_star
             except (NonConvergence, IllConditioned):
-                self.gain_update_failures += 1
+                pass
         self.Khat = new_gain
         return True
 

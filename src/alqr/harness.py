@@ -331,35 +331,33 @@ def run_trials(config: ExperimentConfig, indices,
             break
 
     logs = (X, U_ce, U_cb, U_pr, W, breaker_codes)
-    return [_finish(config, oracle, index, seeds[r], failures.get(r),
+    return [_finish(config, oracle, cps, index, seeds[r], failures.get(r),
                     [a[r] for a in logs], segments[r], est_sq[r])
             for r, index in enumerate(indices)]
 
 
 def _finish(config: ExperimentConfig, oracle: RiccatiSolution,
-            trial_index: int, seed: int, failure: tuple[int, str] | None,
-            logs: list[np.ndarray], segments: list,
-            est_sq: np.ndarray) -> TrialResult:
+            cps: np.ndarray, trial_index: int, seed: int,
+            failure: tuple[int, str] | None, logs: list[np.ndarray],
+            segments: list, est_sq: np.ndarray) -> TrialResult:
     """One trial's record, curves and summary from its rows of the batch.
 
-    ``failure`` is the (step, message) of the first state past the overflow
-    guard, or None. ``logs`` are the trial's X, U_ce, U_cb, U_pr, W and
-    breaker arrays, cut here, as views, to the failure step or the horizon;
-    a trial that ran to the horizon keeps X[T] as ``x_final``.
+    ``cps`` is the config's checkpoint grid. ``failure`` is the (step,
+    message) of the first state past the overflow guard, or None. ``logs``
+    are the trial's X, U_ce, U_cb, U_pr, W and breaker arrays, cut here, as
+    views, to the failure step or the horizon.
     """
     spec = config.plant
     T = config.horizon
     failed = failure is not None
     end, failure_reason = failure if failed else (T, "")
-    x_final = None if failed else logs[0][T]
     X, U_ce, U_cb, U_pr, W, breaker_codes = (a[:end] for a in logs)
     stage = stage_costs(X, U_cb + U_pr, spec.cost)
     record = TrialRecord(
         trial_index=trial_index, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
         U_pr=U_pr, W=W, breaker=breaker_codes, stage_cost=stage,
-        x_final=x_final, gain_segments=segments)
+        gain_segments=segments)
 
-    cps = config.checkpoints()
     usable = cps <= end
     cum = np.cumsum(stage)
     rel = np.full(len(cps), np.nan)

@@ -7,7 +7,9 @@ the feedback gain in effect over each span of steps. The CSV schema is
 fields expanded to one indexed column per component; floats are written as
 their shortest round-tripping decimal form, so a load returns bit-identical
 values. Gain history does not fit a flat per-step CSV row, so it travels in
-a JSON sidecar next to each trial file.
+a JSON sidecar next to each trial file. A record holds exactly what a log
+and its sidecar hold: the state after the last step is not kept, since
+regret.decompose_at derives it from the last row with plant.step.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ BREAKER_TRIGGER = 2  # threshold exceeded this step, dwell counter set
 class TrialRecord:
     """Completed trajectory of one trial, shape-checked at construction.
 
-    ``X[i]`` is the state at step i+1; ``x_final`` is the state the plant
-    was left in after the last step. ``gain_segments`` lists
+    ``X[i]`` is the state at step i+1, and row i's inputs and noise lead
+    from it to ``X[i + 1]``; the state after the last step is one
+    plant.step from the last row. ``gain_segments`` lists
     ``(from_step, K)`` pairs: K is the feedback gain in effect from that
     step until the next segment starts. A field whose shape disagrees with
     ``X`` and ``U_ce``, or a gain that is not (m, n), raises IncompleteLog
@@ -46,7 +49,6 @@ class TrialRecord:
     W: np.ndarray            # (T, n)
     breaker: np.ndarray      # (T,) int8 codes above
     stage_cost: np.ndarray   # (T,)
-    x_final: np.ndarray | None  # (n,)
     gain_segments: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
     @property
@@ -74,28 +76,12 @@ class TrialRecord:
                 raise IncompleteLog(
                     f"trial {self.trial_index}: field {name} has shape "
                     f"{None if arr is None else arr.shape}, expected {shape}")
-        # x_final is absent on records parsed back from CSV; state_after
-        # raises IncompleteLog when the horizon boundary is asked for
-        if self.x_final is not None and tuple(self.x_final.shape) != (n,):
-            raise IncompleteLog(
-                f"trial {self.trial_index}: x_final has shape "
-                f"{self.x_final.shape}, expected {(n,)}")
         for start, K in self.gain_segments:
             if np.shape(K) != (m, n):
                 raise IncompleteLog(
                     f"trial {self.trial_index}: field gain_segments has a "
                     f"gain of shape {np.shape(K)} from step {start}, "
                     f"expected {(m, n)}")
-
-    def state_after(self, step: int) -> np.ndarray:
-        """The state x_{step+1} that step ``step`` (1..T) led to."""
-        if step < self.horizon:
-            return self.X[step]
-        if self.x_final is None:
-            raise IncompleteLog(
-                f"trial {self.trial_index}: final state absent, cannot "
-                f"give the state after step {step}")
-        return self.x_final
 
 
 def csv_header(n: int, m: int) -> str:
@@ -131,9 +117,8 @@ def save_trial_csv(record: TrialRecord, path: str) -> None:
 def load_trial_csv(path: str, trial_index: int = -1) -> TrialRecord:
     """Parse a trial CSV back into a TrialRecord.
 
-    The seed (set to -1), final state and gain history are not part of the
-    CSV; callers that need the latter two rebuild the state from the plant
-    matrices and read the gains from the sidecar. Raises IncompleteLog
+    The seed (set to -1) and gain history are not part of the CSV; callers
+    that need the gains read them from the sidecar. Raises IncompleteLog
     naming the row on any structural or parse problem.
     """
     if not os.path.exists(path):
@@ -183,7 +168,7 @@ def load_trial_csv(path: str, trial_index: int = -1) -> TrialRecord:
         raise IncompleteLog(f"{path}: breaker codes outside 0..2")
     return TrialRecord(trial_index=trial_index, seed=-1, X=X, U_ce=U_ce,
                        U_cb=U_cb, U_pr=U_pr, W=W, breaker=breaker,
-                       stage_cost=stage, x_final=None, gain_segments=[])
+                       stage_cost=stage, gain_segments=[])
 
 
 def save_gain_sidecar(record: TrialRecord, path: str) -> None:

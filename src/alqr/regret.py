@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control_math import CostWeights, RiccatiSolution
-from .plant import PlantSpec
+from .plant import PlantSpec, step
 from .records import TrialRecord
 
 # the identity should hold to accumulation round-off; this is the audit gate
@@ -42,9 +42,6 @@ class DecompositionReport:
     @property
     def within_tolerance(self) -> bool:
         return self.residual <= DECOMP_RTOL * (1.0 + abs(self.regret))
-
-    def terms(self) -> dict[str, float]:
-        return {f"R{i}": getattr(self, f"R{i}") for i in range(1, 8)}
 
 
 def _cross_rows(A: np.ndarray, P: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -83,11 +80,15 @@ def _per_step_terms(record: TrialRecord, oracle: RiccatiSolution,
 
 
 def _boundary_term(record: TrialRecord, oracle: RiccatiSolution,
-                   upto: int) -> float:
-    # x_1' P* x_1 - x_{upto+1}' P* x_{upto+1}
+                   truth: PlantSpec, upto: int) -> float:
+    # x_1' P* x_1 - x_{upto+1}' P* x_{upto+1}; a record ends at x_T
     P = oracle.P_star
     x1 = record.X[0]
-    x_end = record.state_after(upto)
+    if upto < record.horizon:
+        x_end = record.X[upto]
+    else:
+        x_end = step(record.X[-1], record.U_cb[-1] + record.U_pr[-1],
+                     record.W[-1], truth)
     return float(x1 @ P @ x1 - x_end @ P @ x_end)
 
 
@@ -96,9 +97,11 @@ def decompose_at(record: TrialRecord, oracle: RiccatiSolution,
                  checkpoints: list[int]) -> list[DecompositionReport]:
     """Decomposition reports at several prefixes of one trial.
 
-    Each checkpoint c uses the first c steps. Per-step term arrays are
-    computed once and prefix-summed, so the cost is one pass over the log
-    regardless of how many checkpoints are requested.
+    Each checkpoint c uses the first c steps; its boundary term reads the
+    state after step c, which at c = T is one plant.step of ``truth``
+    from the last row. Per-step term arrays are computed once and
+    prefix-summed, so the cost is one pass over the log regardless of how
+    many checkpoints are requested.
     """
     T = record.horizon
     for c in checkpoints:
@@ -117,7 +120,7 @@ def decompose_at(record: TrialRecord, oracle: RiccatiSolution,
         r3 = float(cums["d3"][i])
         r4 = float(cums["d4"][i])
         r5 = float(cums["d5"][i]) - c * J
-        r6 = _boundary_term(record, oracle, c)
+        r6 = _boundary_term(record, oracle, truth, c)
         r7 = float(cums["d7"][i])
         total = r1 + r2 + r3 + r4 + r5 + r6 + r7
         regret = float(cum_stage[i]) - c * J

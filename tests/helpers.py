@@ -1,16 +1,18 @@
 """Shared test utilities: a reference plant and a hand-driven closed loop.
 
 drive_trial deliberately reimplements the simulation loop at test level so
-harness results can be checked against an independently written loop.
+harness results can be checked against an independently written loop: one
+trial, one step at a time, with its own scalar circuit breaker.
 """
 
 import numpy as np
 
 from alqr.control_math import CostWeights, SystemMatrices
-from alqr.controller import AdaptiveController, ControllerConfig
-from alqr.plant import (STATE_NORM_GUARD, NoiseStream, PlantSpec,
-                        draw_process_noise, step)
-from alqr.records import TrialRecord
+from alqr.controller import (PROBE_EXPONENT, AdaptiveController,
+                             ControllerConfig, dwell, threshold)
+from alqr.plant import STATE_NORM_GUARD, NoiseStream, PlantSpec, step
+from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER,
+                          TrialRecord)
 
 
 class Diverged(Exception):
@@ -34,13 +36,21 @@ def reference_spec(n=3, m=2, rho=0.9, seed=42):
 def drive_trial(spec, T, seed, force_gain=None, config=None):
     """Run the closed loop step by step, logging everything by hand.
 
-    Raises Diverged at the first step whose successor state has a norm
-    past STATE_NORM_GUARD (or a NaN norm), as the harness reports it.
+    The breaker is written out here from threshold(k) and dwell(k): a
+    running dwell counts down (and holds the threshold check off until the
+    step after it reaches zero), otherwise a feedback norm past threshold(k)
+    trips it for dwell(k) further steps. Noise rows come from the trial's
+    NoiseStream blocks. Raises Diverged at the first step whose successor
+    state has a norm past STATE_NORM_GUARD (or a NaN norm), as the harness
+    reports it.
     """
     n, m = spec.n, spec.m
     ctrl = AdaptiveController(config or ControllerConfig(), n, m, spec.cost)
     stream = NoiseStream(seed=seed, state_dim=n, input_dim=m)
+    G = stream.block("w", 1, T)
+    V = stream.block("v", 1, T)
     x = np.zeros(n)
+    xi = 0
     X = np.zeros((T, n)); U_ce = np.zeros((T, m)); U_cb = np.zeros((T, m))
     U_pr = np.zeros((T, m)); W = np.zeros((T, n))
     breaker = np.zeros(T, dtype=np.int8); stage = np.zeros(T)
@@ -54,16 +64,24 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
                     segments.append((k, ctrl.Khat.copy()))
         else:
             ctrl.Khat = force_gain
-        out = ctrl.compute_input(k, x, stream)
-        w = draw_process_noise(stream, spec, k)
+        u_ce = ctrl.Khat @ x
+        if xi > 0:
+            code, xi = BREAKER_DWELL, xi - 1
+        elif np.linalg.norm(u_ce) > threshold(k):
+            code, xi = BREAKER_TRIGGER, dwell(k)
+        else:
+            code = BREAKER_CLEAR
+        u_cb = u_ce if code == BREAKER_CLEAR else np.zeros(m)
+        u_pr = k ** PROBE_EXPONENT * V[k - 1]
+        u = u_cb + u_pr
+        w = spec.chol_W @ G[k - 1]
         X[k - 1] = x
-        U_ce[k - 1] = out.u_ce; U_cb[k - 1] = out.u_cb; U_pr[k - 1] = out.u_pr
+        U_ce[k - 1] = u_ce; U_cb[k - 1] = u_cb; U_pr[k - 1] = u_pr
         W[k - 1] = w
-        breaker[k - 1] = 2 if out.breaker_triggered_now else (
-            1 if out.breaker_active else 0)
-        stage[k - 1] = float(x @ spec.cost.Q @ x + out.u @ spec.cost.R @ out.u)
-        z = np.concatenate([x, out.u])
-        x = step(x, out.u, w, spec)
+        breaker[k - 1] = code
+        stage[k - 1] = float(x @ spec.cost.Q @ x + u @ spec.cost.R @ u)
+        z = np.concatenate([x, u])
+        x = step(x, u, w, spec)
         norm = np.linalg.norm(x)
         if not norm <= STATE_NORM_GUARD:
             raise Diverged(norm, k)
@@ -72,4 +90,4 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
         segments = [(1, np.asarray(force_gain, dtype=float))]
     return TrialRecord(trial_index=0, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
                        U_pr=U_pr, W=W, breaker=breaker, stage_cost=stage,
-                       x_final=x, gain_segments=segments)
+                       gain_segments=segments)

@@ -20,6 +20,7 @@ from alqr.control_math import (
     spectral_radius,
     stability_margin,
     synthesize_gain,
+    _check_spd,
 )
 from alqr.errors import IllConditioned, NonConvergence
 
@@ -215,3 +216,24 @@ def test_cost_weights_validation():
         CostWeights(Q=np.array([[1.0, 0.5], [0.0, 1.0]]), R=np.eye(1))
     with pytest.raises(ValueError):
         CostWeights(Q=-np.eye(2), R=np.eye(1))
+
+
+def test_spd_check_past_norm_overflow():
+    # entries past ~1.3e154 overflow a Frobenius norm; the symmetry test
+    # must still fire, and a symmetric matrix pass with no RuntimeWarning
+    with pytest.raises(ValueError, match="W is not symmetric"):
+        _check_spd(np.array([[1e160, 5e159], [0.0, 1e160]]), "W")
+    assert np.array_equal(_check_spd(1e160 * np.eye(2), "W"),
+                          1e160 * np.eye(2))
+    # the decision does not depend on a power-of-two scale up: a skew just
+    # inside the 1e-8 relative tolerance passes, one just outside fails
+    for skew, ok in ((0.5e-8, True), (2e-8, False)):
+        M = np.array([[1.0, skew], [0.0, 1.0]])
+        for e in (0, 400, 600, 1000):
+            scaled = np.ldexp(M, e)
+            if ok:
+                assert np.array_equal(_check_spd(scaled, "W"),
+                                      0.5 * (scaled + scaled.T)), e
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    _check_spd(scaled, "W")

@@ -29,7 +29,7 @@ def make_record(T, n=1, m=1, **over):
         trial_index=0, seed=0, X=np.zeros((T, n)), U_ce=np.zeros((T, m)),
         U_cb=np.zeros((T, m)), U_pr=np.zeros((T, m)), W=np.zeros((T, n)),
         breaker=np.zeros(T, dtype=np.int8), stage_cost=np.zeros(T),
-        x_final=np.zeros(n), gain_segments=[])
+        gain_segments=[])
     fields.update(over)
     return TrialRecord(**fields)
 

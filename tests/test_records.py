@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from alqr.control_math import solve_dare
 from alqr.errors import IncompleteLog
 from alqr.records import (
     TrialRecord,
@@ -14,6 +15,8 @@ from alqr.records import (
     save_gain_sidecar,
     save_trial_csv,
 )
+from alqr.regret import decompose_at
+from helpers import reference_spec
 
 
 def synthetic_record(T=50, n=3, m=2, seed=0):
@@ -29,7 +32,6 @@ def synthetic_record(T=50, n=3, m=2, seed=0):
         W=rng.standard_normal((T, n)),
         breaker=rng.integers(0, 3, size=T).astype(np.int8),
         stage_cost=np.abs(rng.standard_normal(T)) * 1e4,
-        x_final=rng.standard_normal(n),
         gain_segments=[(1, np.zeros((m, n))), (8, rng.standard_normal((m, n)))])
 
 
@@ -42,6 +44,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     record = synthetic_record()
     path = tmp_path / "trial_4.csv"
     save_trial_csv(record, str(path))
+    save_gain_sidecar(record, str(tmp_path / "trial_4_gains.json"))
     back = load_trial_csv(str(path), trial_index=4)
     # the seed is not in the CSV
     assert (back.trial_index, back.seed) == (4, -1)
@@ -52,14 +55,22 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert np.array_equal(back.W, record.W)
     assert np.array_equal(back.breaker, record.breaker)
     assert np.array_equal(back.stage_cost, record.stage_cost)
-    assert back.x_final is None
+    # the log and its sidecar hold every field the audit reads: the loaded
+    # record decomposes to the same bits at every prefix, the horizon too
+    back = replace(back, gain_segments=load_gain_sidecar(
+        str(tmp_path / "trial_4_gains.json")))
+    spec = reference_spec()
+    oracle = solve_dare(spec.sys, spec.cost, spec.W)
+    steps = list(range(1, record.horizon + 1))
+    assert decompose_at(back, oracle, spec, steps) == \
+        decompose_at(record, oracle, spec, steps)
 
 
 @pytest.mark.parametrize("field, bad", [
     ("W", np.zeros((50, 2))),
     ("breaker", np.zeros((49,), dtype=np.int8)),
     ("stage_cost", np.zeros((50, 1))),
-    ("x_final", np.zeros(2)),
+    ("U_pr", np.zeros((50, 3))),
     ("gain_segments", [(1, np.zeros((3, 2)))]),
 ])
 def test_save_rejects_misshaped_field(field, bad):
@@ -67,16 +78,6 @@ def test_save_rejects_misshaped_field(field, bad):
     with pytest.raises(IncompleteLog) as info:
         replace(synthetic_record(), **{field: bad})
     assert field in str(info.value)
-
-
-def test_state_after_steps_and_horizon():
-    record = synthetic_record(T=50)
-    assert np.array_equal(record.state_after(1), record.X[1])
-    assert np.array_equal(record.state_after(49), record.X[49])
-    assert np.array_equal(record.state_after(50), record.x_final)
-    with pytest.raises(IncompleteLog) as info:
-        replace(record, x_final=None).state_after(50)
-    assert "trial 4" in str(info.value)
 
 
 def test_save_twice_identical_bytes(tmp_path):

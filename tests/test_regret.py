@@ -5,13 +5,12 @@ independent expected value: hand expansion for T = 1, a manually driven
 closed loop for longer records, and hand arithmetic for stage costs.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from alqr.control_math import CostWeights, solve_dare
-from alqr.errors import IncompleteLog
+from alqr.harness import ExperimentConfig, run_trial
+from alqr.plant import step
 from alqr.records import TrialRecord
 from alqr.regret import decompose_at, stage_costs
 from helpers import drive_trial, reference_spec
@@ -41,7 +40,7 @@ def test_decompose_zero_noise_optimal_gain():
         trial_index=0, seed=0, X=np.zeros((T, n)), U_ce=np.zeros((T, m)),
         U_cb=np.zeros((T, m)), U_pr=np.zeros((T, m)), W=np.zeros((T, n)),
         breaker=np.zeros(T, dtype=np.int8), stage_cost=np.zeros(T),
-        x_final=np.zeros(n), gain_segments=[(1, oracle.K_star)])
+        gain_segments=[(1, oracle.K_star)])
     report = decompose_at(record, oracle, spec, [record.horizon])[0]
     assert abs(report.R5 + T * oracle.J_star) < 1e-12
     for name in ("R1", "R2", "R3", "R4", "R6", "R7"):
@@ -52,7 +51,8 @@ def test_decompose_zero_noise_optimal_gain():
 
 def test_decompose_single_step_hand_expansion():
     # x1 = 0, gain 0, no trigger: u = u_pr, x2 = B u_pr + w, and the sum
-    # collapses to u_pr'R u_pr - J*
+    # collapses to u_pr'R u_pr - J*; x2 is not in the record, so R6 checks
+    # the state decompose_at derives one plant step past the log
     spec = reference_spec(seed=3)
     oracle = solve_dare(spec.sys, spec.cost, spec.W)
     rng = np.random.default_rng(77)
@@ -65,7 +65,7 @@ def test_decompose_single_step_hand_expansion():
         U_ce=np.zeros((1, spec.m)), U_cb=np.zeros((1, spec.m)),
         U_pr=u_pr[None, :], W=w[None, :],
         breaker=np.zeros(1, dtype=np.int8), stage_cost=np.array([stage]),
-        x_final=x2, gain_segments=[(1, np.zeros((spec.m, spec.n)))])
+        gain_segments=[(1, np.zeros((spec.m, spec.n)))])
     report = decompose_at(record, oracle, spec, [record.horizon])[0]
     expected = stage - oracle.J_star
     assert abs(report.regret - expected) < 1e-12
@@ -129,15 +129,30 @@ def test_r6_nonpositive_from_zero_start():
         assert report.R6 <= 0.0
 
 
-def test_decompose_missing_final_state():
+def test_horizon_boundary_is_the_next_logged_state():
+    # the state after the last step is not in a record; decompose_at
+    # derives it with plant.step, and it must be the bits a trial one step
+    # longer logs there (noise is addressed by step, so the two trials
+    # agree on their common rows)
     spec = reference_spec()
     oracle = solve_dare(spec.sys, spec.cost, spec.W)
-    record = replace(drive_trial(spec, T=30, seed=1), x_final=None)
-    with pytest.raises(IncompleteLog):
-        decompose_at(record, oracle, spec, [record.horizon])
-    # prefixes short of the horizon never touch the final state
-    report = decompose_at(record, oracle, spec, [29])[0]
-    assert report.residual <= 1e-6 * (1.0 + abs(report.regret))
+    T = 4096
+    short, longer = (
+        run_trial(ExperimentConfig(plant=spec, horizon=h, trials=1,
+                                   base_seed=3), 0, oracle).record
+        for h in (T, T + 1))
+    assert np.array_equal(longer.X[:T], short.X)
+    x_next = step(short.X[-1], short.U_cb[-1] + short.U_pr[-1],
+                  short.W[-1], spec)
+    assert np.array_equal(x_next, longer.X[T])
+    P, x1 = oracle.P_star, short.X[0]
+    report = decompose_at(short, oracle, spec, [T])[0]
+    assert report.R6 == float(x1 @ P @ x1 - x_next @ P @ x_next)
+    assert report.within_tolerance
+    # short of the horizon the boundary is the logged row itself
+    x_mid = short.X[100]
+    assert decompose_at(short, oracle, spec, [100])[0].R6 == \
+        float(x1 @ P @ x1 - x_mid @ P @ x_mid)
 
 
 def test_decompose_checkpoint_bounds():
