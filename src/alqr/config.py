@@ -12,6 +12,7 @@ offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,15 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigInvalid(f"must be a number, got {value!r}", path=path)
-    return float(value)
+    # JSON reads 1e400 and Infinity as inf; an integer past the float
+    # range does not convert at all
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigInvalid(f"must be finite, got {value!r}", path=path)
+    return number
 
 
 def _as_bool(value, path: str) -> bool:

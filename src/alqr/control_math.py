@@ -43,20 +43,22 @@ def _clean_matrix(M, name: str) -> np.ndarray:
 def _check_spd(M: np.ndarray, name: str) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    # the symmetry test runs on M / 2**e, exact for a power of two, with e
-    # chosen so the largest entry is below 2**480 and no sum of squares in
-    # a norm can overflow; below that, e = 0 and M is tested as it is
+    # the tests run on S = M / 2**e, exact for a power of two, with e
+    # chosen so the largest entry is below 2**480 and no sum, and no sum
+    # of squares in a norm, can overflow; below that, e = 0 and M is
+    # tested as it is
     e = max(0, int(np.frexp(np.max(np.abs(M)))[1]) - 480)
+    one = np.ldexp(1.0, -e)
     S = np.ldexp(M, -e)
     scale = np.linalg.norm(S, "fro")
-    if np.linalg.norm(S - S.T, "fro") > SYMMETRY_RTOL * max(
-            np.ldexp(1.0, -e), scale):
+    if np.linalg.norm(S - S.T, "fro") > SYMMETRY_RTOL * max(one, scale):
         raise ValueError(f"{name} is not symmetric")
-    M = 0.5 * (M + M.T)
-    eigs = np.linalg.eigvalsh(M)
-    if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
-        raise ValueError(f"{name} is not positive definite (min eig {eigs[0]:.3e})")
-    return M
+    S = 0.5 * (S + S.T)
+    eigs = np.linalg.eigvalsh(S)
+    if eigs[0] <= 1e-14 * max(one, eigs[-1]):
+        raise ValueError(f"{name} is not positive definite "
+                         f"(min eig {np.ldexp(eigs[0], e):.3e})")
+    return np.ldexp(S, e)
 
 
 @dataclass(frozen=True)

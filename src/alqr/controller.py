@@ -48,6 +48,33 @@ def dwell(k: int) -> int:
     return t if math.e ** t <= k else t - 1
 
 
+def over_threshold(u_ce: np.ndarray, limits) -> np.ndarray:
+    """The breaker's threshold test: which proposed inputs trip it.
+
+    ``u_ce`` holds proposed inputs along its last axis, (..., m), and
+    ``limits`` their thresholds threshold(k), broadcast against
+    u_ce.shape[:-1]. Each norm is a 1x1 matmul of the input with itself,
+    the same dot product np.linalg.norm takes of a 1-D float array. The
+    test is strict: a norm equal to its threshold, or a NaN norm, does not
+    trip.
+    """
+    norms = np.sqrt(u_ce[..., None, :] @ u_ce[..., None])[..., 0, 0]
+    return norms > limits
+
+
+def clean_steps(u_ce: np.ndarray, limits: np.ndarray) -> int:
+    """How many leading steps of a block the breaker passes untouched.
+
+    ``u_ce`` is an (N, L, m) block, row r's proposed inputs at L
+    consecutive steps, and ``limits`` the (L,) thresholds of those steps.
+    With no row dwelling at the first step, breaker run step by step passes
+    every row (BREAKER_CLEAR, u_cb = u_ce) until the first step at which
+    some row trips; that step's offset is returned, or L when no row trips.
+    """
+    tripped = over_threshold(u_ce, limits).any(axis=0)
+    return int(np.argmax(tripped)) if tripped.any() else len(limits)
+
+
 def breaker(k: int, u_ce: np.ndarray, xi: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance the circuit breaker of every row at step k.
@@ -55,16 +82,15 @@ def breaker(k: int, u_ce: np.ndarray, xi: np.ndarray
     ``u_ce`` holds one proposed input per row (N, m) and ``xi`` the rows'
     dwell counters (N,). Per row exactly one of three branches runs: dwell
     continuation (decrements the counter, BREAKER_DWELL), threshold trigger
-    (sets the counter to dwell(k), BREAKER_TRIGGER), or pass-through
-    (BREAKER_CLEAR). A dwell that reaches zero re-enables the threshold
-    check only on the next step. Returns the feedback u_cb that passes (the
-    row of u_ce, or zeros where the code is not BREAKER_CLEAR), the (N,)
-    codes and the new counters. Each row's norm is a 1x1 matmul of the row
-    with itself, the same dot product np.linalg.norm takes of a 1-D float
-    array.
+    (over_threshold; sets the counter to dwell(k), BREAKER_TRIGGER), or
+    pass-through (BREAKER_CLEAR). A dwell that reaches zero re-enables the
+    threshold check only on the next step. Returns the feedback u_cb that
+    passes (the row of u_ce, or zeros where the code is not BREAKER_CLEAR),
+    the (N,) codes and the new counters. When no row dwells and none trips,
+    u_cb is u_ce itself, so a run of such steps can be taken without the
+    rule and checked afterwards with clean_steps (run_trials does).
     """
-    norms = np.sqrt(u_ce[:, None, :] @ u_ce[:, :, None])[:, 0, 0]
-    tripped = norms > threshold(k)
+    tripped = over_threshold(u_ce, threshold(k))
     if not (np.count_nonzero(tripped) or np.count_nonzero(xi)):
         # the usual step: no row dwells and none trips
         return u_ce, np.zeros(len(xi), dtype=np.int8), xi

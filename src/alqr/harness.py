@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -35,6 +34,8 @@ from .controller import (
     AdaptiveController,
     ControllerConfig,
     breaker,
+    clean_steps,
+    threshold,
 )
 from .diagnostics import (
     SlopeEstimate,
@@ -59,6 +60,10 @@ from .regret import stage_costs
 GENERATOR_RETRY_CAP = 16
 # bytes of trial arrays one lockstep batch may hold (at least one trial)
 BATCH_BYTES = 192 << 20
+# longest clean run run_trials takes before it checks the breaker: steps
+# past a trip are taken and discarded, and a short cap keeps them few and
+# keeps a destabilizing gain from growing the state far before the rewind
+CLEAN_SPAN_CAP = 64
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -81,8 +86,9 @@ def checkpoint_steps(horizon: int, factor: float = 1.2) -> np.ndarray:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not factor > 1.0:
-        raise ValueError(f"checkpoint factor must exceed 1, got {factor}")
+    if not 1.0 < factor < math.inf:
+        raise ValueError(
+            f"checkpoint factor must be finite and exceed 1, got {factor}")
     points = {horizon}
     j = 0
     while True:
@@ -122,9 +128,9 @@ class ExperimentConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not self.checkpoint_factor > 1.0:
-            raise ValueError(
-                f"checkpoint factor must exceed 1, got {self.checkpoint_factor}")
+        if not 1.0 < self.checkpoint_factor < math.inf:
+            raise ValueError("checkpoint factor must be finite and exceed 1, "
+                             f"got {self.checkpoint_factor}")
         if not 0.0 < self.delta <= 0.5:
             raise ValueError(f"delta must be in (0, 1/2], got {self.delta}")
 
@@ -231,17 +237,30 @@ def run_trials(config: ExperimentConfig, indices,
     chunks: per chunk, each trial's process noise L g (L = chol W) and
     probe k^(-1/4) v are built for every step at once. Per step the
     feedback path runs once for the batch on stacked rows: u_ce = Khat x
-    with stacked gains, the breaker rule over rows, u = u_cb + u_pr and the
-    plant step. Gain updates fire at the same k for every trial and stay
-    per trial, and so do the estimator feeds, made from the logged rows
-    only when the estimate is read (at gain updates and at the checkpoints,
-    where the estimation error is recorded). Every stacked product is the
-    per-row one bit for bit, so a trial's outputs do not depend on the
-    batch it ran in. The overflow guard (overflow_failures) is checked
-    where per-trial work reads states: before a gain update, at a
-    checkpoint and at each chunk end. A row past it leaves the live rows
-    but keeps stepping, unread; its trial comes back cut at its first
-    failing step and marked failed. The batch stops once no row is live.
+    with stacked gains, u_cb from the breaker rule, u = u_cb + u_pr and the
+    plant step.
+
+    The breaker fires only finitely often, so while no row dwells the
+    steps go in clean runs: up to ``span`` steps with u_cb = u_ce (the
+    float operations of a step at which breaker passes every row), then
+    one clean_steps check of the run's logged u_ce. If some row trips at a
+    step of the run, the steps before it are kept, x is rewound to that
+    step's logged state, and the breaker rule takes the steps from there
+    one at a time until no row dwells. ``span`` starts at 1, doubles after
+    each clean run and drops back to 1 after a trip; CLEAN_SPAN_CAP caps
+    it. A run ends at the next gain update, checkpoint or chunk end at the
+    latest, so every logged row that per-trial work reads is final.
+
+    Gain updates fire at the same k for every trial and stay per trial,
+    and so do the estimator feeds, made from the logged rows only when the
+    estimate is read (at gain updates and at the checkpoints, where the
+    estimation error is recorded). Every stacked product is the per-row
+    one bit for bit, so a trial's outputs do not depend on the batch it ran
+    in. The overflow guard (overflow_failures) is checked where per-trial
+    work reads states: before a gain update, at a checkpoint and at each
+    chunk end. A row past it leaves the live rows but keeps stepping,
+    unread; its trial comes back cut at its first failing step and marked
+    failed. The batch stops once no row is live.
     """
     spec = config.plant
     n, m = spec.n, spec.m
@@ -261,7 +280,7 @@ def run_trials(config: ExperimentConfig, indices,
     U_cb = np.empty((N, T, m))
     U_pr = np.empty((N, T, m))
     W = np.empty((N, T, n))
-    breaker_codes = np.empty((N, T), dtype=np.int8)
+    breaker_codes = np.zeros((N, T), dtype=np.int8)
     segments = [[] for _ in indices]
 
     # the batch rows not yet failed; batch row -> (step, message) of its
@@ -290,43 +309,82 @@ def run_trials(config: ExperimentConfig, indices,
     cp_steps = cps.tolist() + [0]
     cp_idx = 0
 
+    # steps of the next clean run: doubled after a clean run, back to 1
+    # after a trip
+    span = 1
     for start in range(0, T, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, T)
         count = stop - start
-        G = np.stack([s.block("w", start + 1, count) for s in streams])
-        W[:, start:stop] = (L @ G[..., None])[..., 0]
+        # the chunk's noise step-major, (count, N, .), so a step's rows
+        # are one contiguous block
+        G = np.stack([s.block("w", start + 1, count) for s in streams], 1)
+        Wc = (L @ G[..., None])[..., 0]
         scales = np.array([j ** PROBE_EXPONENT
                            for j in range(start + 1, stop + 1)])
-        U_pr[:, start:stop] = scales[:, None] * np.stack(
-            [s.block("v", start + 1, count) for s in streams])
-        for i in range(start, stop):
-            k = i + 1
-            if k == next_update:
+        Pc = scales[:, None, None] * np.stack(
+            [s.block("v", start + 1, count) for s in streams], 1)
+        W[:, start:stop] = Wc.swapaxes(0, 1)
+        U_pr[:, start:stop] = Pc.swapaxes(0, 1)
+        limits = np.array([threshold(k) for k in range(start + 1, stop + 1)])
+        # i steps are taken: X[:, i] is final and x is the state at step i+1
+        i = start
+        while True:
+            if i == cp_steps[cp_idx]:
+                if not check(i):
+                    break
+                for r in live:
+                    estimator = ctrls[r].estimator
+                    _feed(estimator, X[r], U_cb[r], U_pr[r], i)
+                    err = estimation_error(estimator.estimate(), spec.sys)
+                    est_sq[r, cp_idx] = err * err
+                cp_idx += 1
+            if i == stop:
+                break
+            if i + 1 == next_update:
                 if not check(i):
                     break
                 for r in live:
                     ctrl = ctrls[r]
                     _feed(ctrl.estimator, X[r], U_cb[r], U_pr[r], i)
-                    ctrl.update_gain(k)
+                    ctrl.update_gain(i + 1)
                     K[r] = ctrl.Khat
-                    segments[r].append((k, ctrl.Khat))
-                next_update = config.controller.next_update(k)
+                    segments[r].append((i + 1, ctrl.Khat))
+                next_update = config.controller.next_update(i + 1)
+            if not np.count_nonzero(xi):
+                # a clean run, ending by the next gain update, checkpoint
+                # or chunk end: u_cb = u_ce at every step, the breaker
+                # checked after
+                end = min(i + span, stop, next_update - 1, cp_steps[cp_idx])
+                a, b = i - start, end - start
+                run_ce = np.empty((b - a, N, m))
+                run_x = np.empty((b - a, N, n))
+                for j in range(a, b):
+                    u_ce = (K @ x[..., None])[..., 0]
+                    run_ce[j - a] = u_ce
+                    x = step(x, u_ce + Pc[j], Wc[j], spec)
+                    run_x[j - a] = x
+                U_ce[:, i:end] = run_ce.swapaxes(0, 1)
+                X[:, i + 1:end + 1] = run_x.swapaxes(0, 1)
+                clean = clean_steps(U_ce[:, i:end], limits[a:b])
+                U_cb[:, i:i + clean] = U_ce[:, i:i + clean]
+                if i + clean == end:
+                    i = end
+                    span = min(2 * span, CLEAN_SPAN_CAP)
+                    continue
+                # a row trips at index i + clean: keep the steps before it
+                # and rewind x to its state, where the breaker takes over
+                i += clean
+                x = X[:, i].copy()
+                span = 1
+            # a row dwells or trips: the breaker rule, one step
             u_ce = (K @ x[..., None])[..., 0]
-            u_cb, codes, xi = breaker(k, u_ce, xi)
+            u_cb, codes, xi = breaker(i + 1, u_ce, xi)
             U_ce[:, i] = u_ce
             U_cb[:, i] = u_cb
             breaker_codes[:, i] = codes
-            x = step(x, u_cb + U_pr[:, i], W[:, i], spec)
-            X[:, k] = x
-            if k == cp_steps[cp_idx]:
-                if not check(k):
-                    break
-                for r in live:
-                    estimator = ctrls[r].estimator
-                    _feed(estimator, X[r], U_cb[r], U_pr[r], k)
-                    err = estimation_error(estimator.estimate(), spec.sys)
-                    est_sq[r, cp_idx] = err * err
-                cp_idx += 1
+            x = step(x, u_cb + Pc[i - start], Wc[i - start], spec)
+            i += 1
+            X[:, i] = x
         if not (live and check(stop)):
             break
 
@@ -495,6 +553,10 @@ def run_experiment(config: ExperimentConfig, log_dir: str | None = None,
     if n_workers == 1 or len(batches) == 1:
         done = [_batch_task(config, b, log_dir, oracle) for b in batches]
     else:
+        # imported here, not with the module: concurrent.futures.process
+        # pulls in multiprocessing, which about doubles the import time of
+        # alqr.cli for every simulate, analyze and verify process
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             done = list(pool.map(
                 _batch_task, [config] * len(batches), batches,

@@ -118,6 +118,18 @@ class TestSimulate:
         assert err["path"] == "horizon"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "Infinity"])
+    def test_infinite_checkpoint_factor_is_unusable(self, tmp_path, capsys,
+                                                    value):
+        code, out = simulate(
+            tmp_path, extra=["--set", f"checkpoint_factor={value}"])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "ConfigInvalid"
+        assert err["path"] == "checkpoint_factor"
+        assert "finite" in err["message"]
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_is_unusable(self, tmp_path, capsys, workers):
         code, out = simulate(tmp_path, extra=["--workers", workers])

@@ -70,6 +70,19 @@ def test_top_level_violations_name_the_field(mutate, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize("raw", ["1e400", "-Infinity", "NaN", "1" + "0" * 400],
+                         ids=["1e400", "-Infinity", "NaN", "10**400"])
+@pytest.mark.parametrize("path", [
+    "checkpoint_factor", "delta", "plant.generator.target_rho"])
+def test_non_finite_numbers_are_invalid(path, raw):
+    # JSON reads 1e400 as inf, and the integer 10**400 has no float at all
+    doc = minimal_doc()
+    apply_overrides(doc, [f"{path}={raw}"])
+    with pytest.raises(ConfigInvalid, match="must be finite") as err:
+        parse_config_document(doc)
+    assert err.value.path == path
+
+
 def test_plant_block_violations():
     doc = minimal_doc()
     doc["plant"]["generator"]["target_rho"] = 1.5

@@ -237,3 +237,20 @@ def test_spd_check_past_norm_overflow():
             else:
                 with pytest.raises(ValueError, match="not symmetric"):
                     _check_spd(scaled, "W")
+
+
+def test_spd_check_symmetrizes_near_float_max():
+    # 0.5 * (M + M.T) overflows for entries past ~9e307; the check
+    # symmetrizes its scaled copy, so a finite SPD input comes back finite
+    # and unchanged, with no RuntimeWarning
+    M = np.array([[1.7e308, 1e308], [1e308, 1.6e308]])
+    assert np.array_equal(_check_spd(M, "W"), M)
+    assert np.array_equal(_check_spd(1.7e308 * np.eye(2), "W"),
+                          1.7e308 * np.eye(2))
+    skewed = M.copy()
+    skewed[0, 1] = np.nextafter(1e308, np.inf)
+    out = _check_spd(skewed, "W")
+    assert np.all(np.isfinite(out)) and out[0, 1] == out[1, 0]
+    assert np.array_equal(np.diag(out), np.diag(M))
+    with pytest.raises(ValueError, match=r"min eig -1\.700e\+308"):
+        _check_spd(np.diag([1.7e308, -1.7e308]), "W")

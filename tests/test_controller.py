@@ -6,7 +6,7 @@ import numpy as np
 
 from alqr.control_math import CostWeights
 from alqr.controller import (AdaptiveController, ControllerConfig, breaker,
-                             dwell, threshold)
+                             clean_steps, dwell, threshold)
 from alqr.plant import NoiseStream
 from alqr.records import BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER
 
@@ -140,6 +140,70 @@ def test_breaker_rule_runs_each_row_on_its_own_branch():
         assert np.array_equal(alone[0], u_cb[row:row + 1])
         assert alone[1].tolist() == [codes[row]]
         assert alone[2].tolist() == [new_xi[row]]
+
+
+def stepwise_clean_steps(first_k, block):
+    """Run breaker step by step over an (N, L, m) block from no dwell; the
+    offset of the first step with a code other than BREAKER_CLEAR, or L.
+    Every clear step must pass u_ce itself through."""
+    xi = np.zeros(block.shape[0], dtype=np.int64)
+    for j in range(block.shape[1]):
+        u_ce = block[:, j]
+        u_cb, codes, xi = breaker(first_k + j, u_ce, xi)
+        if np.count_nonzero(codes):
+            assert set(codes.tolist()) <= {BREAKER_CLEAR, BREAKER_TRIGGER}
+            return j
+        assert u_cb is u_ce
+    return block.shape[1]
+
+
+def thresholds(first_k, count):
+    return np.array([threshold(k) for k in range(first_k, first_k + count)])
+
+
+def test_clean_steps_edge_cases():
+    k0 = 100
+    limits = thresholds(k0, 8)
+    block = np.zeros((3, 8, 2))
+    # a norm exactly at threshold(k) does not trip (the test is strict)
+    block[0, :, 1] = limits
+    assert clean_steps(block, limits) == 8
+    assert stepwise_clean_steps(k0, block) == 8
+    # a NaN row never trips
+    block[1] = np.nan
+    assert clean_steps(block, limits) == 8
+    assert stepwise_clean_steps(k0, block) == 8
+    # one ulp past the threshold trips, at the first, the last and an
+    # inner step
+    for j in (0, 7, 3):
+        tripping = block.copy()
+        tripping[2, j, 0] = np.nextafter(limits[j], np.inf)
+        assert clean_steps(tripping, limits) == j
+        assert stepwise_clean_steps(k0, tripping) == j
+
+
+def test_clean_steps_matches_breaker_step_by_step():
+    rng = np.random.default_rng(13)
+    seen = set()
+    for _ in range(300):
+        rows, length, m = (int(rng.integers(1, 5)), int(rng.integers(1, 65)),
+                           int(rng.integers(1, 4)))
+        first_k = int(rng.integers(1, 20000))
+        limits = thresholds(first_k, length)
+        # norms mostly under the thresholds; a few entries put over them,
+        # often at the first or the last step
+        block = rng.standard_normal((rows, length, m))
+        for j in rng.choice([0, length - 1, rng.integers(length)],
+                            size=rng.integers(0, 3)):
+            block[rng.integers(rows), j] = 1.5 * limits[j] / np.sqrt(m)
+        if rng.random() < 0.2:
+            block[rng.integers(rows)] = np.nan
+        expected = stepwise_clean_steps(first_k, block)
+        assert clean_steps(block, limits) == expected
+        seen.add("none" if expected == length else
+                 "first" if expected == 0 else
+                 "last" if expected == length - 1 else "inside")
+    assert seen == {"none", "first", "last", "inside"}
 
 
 def test_probe_decay_exact():

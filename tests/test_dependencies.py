@@ -88,3 +88,15 @@ def test_commands_never_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report == {"codes": [0, 0, 0, 0], "scipy": []}
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # run_experiment imports the pool only when it starts one
+    code = ("import sys, alqr.cli; print(sorted(n for n in "
+            "('concurrent.futures.process', 'multiprocessing') "
+            "if n in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -14,10 +14,11 @@ import pytest
 
 from alqr.control_math import CostWeights, SystemMatrices, solve_dare
 from alqr.controller import ControllerConfig
-from alqr.harness import (BATCH_BYTES, ExperimentConfig, TrialSummary,
-                          checkpoint_steps, generate_stand_in_plant,
-                          resolve_workers, run_experiment, run_trial,
-                          run_trials, trial_batches, trial_seed)
+from alqr.harness import (BATCH_BYTES, CLEAN_SPAN_CAP, ExperimentConfig,
+                          TrialSummary, checkpoint_steps,
+                          generate_stand_in_plant, resolve_workers,
+                          run_experiment, run_trial, run_trials,
+                          trial_batches, trial_seed)
 from alqr.plant import PlantSpec
 from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER,
                           load_gain_sidecar, load_trial_csv)
@@ -56,6 +57,8 @@ def test_checkpoint_grid():
     assert np.all(np.diff(cps) > 0)
     with pytest.raises(ValueError):
         checkpoint_steps(10, factor=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        checkpoint_steps(10, factor=math.inf)
     with pytest.raises(ValueError):
         checkpoint_steps(0)
     # a factor near 1 puts every step on the grid
@@ -84,6 +87,8 @@ def test_config_validation(ref):
         make_config(spec, trials=0)
     with pytest.raises(ValueError):
         make_config(spec, checkpoint_factor=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        make_config(spec, checkpoint_factor=math.inf)
     with pytest.raises(ValueError):
         make_config(spec, delta=0.6)
 
@@ -127,13 +132,16 @@ def test_trial_matches_handwritten_loop(ref):
     # estimator and the plant step; run_trial works in noise chunks of 4096
     # steps and feeds the estimator in blocks, so the cases cross chunk and
     # 512-row fold boundaries. At W = 400 I the breaker trips and dwells
-    # all through the run
+    # all through the run. At W = 40 I it trips now and then, some trips
+    # after long clean stretches, so run_trial's clean runs have grown to
+    # CLEAN_SPAN_CAP steps there and rewind from deep inside them
     spec, _ = ref
     big = reference_spec(n=8, m=4)
     # a dense SPD W, so chol W has nonzero entries below the diagonal
     M = np.random.default_rng(3).standard_normal((8, 8))
     dense_w = M @ M.T + 8 * np.eye(8)
     loud = PlantSpec(sys=spec.sys, W=400.0 * np.eye(spec.n), cost=spec.cost)
+    rare = PlantSpec(sys=spec.sys, W=40.0 * np.eye(spec.n), cost=spec.cost)
     cases = {
         "3x2, T=200": (spec, 200, ControllerConfig()),
         "3x2, T=9000": (spec, 9000, ControllerConfig()),
@@ -143,6 +151,7 @@ def test_trial_matches_handwritten_loop(ref):
         "3x2, every-step, T=300": (spec, 300,
                                    ControllerConfig("every-step")),
         "3x2, W=400 I, T=600": (loud, 600, ControllerConfig()),
+        "3x2, W=40 I, T=3000": (rare, 3000, ControllerConfig()),
     }
     for label, (plant, T, controller) in cases.items():
         config = make_config(plant, horizon=T, base_seed=99,
@@ -153,6 +162,13 @@ def test_trial_matches_handwritten_loop(ref):
         if plant is loud:
             assert np.count_nonzero(manual.breaker == BREAKER_TRIGGER) >= 50
             assert np.count_nonzero(manual.breaker == BREAKER_DWELL) >= 300
+        if plant is rare:
+            # the clean steps just before each trip
+            active = np.flatnonzero(manual.breaker != BREAKER_CLEAR)
+            trips = manual.breaker[active[1:]] == BREAKER_TRIGGER
+            clean = np.diff(active)[trips] - 1
+            assert len(clean) >= 100
+            assert np.count_nonzero(clean >= 2 * CLEAN_SPAN_CAP) >= 2
         for name in ("X", "U_ce", "U_cb", "U_pr", "W", "breaker"):
             assert np.array_equal(getattr(result.record, name),
                                   getattr(manual, name)), (label, name)
