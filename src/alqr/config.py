@@ -20,7 +20,7 @@ import numpy as np
 from .control_math import CostWeights, SystemMatrices
 from .controller import ControllerConfig
 from .errors import ConfigInvalid, IoError, UnstableMatrix
-from .harness import ExperimentConfig, generate_stand_in_plant
+from .harness import ExperimentConfig, generate_stand_in_plant, trial_bytes
 from .plant import PlantSpec
 
 _TOP_KEYS = {"plant", "horizon", "trials", "base_seed", "checkpoint_factor",
@@ -78,9 +78,12 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _as_number(value, path: str) -> float:
+def _as_number(value, path: str, what: str = "") -> float:
+    """``value`` as a finite float; ``what`` names a part of the field at
+    ``path``, such as a matrix entry, in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"must be a number, got {value!r}", path=path)
+        raise ConfigInvalid(f"{what}must be a number, got {value!r}",
+                            path=path)
     # JSON reads 1e400 and Infinity as inf; an integer past the float
     # range does not convert at all
     try:
@@ -88,7 +91,7 @@ def _as_number(value, path: str) -> float:
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigInvalid(f"must be finite, got {value!r}", path=path)
+        raise ConfigInvalid(f"{what}must be finite, got {value!r}", path=path)
     return number
 
 
@@ -108,12 +111,9 @@ def _as_matrix(value, path: str) -> np.ndarray:
         if len(row) != width:
             raise ConfigInvalid(
                 f"row {i} has {len(row)} entries, expected {width}", path=path)
-        for j, cell in enumerate(row):
-            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-                raise ConfigInvalid(
-                    f"entry [{i}][{j}] must be a number, got {cell!r}",
-                    path=path)
-    return np.array(value, dtype=float)
+    return np.array([[_as_number(cell, path, f"entry [{i}][{j}] ")
+                      for j, cell in enumerate(row)]
+                     for i, row in enumerate(value)])
 
 
 def _parse_plant(doc: dict, path: str) -> PlantSpec:
@@ -179,6 +179,11 @@ def parse_config_document(doc) -> RunSettings:
 
     plant = _parse_plant(top["plant"], "plant")
     horizon = _as_int(top["horizon"], "horizon", minimum=1)
+    size = trial_bytes(horizon, plant.n, plant.m)
+    if size > np.iinfo(np.intp).max:
+        raise ConfigInvalid(
+            f"too long: one trial's arrays would take {size} bytes, more "
+            f"than an array can hold", path="horizon")
     trials = _as_int(top["trials"], "trials", minimum=1)
     base_seed = _as_int(top["base_seed"], "base_seed", minimum=0)
     factor = _as_number(top["checkpoint_factor"], "checkpoint_factor")

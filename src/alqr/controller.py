@@ -8,7 +8,10 @@ probing noise u_pr = k^(-1/4) v_k, v_k ~ N(0, I_m), is always added so the
 closed loop keeps exciting the estimator. The gain Khat is resynthesized
 from the current parameter estimate on a configurable schedule; estimates
 that fail the controllability test (or whose Riccati solve fails) fall back
-to the zero gain, which is safe because the open loop is stable.
+to the zero gain, which is safe because the open loop is stable. The gain
+update is a function of a stack of estimates (certainty_equivalent_gains):
+run_trials updates every trial of a batch with one call, and
+AdaptiveController.update_gain is that call on a stack of one.
 """
 
 from __future__ import annotations
@@ -18,14 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control_math import (
-    CostWeights,
-    SystemMatrices,
-    controllability_rank,
-    solve_dare,
-)
-from .errors import IllConditioned, NonConvergence
-from .estimator import EstimatorState
+from .control_math import CostWeights, controllability_ranks, solve_dare_stack
+# controllability_rank is not called here; perfbench/tracer.py binds the name
+from .control_math import controllability_rank
+# solve_dare is not called here; perfbench/tracer.py binds the name
+from .control_math import solve_dare
+from .estimator import EstimatorState, estimates
 from .plant import NoiseStream, draw_probe_noise
 from .records import BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER
 
@@ -104,6 +105,29 @@ def breaker(k: int, u_ce: np.ndarray, xi: np.ndarray
             np.where(tripped, dwell(k), xi - dwelling))
 
 
+def certainty_equivalent_gains(Theta: np.ndarray,
+                               cost: CostWeights) -> np.ndarray:
+    """The certainty-equivalent gains of a stack of estimates.
+
+    ``Theta`` holds (N, n, n+m) estimates [A_hat B_hat]. One stacked SVD
+    tests their controllability and one stacked Riccati solve
+    (solve_dare_stack) serves the controllable rows. A row whose
+    controllability matrix is rank deficient, or whose Riccati solve fails
+    (NonConvergence or IllConditioned), gets the zero gain: it is always
+    admissible on a stable open loop. Returns the (N, m, n) gains, each
+    the same bits as a solve_dare on that estimate alone.
+    """
+    n = Theta.shape[1]
+    A, B = Theta[..., :n], Theta[..., n:]
+    gains = np.zeros((len(Theta), B.shape[-1], n))
+    rows = np.flatnonzero(controllability_ranks(A, B) == n)
+    solves = solve_dare_stack(A[rows], B[rows], cost.Q, cost.R)
+    for r, solved in zip(rows, solves):
+        if not isinstance(solved, Exception):
+            gains[r] = solved[1]
+    return gains
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
     """The gain-update schedule.
@@ -148,9 +172,13 @@ class InputBreakdown:
 
 
 class AdaptiveController:
-    """Per-trial controller state: cached gain, estimator, and the breaker
-    counter that compute_input advances (run_trials keeps the counters and
-    gains of a batch stacked, and calls update_gain per trial)."""
+    """One trial's controller state, advanced one step at a time: cached
+    gain, estimator, and the breaker counter that compute_input advances.
+
+    This is the per-step reference form that tests drive. run_trials keeps
+    the counters, estimators and gains of a whole batch itself and calls
+    breaker, clean_steps and certainty_equivalent_gains on the stacked rows.
+    """
 
     def __init__(self, config: ControllerConfig, state_dim: int,
                  input_dim: int, cost: CostWeights):
@@ -165,23 +193,15 @@ class AdaptiveController:
     def update_gain(self, k: int) -> bool:
         """Resynthesize Khat from the current estimate if the schedule fires.
 
-        The estimate replaces the true (A, B) in the Riccati solve. A
-        rank-deficient controllability matrix, or a Riccati solve that fails
-        to converge, resets the gain to zero rather than raising: the zero
-        gain is always admissible on a stable open loop. Returns whether
-        the schedule fired.
+        The estimate replaces the true (A, B) in the Riccati solve; this is
+        certainty_equivalent_gains on a stack of one, so a rank-deficient
+        controllability matrix or a failed Riccati solve resets the gain to
+        zero rather than raising. Returns whether the schedule fired.
         """
         if not self.config.schedule_fires(k):
             return False
-        est = self.estimator.estimate()
-        sys_hat = SystemMatrices(A=est.A_hat, B=est.B_hat)
-        new_gain = np.zeros((self.input_dim, self.state_dim))
-        if controllability_rank(sys_hat) == self.state_dim:
-            try:
-                new_gain = solve_dare(sys_hat, self.cost).K_star
-            except (NonConvergence, IllConditioned):
-                pass
-        self.Khat = new_gain
+        Theta, _ = estimates([self.estimator])
+        self.Khat = certainty_equivalent_gains(Theta, self.cost)[0]
         return True
 
     def compute_input(self, k: int, x: np.ndarray,

@@ -55,13 +55,14 @@ def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
     dwell map A^(t_k) and the closed loop A + B Khat_k are rho-contractive,
     where t_k = dwell(k) and Khat_k is the gain in effect at k.
     Returns 1 + the last failing step (1 if none fail) and a censored flag
-    set when the final step itself fails.
+    set when the final step itself fails. The maps of every dwell span and
+    gain segment go through one stacked stability_margin call.
     """
     if not record.gain_segments:
         raise IncompleteLog(
             f"trial {record.trial_index}: gain history required")
     T = record.horizon
-    A, B, P = truth.sys.A, truth.sys.B, oracle.P_star
+    A, B = truth.sys.A, truth.sys.B
     rho = 0.5 * (1.0 + oracle.rho_star)
 
     # (first step, last step, map that must be rho-contractive over them)
@@ -77,11 +78,12 @@ def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
         end = segments[idx + 1][0] - 1 if idx + 1 < len(segments) else T
         spans.append((start, end, A + B @ K))
 
-    last_bad = 0
-    for start, end, M in spans:
-        end = min(end, T)
-        if start <= end and not stability_margin(M, P) < rho:
-            last_bad = max(last_bad, end)
+    spans = [(min(end, T), M) for start, end, M in spans
+             if start <= min(end, T)]
+    margins = stability_margin(np.stack([M for _, M in spans]),
+                               oracle.P_star)
+    last_bad = max((end for (end, _), margin in zip(spans, margins)
+                    if not margin < rho), default=0)
     if last_bad == 0:
         return 1, False
     return last_bad + 1, last_bad == T

@@ -106,30 +106,57 @@ class EstimatorState:
         """Theta = S V^+, the pseudoinverse truncated at PINV_RTOL * sigma_max.
 
         Rank deficiency yields the minimum-norm solution, so an empty state
-        returns the zero matrix with rank 0.
+        returns the zero matrix with rank 0. This is ``estimates`` on a
+        stack of one.
         """
-        V, S = self._effective()
-        # V is symmetric PSD; eigendecomposition doubles as its SVD
-        eigvals, eigvecs = np.linalg.eigh(V)
-        cutoff = PINV_RTOL * max(eigvals[-1], 0.0)
-        keep = eigvals > cutoff
-        rank = int(np.sum(keep))
-        if rank == 0:
-            return ParameterEstimate(
-                Theta=np.zeros_like(self._S), rank=0, state_dim=self.state_dim)
-        U = eigvecs[:, keep]
-        inv = U * (1.0 / eigvals[keep])
-        Theta = S @ U @ inv.T
-        return ParameterEstimate(Theta=Theta, rank=rank,
+        Theta, ranks = estimates([self])
+        return ParameterEstimate(Theta=Theta[0], rank=int(ranks[0]),
                                  state_dim=self.state_dim)
 
 
+def estimates(states: list[EstimatorState]) -> tuple[np.ndarray, np.ndarray]:
+    """Theta = S V^+ for several estimators of one shape at once.
+
+    Returns the (N, n, n+m) estimates and their (N,) ranks, each row the
+    same bits as that estimator's own ``estimate``. One stacked eigh
+    decomposes every V; eigh sorts eigenvalues in ascending order, so the
+    ones kept (above PINV_RTOL * the largest) are a suffix, and rows of
+    equal rank r share one stacked product over their last r eigenvectors.
+    """
+    sums = [state._effective() for state in states]
+    V = np.stack([v for v, _ in sums])
+    S = np.stack([s for _, s in sums])
+    # V is symmetric PSD; eigendecomposition doubles as its SVD
+    eigvals, eigvecs = np.linalg.eigh(V)
+    cutoff = PINV_RTOL * np.maximum(eigvals[:, -1], 0.0)
+    ranks = np.count_nonzero(eigvals > cutoff[:, None], axis=1)
+    Theta = np.zeros(S.shape)
+    d = V.shape[-1]
+    # a set, not np.unique, which imports numpy.ma on its first call
+    for rank in sorted(set(ranks.tolist()) - {0}):
+        rows = np.flatnonzero(ranks == rank)
+        # column-major (d, rank) blocks, the layout eigvecs[:, keep] has in
+        # the 2-d form: BLAS takes a transposed operand by another kernel,
+        # whose sums can differ in the last bits
+        U = np.empty((len(rows), rank, d)).swapaxes(-1, -2)
+        U[...] = eigvecs[rows, :, d - rank:]
+        inv = U * (1.0 / eigvals[rows, None, d - rank:])
+        Theta[rows] = S[rows] @ U @ inv.swapaxes(-1, -2)
+    return Theta, ranks
+
+
 def estimation_error(est: ParameterEstimate | np.ndarray,
-                     truth: SystemMatrices) -> float:
-    """Spectral norm of Theta_hat - [A B]."""
+                     truth: SystemMatrices):
+    """Spectral norm of Theta_hat - [A B].
+
+    ``est`` is one estimate, which gives a float, or an (N, n, n+m) stack
+    of them, which gives the (N,) norms from one stacked SVD.
+    """
     Theta_hat = est.Theta if isinstance(est, ParameterEstimate) else np.asarray(est)
     Theta = np.hstack([truth.A, truth.B])
-    if Theta_hat.shape != Theta.shape:
+    if Theta_hat.shape[-2:] != Theta.shape or Theta_hat.ndim not in (2, 3):
         raise ValueError(
             f"estimate shape {Theta_hat.shape} does not match truth {Theta.shape}")
-    return float(np.linalg.norm(Theta_hat - Theta, 2))
+    # the largest singular value, as np.linalg.norm(., 2) takes it
+    norms = np.linalg.svd(Theta_hat - Theta, compute_uv=False).max(axis=-1)
+    return float(norms) if Theta_hat.ndim == 2 else norms

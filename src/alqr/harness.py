@@ -31,9 +31,9 @@ from .control_math import (
 )
 from .controller import (
     PROBE_EXPONENT,
-    AdaptiveController,
     ControllerConfig,
     breaker,
+    certainty_equivalent_gains,
     clean_steps,
     threshold,
 )
@@ -44,7 +44,7 @@ from .diagnostics import (
     tnocb_histogram,
 )
 from .errors import ConfigInvalid, EmptyWindow, GenerationFailed
-from .estimator import EstimatorState, estimation_error
+from .estimator import EstimatorState, estimates, estimation_error
 # draw_process_noise is not called here; perfbench/tracer.py binds the name
 from .plant import (
     NOISE_CHUNK,
@@ -195,6 +195,12 @@ def _feed(estimator: EstimatorState, X: np.ndarray, U_cb: np.ndarray,
                          X[a + 1:b + 1])
 
 
+def trial_bytes(horizon: int, n: int, m: int) -> int:
+    """Bytes of one trial's arrays in a batch: per step X, U_ce, U_cb,
+    U_pr, W, the stage cost and the breaker code."""
+    return (horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
+
+
 def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
     """Consecutive runs of trial indices, one per lockstep batch.
 
@@ -203,9 +209,7 @@ def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
     are trials to fill them), so a pool of that many workers gets an even
     share; batch sizes differ by at most one.
     """
-    n, m = config.plant.n, config.plant.m
-    # bytes per step: X, U_ce, U_cb, U_pr, W, stage cost, breaker code
-    per_trial = (config.horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
+    per_trial = trial_bytes(config.horizon, config.plant.n, config.plant.m)
     count = -(-config.trials // max(1, BATCH_BYTES // per_trial))
     count = min(-(-count // workers) * workers, config.trials)
     bounds = [config.trials * j // count for j in range(count + 1)]
@@ -251,24 +255,28 @@ def run_trials(config: ExperimentConfig, indices,
     it. A run ends at the next gain update, checkpoint or chunk end at the
     latest, so every logged row that per-trial work reads is final.
 
-    Gain updates fire at the same k for every trial and stay per trial,
-    and so do the estimator feeds, made from the logged rows only when the
-    estimate is read (at gain updates and at the checkpoints, where the
-    estimation error is recorded). Every stacked product is the per-row
-    one bit for bit, so a trial's outputs do not depend on the batch it ran
-    in. The overflow guard (overflow_failures) is checked where per-trial
-    work reads states: before a gain update, at a checkpoint and at each
-    chunk end. A row past it leaves the live rows but keeps stepping,
-    unread; its trial comes back cut at its first failing step and marked
-    failed. The batch stops once no row is live.
+    Gain updates fire at the same k for every trial, and each is one
+    stacked call over the live rows: their estimates from one stacked
+    eigendecomposition (estimates), then certainty_equivalent_gains, whose
+    Riccati loop runs every row until it stops where it would stop alone.
+    A checkpoint records the estimation error from the same stacked
+    estimates, and a checkpoint and gain update at the same step share
+    them. The estimator feeds stay per trial, made from the logged rows
+    only when the estimate is read. Every stacked product and
+    decomposition is the per-row one bit for bit, so a trial's outputs do
+    not depend on the batch it ran in. The overflow guard
+    (overflow_failures) is checked where per-trial work reads states:
+    before a gain update, at a checkpoint and at each chunk end. A row
+    past it leaves the live rows but keeps stepping, unread; its trial
+    comes back cut at its first failing step and marked failed. The batch
+    stops once no row is live.
     """
     spec = config.plant
     n, m = spec.n, spec.m
     T = config.horizon
     N = len(indices)
     seeds = [trial_seed(config.base_seed, i) for i in indices]
-    ctrls = [AdaptiveController(config.controller, n, m, spec.cost)
-             for _ in indices]
+    estimators = [EstimatorState(n, m) for _ in indices]
     streams = [NoiseStream(seed=seed, state_dim=n, input_dim=m)
                for seed in seeds]
     L = spec.chol_W
@@ -288,6 +296,12 @@ def run_trials(config: ExperimentConfig, indices,
     live = list(range(N))
     failures: dict[int, tuple[int, str]] = {}
     checked = 0
+
+    def estimate(upto: int) -> np.ndarray:
+        """The live rows' stacked estimates from the pairs of steps 1..upto."""
+        for r in live:
+            _feed(estimators[r], X[r], U_cb[r], U_pr[r], upto)
+        return estimates([estimators[r] for r in live])[0]
 
     def check(upto: int) -> bool:
         """Guard the live rows' states after steps checked+1 .. upto."""
@@ -329,26 +343,25 @@ def run_trials(config: ExperimentConfig, indices,
         # i steps are taken: X[:, i] is final and x is the state at step i+1
         i = start
         while True:
+            Theta = None
             if i == cp_steps[cp_idx]:
                 if not check(i):
                     break
-                for r in live:
-                    estimator = ctrls[r].estimator
-                    _feed(estimator, X[r], U_cb[r], U_pr[r], i)
-                    err = estimation_error(estimator.estimate(), spec.sys)
-                    est_sq[r, cp_idx] = err * err
+                Theta = estimate(i)
+                err = estimation_error(Theta, spec.sys)
+                est_sq[live, cp_idx] = err * err
                 cp_idx += 1
             if i == stop:
                 break
             if i + 1 == next_update:
                 if not check(i):
                     break
-                for r in live:
-                    ctrl = ctrls[r]
-                    _feed(ctrl.estimator, X[r], U_cb[r], U_pr[r], i)
-                    ctrl.update_gain(i + 1)
-                    K[r] = ctrl.Khat
-                    segments[r].append((i + 1, ctrl.Khat))
+                if Theta is None:
+                    Theta = estimate(i)
+                gains = certainty_equivalent_gains(Theta, spec.cost)
+                K[live] = gains
+                for r, gain in zip(live, gains):
+                    segments[r].append((i + 1, gain))
                 next_update = config.controller.next_update(i + 1)
             if not np.count_nonzero(xi):
                 # a clean run, ending by the next gain update, checkpoint

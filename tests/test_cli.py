@@ -130,6 +130,31 @@ class TestSimulate:
         assert "finite" in err["message"]
         assert not os.path.exists(out)
 
+    def test_horizon_past_the_array_size_is_unusable(self, tmp_path, capsys):
+        # one trial's arrays would need more bytes than an array can hold
+        code, out = simulate(
+            tmp_path, extra=["--set", "horizon=1" + "0" * 30])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "ConfigInvalid"
+        assert err["path"] == "horizon"
+        assert "too long" in err["message"]
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("cell", ["1" + "0" * 400, "1e400", "-Infinity"],
+                             ids=["10**400", "1e400", "-Infinity"])
+    def test_matrix_cell_past_the_float_range_is_unusable(
+            self, tmp_path, capsys, cell):
+        plant = ('plant={"A": [[0.5]], "B": [[1]], "W": [[%s]], '
+                 '"Q": [[1]], "R": [[1]]}' % cell)
+        code, out = simulate(tmp_path, extra=["--set", plant])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "ConfigInvalid"
+        assert err["path"] == "plant.W"
+        assert "entry [0][0] must be finite" in err["message"]
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_nonpositive_workers_is_unusable(self, tmp_path, capsys, workers):
         code, out = simulate(tmp_path, extra=["--workers", workers])

@@ -16,7 +16,9 @@ from alqr.control_math import (
     CostWeights,
     SystemMatrices,
     controllability_rank,
+    controllability_ranks,
     solve_dare,
+    solve_dare_stack,
     spectral_radius,
     stability_margin,
     synthesize_gain,
@@ -254,3 +256,140 @@ def test_spd_check_symmetrizes_near_float_max():
     assert np.array_equal(np.diag(out), np.diag(M))
     with pytest.raises(ValueError, match=r"min eig -1\.700e\+308"):
         _check_spd(np.diag([1.7e308, -1.7e308]), "W")
+
+
+def _outcome(solved):
+    """What a caller sees of one solve: the bits of P and K and the
+    iteration count, or the exception's type, message and iterations."""
+    if isinstance(solved, Exception):
+        return (type(solved).__name__, str(solved),
+                getattr(solved, "iterations", None))
+    P, K, iterations, residual = solved
+    return ("ok", P.tobytes(), K.tobytes(), iterations, residual)
+
+
+def _riccati_2d(A, B, Q, R, rtol, residual_tol):
+    """The Riccati iteration on one system with 2-d matrices, written out:
+    (P, K, iterations) or (exception type name, iterations)."""
+
+    def gain(P):
+        BtP = B.T @ P
+        G = R + BtP @ B
+        G = 0.5 * (G + G.T)
+        geigs = np.linalg.eigvalsh(G)
+        if geigs[0] <= 0.0 or geigs[-1] / geigs[0] > 1e12:
+            return None, None
+        return BtP @ A, -np.linalg.solve(G, BtP @ A)
+
+    P = Q.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, 100_001):
+            BtPA, K = gain(P)
+            if K is None:
+                return ("IllConditioned", None)
+            P_next = A.T @ P @ A + BtPA.T @ K + Q
+            P_next = 0.5 * (P_next + P_next.T)
+            delta = np.linalg.norm(P_next - P, "fro")
+            P = P_next
+            norm_p = np.linalg.norm(P, "fro")
+            if not norm_p <= 1e150:
+                return ("NonConvergence", iterations)
+            if delta <= rtol * norm_p:
+                break
+    eigs = np.linalg.eigvalsh(P)
+    if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
+        return ("NonConvergence", iterations)
+    BtPA, K = gain(P)
+    if K is None:
+        return ("IllConditioned", None)
+    residual = np.linalg.norm(A.T @ P @ A + BtPA.T @ K + Q - P, "fro")
+    if residual > residual_tol * (1.0 + np.linalg.norm(P, "fro")):
+        return ("NonConvergence", iterations)
+    return (P.tobytes(), K.tobytes(), iterations)
+
+
+def test_riccati_stack_rows_match_separate_solves():
+    # one stack mixing every way a row can leave it, in an order that makes
+    # the compaction carry rows past each other; each row must come out as
+    # the separate solve_dare on its system, iteration count included
+    rng = np.random.default_rng(11)
+    rows = [
+        # R + B'PB = 1e20 [[1, 1], [1, 1]] exactly: R is lost in the sum,
+        # so the matrix is singular and a stacked solve over it would raise
+        ("ill", 0.5 * np.eye(2), np.array([[1e10, 1e10], [0.0, 0.0]])),
+        ("healthy", 0.3 * rng.standard_normal((2, 2)),
+         rng.standard_normal((2, 2))),
+        # unstable mode the input cannot reach
+        ("diverges", np.diag([1.5, 0.2]), np.array([[0.0, 0.0], [1.0, 0.5]])),
+        # uncontrollable mode at 0.9: slow convergence, loose residual
+        ("residual", np.diag([0.9, 0.5]), np.array([[0.0, 0.0], [0.0, 1.0]])),
+        # barely controllable unstable mode: P reaches ~5e15 next to ~1,
+        # past the SPD test's 1e-14 eigenvalue ratio
+        ("not SPD", np.diag([1.25, 0.5]), np.array([[1e-8, 0.0], [0.0, 1.0]])),
+        ("healthy", 0.3 * rng.standard_normal((2, 2)),
+         rng.standard_normal((2, 2))),
+    ]
+    cost = CostWeights(Q=np.eye(2), R=np.eye(2))
+    tol = 1e-13
+    stacked = solve_dare_stack(np.stack([A for _, A, _ in rows]),
+                               np.stack([B for _, _, B in rows]),
+                               cost.Q, cost.R, residual_tol=tol)
+    kinds = []
+    for (name, A, B), got in zip(rows, stacked):
+        try:
+            sol = solve_dare(SystemMatrices(A=A, B=B), cost, residual_tol=tol)
+            alone = (sol.P_star, sol.K_star, sol.iterations, sol.residual)
+        except (NonConvergence, IllConditioned) as exc:
+            alone = exc
+        assert _outcome(got) == _outcome(alone), name
+        kinds.append(_outcome(got)[0])
+        reference = _riccati_2d(A, B, cost.Q, cost.R, 1e-12, tol)
+        if isinstance(got, Exception):
+            assert (type(got).__name__, got.iterations
+                    if isinstance(got, NonConvergence) else None) == reference
+        else:
+            assert (got[0].tobytes(), got[1].tobytes(), got[2]) == reference
+    messages = [str(got) for got in stacked]
+    assert kinds == ["IllConditioned", "ok", "NonConvergence",
+                     "NonConvergence", "NonConvergence", "ok"]
+    assert "diverged by iteration" in messages[2]
+    assert "DARE residual" in messages[3]
+    assert "not a valid value matrix" in messages[4]
+    assert [getattr(got, "iterations", None) if isinstance(got, Exception)
+            else got[2] for got in stacked][1:] == [12, 426, 124, 140, 13]
+
+
+def test_riccati_stack_of_none():
+    assert solve_dare_stack(np.zeros((0, 2, 2)), np.zeros((0, 2, 1)),
+                            np.eye(2), np.eye(1)) == []
+
+
+def test_controllability_ranks_match_single_systems():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((6, 3, 3))
+    B = rng.standard_normal((6, 3, 2))
+    B[1] = 0.0
+    B[2, :, 1] = B[2, :, 0]
+    A[2] = 0.0
+    ranks = controllability_ranks(A, B)
+    assert ranks.tolist() == [
+        controllability_rank(SystemMatrices(A=a, B=b)) for a, b in zip(A, B)]
+    assert ranks[1] == 0 and ranks[2] == 1
+
+
+def test_stability_margin_stack_matches_single_calls():
+    rng = np.random.default_rng(9)
+    for n in (1, 3, 8):
+        G = rng.standard_normal((n, n))
+        P = G @ G.T + np.eye(n)
+        Ms = rng.standard_normal((7, n, n))
+        Ms[2] = 0.0
+        stacked = stability_margin(Ms, P)
+        assert stacked.shape == (7,)
+        singles = [stability_margin(M, P) for M in Ms]
+        assert all(type(value) is float for value in singles)
+        assert stacked.tobytes() == np.array(singles).tobytes(), n
+    with pytest.raises(ValueError, match="non-finite"):
+        stability_margin(np.array([[np.inf]]), np.eye(1))
+    with pytest.raises(ValueError):
+        stability_margin(np.full((2, 1, 1), np.nan), np.eye(1))

@@ -13,7 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from alqr.control_math import CostWeights, SystemMatrices, solve_dare
+from alqr.control_math import (CostWeights, SystemMatrices, solve_dare,
+                               stability_margin)
+from alqr.controller import ControllerConfig, dwell
 from alqr.diagnostics import (check_noise_event, compute_trial_diagnostics,
                               detect_t_nocb, detect_t_stab, fit_regret_slope,
                               max_state_norm_ratio, noise_bound,
@@ -105,6 +107,47 @@ def test_t_stab_censored_when_final_segment_bad(scalar_setup):
     record = make_record(T, gain_segments=[(1, oracle.K_star),
                                            (T, np.array([[1.0]]))])
     assert detect_t_stab(record, oracle, spec) == (T + 1, True)
+
+
+def _t_stab_span_by_span(record, oracle, spec):
+    """detect_t_stab written out with one 2-d margin per dwell or gain span."""
+    T = record.horizon
+    A, B = spec.sys.A, spec.sys.B
+    rho = 0.5 * (1.0 + oracle.rho_star)
+    last_bad = 0
+    M = np.eye(spec.n)
+    for t in range(dwell(T) + 1):
+        start = math.ceil(math.e ** t)
+        end = min(math.ceil(math.e ** (t + 1)) - 1, T)
+        if start <= end and not stability_margin(M, oracle.P_star) < rho:
+            last_bad = max(last_bad, end)
+        M = M @ A
+    segments = sorted(record.gain_segments, key=lambda seg: seg[0])
+    for idx, (start, K) in enumerate(segments):
+        end = segments[idx + 1][0] - 1 if idx + 1 < len(segments) else T
+        end = min(end, T)
+        if (start <= end
+                and not stability_margin(A + B @ K, oracle.P_star) < rho):
+            last_bad = max(last_bad, end)
+    return (1, False) if last_bad == 0 else (last_bad + 1, last_bad == T)
+
+
+@pytest.mark.parametrize("schedule", ["powers-of-two", "every-step"])
+def test_t_stab_one_stacked_call_matches_span_by_span(driven, schedule):
+    # under every-step each of the 300 steps opens a gain segment, all
+    # judged in one stacked stability_margin call
+    spec, oracle, _ = driven
+    for seed in (11, 12, 13):
+        record = drive_trial(spec, 300, seed=seed,
+                             config=ControllerConfig(schedule))
+        assert detect_t_stab(record, oracle, spec) == _t_stab_span_by_span(
+            record, oracle, spec)
+    # a bad gain that starts past the horizon opens no span
+    record = make_record(30, n=spec.n, m=spec.m,
+                         gain_segments=[(1, oracle.K_star),
+                                        (31, np.full((spec.m, spec.n), 9.0))])
+    assert detect_t_stab(record, oracle, spec) == _t_stab_span_by_span(
+        record, oracle, spec)
 
 
 def test_t_stab_requires_gain_history(scalar_setup):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from alqr.control_math import SystemMatrices
-from alqr.estimator import EstimatorState, estimation_error
+from alqr.estimator import (PINV_RTOL, EstimatorState, estimates,
+                             estimation_error)
 
 
 def test_absorb_single_pair():
@@ -166,3 +167,53 @@ def test_noisy_scalar_consistency():
     out = est.estimate()
     err = estimation_error(out, SystemMatrices(A=[[a]], B=[[b]]))
     assert err <= 0.05
+
+
+def _estimate_2d(state):
+    """S V^+ written out for one estimator, one matrix at a time."""
+    V, S = state.V, state.S
+    eigvals, eigvecs = np.linalg.eigh(V)
+    keep = eigvals > PINV_RTOL * max(eigvals[-1], 0.0)
+    if not keep.any():
+        return np.zeros_like(S), 0
+    U = eigvecs[:, keep]
+    return S @ U @ (U * (1.0 / eigvals[keep])).T, int(keep.sum())
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (16, 8), (2, 1)])
+def test_stacked_estimates_match_single_estimates(n, m):
+    # one batch mixing ranks: no pairs yet, 1, 2 and 4 early steps, and a
+    # full-rank tail; each row must be the bits of its own estimate
+    rng = np.random.default_rng([n, m])
+    states = []
+    lengths = (0, 1, 2, 4, 2, 1, 3 * (n + m))
+    for steps in lengths:
+        state = EstimatorState(n, m)
+        if steps:
+            state.absorb(rng.standard_normal((steps, n + m)),
+                         rng.standard_normal((steps, n)))
+        states.append(state)
+    Theta, ranks = estimates(states)
+    assert ranks.tolist() == [min(steps, n + m) for steps in lengths]
+    for state, theta, rank in zip(states, Theta, ranks):
+        single = state.estimate()
+        assert single.rank == rank
+        assert single.Theta.tobytes() == theta.tobytes()
+        reference, reference_rank = _estimate_2d(state)
+        assert reference_rank == rank
+        assert reference.tobytes() == theta.tobytes()
+
+
+def test_stacked_estimation_error_matches_single_calls():
+    rng = np.random.default_rng(4)
+    truth = SystemMatrices(A=rng.standard_normal((3, 3)),
+                           B=rng.standard_normal((3, 2)))
+    Theta = rng.standard_normal((5, 3, 5))
+    errors = estimation_error(Theta, truth)
+    singles = [estimation_error(theta, truth) for theta in Theta]
+    assert all(type(value) is float for value in singles)
+    assert errors.tobytes() == np.array(singles).tobytes()
+    assert singles[0] == float(np.linalg.norm(
+        Theta[0] - np.hstack([truth.A, truth.B]), 2))
+    with pytest.raises(ValueError):
+        estimation_error(np.zeros((2, 3, 4)), truth)
