@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import (
     RunSettings,
+    _as_horizon,
     _as_int,
     _as_number,
     _reject_unknown,
@@ -49,6 +50,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_UNUSABLE = 2
 
 STAGE_RTOL = 1e-9
+# (n, m) of the stand-in plant verify runs its decomposition check on
+_VERIFY_DIMS = (3, 2)
 
 
 def _jsonable(value):
@@ -243,7 +246,7 @@ def _verify_knobs(overrides) -> dict:
     if not _as_number(knobs["dare_rtol"], "dare_rtol") > 0.0:
         raise ConfigInvalid(f"must be > 0, got {knobs['dare_rtol']}",
                             path="dare_rtol")
-    _as_int(knobs["horizon"], "horizon", minimum=1)
+    _as_horizon(knobs["horizon"], *_VERIFY_DIMS)
     _as_int(knobs["seed"], "seed", minimum=0)
     return knobs
 
@@ -271,7 +274,7 @@ def _cmd_verify(args) -> int:
 
     # cost-difference decomposition must telescope on a real trajectory
     seed = knobs["seed"]
-    spec = generate_stand_in_plant(3, 2, 0.9, seed)
+    spec = generate_stand_in_plant(*_VERIFY_DIMS, 0.9, seed)
     config = ExperimentConfig(plant=spec, horizon=knobs["horizon"],
                               trials=1, base_seed=seed)
     oracle = solve_dare(spec.sys, spec.cost, spec.W)

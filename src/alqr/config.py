@@ -78,6 +78,18 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
+def _as_horizon(value, n: int, m: int) -> int:
+    """A horizon >= 1 (at path ``horizon``) whose one-trial arrays for an
+    n x m plant fit in one numpy array."""
+    horizon = _as_int(value, "horizon", minimum=1)
+    size = trial_bytes(horizon, n, m)
+    if size > np.iinfo(np.intp).max:
+        raise ConfigInvalid(
+            f"too long: one trial's arrays would take {size} bytes, more "
+            f"than an array can hold", path="horizon")
+    return horizon
+
+
 def _as_number(value, path: str, what: str = "") -> float:
     """``value`` as a finite float; ``what`` names a part of the field at
     ``path``, such as a matrix entry, in the error."""
@@ -178,12 +190,7 @@ def parse_config_document(doc) -> RunSettings:
             raise ConfigInvalid("required field is missing", path=key)
 
     plant = _parse_plant(top["plant"], "plant")
-    horizon = _as_int(top["horizon"], "horizon", minimum=1)
-    size = trial_bytes(horizon, plant.n, plant.m)
-    if size > np.iinfo(np.intp).max:
-        raise ConfigInvalid(
-            f"too long: one trial's arrays would take {size} bytes, more "
-            f"than an array can hold", path="horizon")
+    horizon = _as_horizon(top["horizon"], plant.n, plant.m)
     trials = _as_int(top["trials"], "trials", minimum=1)
     base_seed = _as_int(top["base_seed"], "base_seed", minimum=0)
     factor = _as_number(top["checkpoint_factor"], "checkpoint_factor")

@@ -39,6 +39,16 @@ def threshold(k: int) -> float:
     return math.log(k)
 
 
+def thresholds(first: int, count: int) -> np.ndarray:
+    """threshold(k) for the steps k = first .. first + count - 1, as an array.
+
+    math.log through map, so there is no Python call per step; np.log
+    can differ from it in the last bit.
+    """
+    return np.fromiter(map(math.log, range(first, first + count)), float,
+                       count)
+
+
 def dwell(k: int) -> int:
     """Dwell length t_k after a trigger at step k: the largest t with
     e**t <= k, so floor(log k) made exact next to powers of e."""

@@ -35,7 +35,7 @@ from .controller import (
     breaker,
     certainty_equivalent_gains,
     clean_steps,
-    threshold,
+    thresholds,
 )
 from .diagnostics import (
     SlopeEstimate,
@@ -238,11 +238,13 @@ def run_trials(config: ExperimentConfig, indices,
     The batch arrays are laid out (N, T(+1), ·), so every trial's slice is
     contiguous and its TrialRecord holds views of them. The horizon is
     walked in chunks of NOISE_CHUNK steps, aligned with the noise stream's
-    chunks: per chunk, each trial's process noise L g (L = chol W) and
-    probe k^(-1/4) v are built for every step at once. Per step the
-    feedback path runs once for the batch on stacked rows: u_ce = Khat x
-    with stacked gains, u_cb from the breaker rule, u = u_cb + u_pr and the
-    plant step.
+    chunks: per chunk, each trial's process noise L g (L = chol W), probe
+    k^(-1/4) v and breaker threshold are built for every step at once. Per
+    step the feedback path runs once for the batch on stacked rows:
+    u_ce = Khat x with stacked gains, u_cb from the breaker rule,
+    u = u_cb + u_pr and the plant step. The state x is an (N, n, 1)
+    column stack, and the noise and probe rows are built in that layout,
+    so a step reshapes nothing.
 
     The breaker fires only finitely often, so while no row dwells the
     steps go in clean runs: up to ``span`` steps with u_cb = u_ce (the
@@ -253,7 +255,11 @@ def run_trials(config: ExperimentConfig, indices,
     one at a time until no row dwells. ``span`` starts at 1, doubles after
     each clean run and drops back to 1 after a trip; CLEAN_SPAN_CAP caps
     it. A run ends at the next gain update, checkpoint or chunk end at the
-    latest, so every logged row that per-trial work reads is final.
+    latest, so every logged row that per-trial work reads is final. A
+    clean run steps in place: each step writes u_ce, u and the next state
+    (plant.step with ``out``) into buffers allocated once per batch, and
+    the run's rows are copied into the logs when it ends. The breaker
+    steps x in place too, from a copy of the logged state it rewound to.
 
     Gain updates fire at the same k for every trial, and each is one
     stacked call over the live rows: their estimates from one stacked
@@ -281,14 +287,21 @@ def run_trials(config: ExperimentConfig, indices,
                for seed in seeds]
     L = spec.chol_W
 
-    # T + 1 rows per trial: X[r, k] is the successor of the state at step k
-    X = np.empty((N, T + 1, n))
+    try:
+        # T + 1 rows per trial: X[r, k] is the successor of the state at
+        # step k
+        X = np.empty((N, T + 1, n))
+        U_ce = np.empty((N, T, m))
+        U_cb = np.empty((N, T, m))
+        U_pr = np.empty((N, T, m))
+        W = np.empty((N, T, n))
+        breaker_codes = np.zeros((N, T), dtype=np.int8)
+    except MemoryError:
+        raise ConfigInvalid(
+            f"too long: the batch's trial arrays would take "
+            f"{N * trial_bytes(T, n, m)} bytes, more than could be "
+            f"allocated", path="horizon") from None
     X[:, 0] = 0.0
-    U_ce = np.empty((N, T, m))
-    U_cb = np.empty((N, T, m))
-    U_pr = np.empty((N, T, m))
-    W = np.empty((N, T, n))
-    breaker_codes = np.zeros((N, T), dtype=np.int8)
     segments = [[] for _ in indices]
 
     # the batch rows not yet failed; batch row -> (step, message) of its
@@ -312,7 +325,16 @@ def run_trials(config: ExperimentConfig, indices,
         checked = upto
         return bool(live)
 
-    x = np.zeros((N, n))
+    # x is the batch's state as an (N, n, 1) column stack; a clean run
+    # writes its steps' u_ce and successor states into run_ce and run_x,
+    # the input u = u_ce + u_pr into u, and x is then a view of run_x.
+    # The buffers are no longer than the horizon: a short horizon packs
+    # many trials into a batch
+    x = np.zeros((N, n, 1))
+    span_cap = min(CLEAN_SPAN_CAP, T)
+    run_ce = np.empty((span_cap, N, m, 1))
+    run_x = np.empty((span_cap, N, n, 1))
+    u = np.empty((N, m, 1))
     K = np.zeros((N, m, n))
     xi = np.zeros(N, dtype=np.int64)
     next_update = config.controller.next_update(0)
@@ -329,17 +351,17 @@ def run_trials(config: ExperimentConfig, indices,
     for start in range(0, T, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, T)
         count = stop - start
-        # the chunk's noise step-major, (count, N, .), so a step's rows
-        # are one contiguous block
+        # the chunk's noise step-major in columns, (count, N, ., 1), so a
+        # step's rows are one contiguous column stack
         G = np.stack([s.block("w", start + 1, count) for s in streams], 1)
-        Wc = (L @ G[..., None])[..., 0]
+        Wc = L @ G[..., None]
         scales = np.array([j ** PROBE_EXPONENT
                            for j in range(start + 1, stop + 1)])
-        Pc = scales[:, None, None] * np.stack(
-            [s.block("v", start + 1, count) for s in streams], 1)
-        W[:, start:stop] = Wc.swapaxes(0, 1)
-        U_pr[:, start:stop] = Pc.swapaxes(0, 1)
-        limits = np.array([threshold(k) for k in range(start + 1, stop + 1)])
+        Pc = (scales[:, None, None] * np.stack(
+            [s.block("v", start + 1, count) for s in streams], 1))[..., None]
+        W[:, start:stop] = Wc[..., 0].swapaxes(0, 1)
+        U_pr[:, start:stop] = Pc[..., 0].swapaxes(0, 1)
+        limits = thresholds(start + 1, count)
         # i steps are taken: X[:, i] is final and x is the state at step i+1
         i = start
         while True:
@@ -369,15 +391,13 @@ def run_trials(config: ExperimentConfig, indices,
                 # checked after
                 end = min(i + span, stop, next_update - 1, cp_steps[cp_idx])
                 a, b = i - start, end - start
-                run_ce = np.empty((b - a, N, m))
-                run_x = np.empty((b - a, N, n))
-                for j in range(a, b):
-                    u_ce = (K @ x[..., None])[..., 0]
-                    run_ce[j - a] = u_ce
-                    x = step(x, u_ce + Pc[j], Wc[j], spec)
-                    run_x[j - a] = x
-                U_ce[:, i:end] = run_ce.swapaxes(0, 1)
-                X[:, i + 1:end + 1] = run_x.swapaxes(0, 1)
+                # out= passed by position, which numpy parses faster
+                for ce, x_next, p, w in zip(run_ce, run_x, Pc[a:b], Wc[a:b]):
+                    np.matmul(K, x, ce)
+                    np.add(ce, p, u)
+                    x = step(x, u, w, spec, x_next)
+                U_ce[:, i:end] = run_ce[:b - a, ..., 0].swapaxes(0, 1)
+                X[:, i + 1:end + 1] = run_x[:b - a, ..., 0].swapaxes(0, 1)
                 clean = clean_steps(U_ce[:, i:end], limits[a:b])
                 U_cb[:, i:i + clean] = U_ce[:, i:i + clean]
                 if i + clean == end:
@@ -385,19 +405,21 @@ def run_trials(config: ExperimentConfig, indices,
                     span = min(2 * span, CLEAN_SPAN_CAP)
                     continue
                 # a row trips at index i + clean: keep the steps before it
-                # and rewind x to its state, where the breaker takes over
+                # and rewind x to its state, where the breaker takes over;
+                # a copy, since the breaker steps x in place
                 i += clean
-                x = X[:, i].copy()
+                x = X[:, i, :, None].copy()
                 span = 1
             # a row dwells or trips: the breaker rule, one step
-            u_ce = (K @ x[..., None])[..., 0]
+            u_ce = (K @ x)[..., 0]
             u_cb, codes, xi = breaker(i + 1, u_ce, xi)
             U_ce[:, i] = u_ce
             U_cb[:, i] = u_cb
             breaker_codes[:, i] = codes
-            x = step(x, u_cb + Pc[i - start], Wc[i - start], spec)
+            np.add(u_cb[..., None], Pc[i - start], u)
+            step(x, u, Wc[i - start], spec, x)
             i += 1
-            X[:, i] = x
+            X[:, i] = x[..., 0]
         if not (live and check(stop)):
             break
 

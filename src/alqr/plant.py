@@ -131,18 +131,26 @@ def draw_probe_noise(stream: NoiseStream, m: int, k: int) -> np.ndarray:
     return g
 
 
-def step(x: np.ndarray, u: np.ndarray, w: np.ndarray,
-         spec: PlantSpec) -> np.ndarray:
-    """One transition x' = A x + B u + w; pure in all arguments.
+def step(x: np.ndarray, u: np.ndarray, w: np.ndarray, spec: PlantSpec,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """One transition x' = A x + B u + w; pure in all arguments but ``out``.
 
     ``x``, ``u`` and ``w`` are 1-D float arrays, or (N, n), (N, m) and
-    (N, n) stacks of them for N trials in lockstep; every row of x' is then
-    the 1-D step of that row, bit for bit. No bound is checked here (see
-    overflow_failures).
+    (N, n) stacks of them for N trials in lockstep, and x' is a new array
+    of x's shape. With ``out`` they are columns (n, 1), (m, 1) and (n, 1),
+    or (N, n, 1), (N, m, 1) and (N, n, 1) stacks of them, the layout
+    run_trials steps a batch in, and x' is written to ``out``, a
+    C-contiguous array of x's shape (x itself allowed), and returned.
+    Either way every row of x' is the 1-D step of that row, bit for bit.
+    No bound is checked here (see overflow_failures).
     """
-    x_next = (spec.sys.A @ x[..., None] + spec.sys.B @ u[..., None])[..., 0]
-    x_next += w
-    return x_next
+    if out is None:
+        return step(x[..., None], u[..., None], w[..., None], spec,
+                    np.empty(x.shape + (1,)))[..., 0]
+    np.matmul(spec.sys.A, x, out)
+    out += spec.sys.B @ u
+    out += w
+    return out
 
 
 def overflow_failures(X: np.ndarray,

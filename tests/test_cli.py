@@ -141,6 +141,22 @@ class TestSimulate:
         assert "too long" in err["message"]
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_horizon_past_memory_is_unusable(self, tmp_path, capsys,
+                                             workers):
+        # one trial's arrays fit an array's index range but not the 128 TiB
+        # user address space, so allocating them fails at once under any
+        # overcommit setting; from a pool worker the error reaches the
+        # parent
+        code, _ = simulate(
+            tmp_path, extra=["--set", "horizon=1" + "0" * 16,
+                             "--workers", workers])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "ConfigInvalid"
+        assert err["path"] == "horizon"
+        assert "more than could be allocated" in err["message"]
+
     @pytest.mark.parametrize("cell", ["1" + "0" * 400, "1e400", "-Infinity"],
                              ids=["10**400", "1e400", "-Infinity"])
     def test_matrix_cell_past_the_float_range_is_unusable(
@@ -416,6 +432,9 @@ class TestVerify:
         ("horizon=0", "horizon"),
         ("horizon=-5", "horizon"),
         ("horizon=1.5", "horizon"),
+        # past an array's index range, and past the address space
+        ("horizon=1" + "0" * 24, "horizon"),
+        ("horizon=1" + "0" * 16, "horizon"),
         ("seed=-1", "seed"),
         ('dare_rtol="x"', "dare_rtol"),
     ])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from alqr.control_math import CostWeights
+from alqr import controller
 from alqr.controller import (AdaptiveController, ControllerConfig, breaker,
                              clean_steps, dwell, threshold)
 from alqr.plant import NoiseStream
@@ -159,6 +160,14 @@ def stepwise_clean_steps(first_k, block):
 
 def thresholds(first_k, count):
     return np.array([threshold(k) for k in range(first_k, first_k + count)])
+
+
+def test_threshold_block_matches_threshold_per_step():
+    # run_trials takes a noise chunk's thresholds as one block
+    for first, count in ((1, 4096), (4097, 4096), (10**6, 100),
+                         (2**53 - 50, 50), (7, 1)):
+        assert np.array_equal(controller.thresholds(first, count),
+                              thresholds(first, count))
 
 
 def test_clean_steps_edge_cases():

@@ -211,11 +211,15 @@ def test_batch_rows_match_trials_run_alone(ref):
     # a trial's outputs may not depend on the batch it runs in; the 3x2 and
     # 8x4 horizons cross a noise chunk, and an every-step batch updates
     # every trial's gain at every step (kept short: each update is a
-    # Riccati solve)
+    # Riccati solve). At W = 40 I rows trip inside clean runs of every
+    # length up to CLEAN_SPAN_CAP, and the batch steps on from each rewound
+    # state while the next clean runs reuse the run buffers
     spec, _ = ref
+    loud = PlantSpec(sys=spec.sys, W=40.0 * np.eye(spec.n), cost=spec.cost)
     cases = {
         "3x2, T=4500": (spec, 4500, 4, ControllerConfig()),
         "8x4, dense W, T=4200": (dense_w_8x4(), 4200, 3, ControllerConfig()),
+        "3x2, W=40 I, T=3000": (loud, 3000, 4, ControllerConfig()),
         "3x2, every-step, T=300": (spec, 300, 3,
                                    ControllerConfig("every-step")),
     }

@@ -72,6 +72,32 @@ def test_step_stacked_rows_match_single_rows():
             assert np.array_equal(out[r], step(x[r], u[r], w[r], spec))
 
 
+def test_step_into_out_matches_the_plain_return():
+    # run_trials steps column stacks into buffers it reuses; the out form
+    # must give the plain step's bits, on one column and on a stack, also
+    # in place, and plain results kept from earlier rows must stay put
+    rng = np.random.default_rng(12)
+    for n, m in ((3, 2), (8, 4)):
+        A = rng.standard_normal((n, n))
+        A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+        spec = make_spec(A, rng.standard_normal((n, m)))
+        x = rng.standard_normal((6, n)) * 1e3
+        u = rng.standard_normal((6, m))
+        w = rng.standard_normal((6, n))
+        rows = [step(x[r], u[r], w[r], spec) for r in range(6)]
+        out = np.empty((6, n, 1))
+        assert step(x[..., None], u[..., None], w[..., None], spec,
+                    out) is out
+        in_place = x[..., None].copy()
+        step(in_place, u[..., None], w[..., None], spec, in_place)
+        for r in range(6):
+            assert np.array_equal(out[r, :, 0], rows[r])
+            assert np.array_equal(in_place[r, :, 0], rows[r])
+            column = np.empty((n, 1))
+            step(x[r, :, None], u[r, :, None], w[r, :, None], spec, column)
+            assert np.array_equal(column[:, 0], rows[r])
+
+
 def test_overflow_guard_flags_a_state_past_the_bound():
     spec = make_spec([[0.5]], [[1.0]])
     x = step(np.array([8e12]), np.zeros(1), np.zeros(1), spec)
