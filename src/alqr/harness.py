@@ -197,8 +197,10 @@ def _feed(estimator: EstimatorState, X: np.ndarray, U_cb: np.ndarray,
 
 def trial_bytes(horizon: int, n: int, m: int) -> int:
     """Bytes of one trial's arrays in a batch: per step X, U_ce, U_cb,
-    U_pr, W, the stage cost and the breaker code."""
-    return (horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
+    U_pr, W, the stage cost and the breaker code, plus its rows of the
+    clean-run buffers (u_ce and x for up to CLEAN_SPAN_CAP steps)."""
+    return ((horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
+            + 8 * (n + m) * min(CLEAN_SPAN_CAP, horizon))
 
 
 def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:

@@ -6,17 +6,22 @@ the feedback gain in effect over each span of steps. The CSV schema is
 ``k,x...,u_ce...,u_cb...,u_pr...,w...,breaker,stage_cost`` with vector
 fields expanded to one indexed column per component; floats are written as
 their shortest round-tripping decimal form, so a load returns bit-identical
-values. Gain history does not fit a flat per-step CSV row, so it travels in
-a JSON sidecar next to each trial file. A record holds exactly what a log
-and its sidecar hold: the state after the last step is not kept, since
-regret.decompose_at derives it from the last row with plant.step.
+values. A load parses the rows in one np.loadtxt call, so a cell must be a
+plain ASCII decimal or nan/inf, which is all a save writes; underscored or
+non-ASCII digits, which float() accepts, fail to parse. Gain history does
+not fit a flat per-step CSV row, so it travels in a JSON sidecar next to
+each trial file. A record holds exactly what a log and its sidecar hold:
+the state after the last step is not kept, since regret.decompose_at
+derives it from the last row with plant.step.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -114,12 +119,40 @@ def save_trial_csv(record: TrialRecord, path: str) -> None:
         f.write("\n")
 
 
+def _raise_bad_row(f, path: str, width: int, reason: str) -> NoReturn:
+    """Raise IncompleteLog naming the first row of the open log ``f`` that
+    has the wrong field count or a cell float() rejects, counting lines
+    from the header as row 1; with no such row, raise it for ``reason``.
+    np.loadtxt numbers rows its own way, so a row named here comes from
+    this rescan, which builds nothing."""
+    f.seek(0)
+    f.readline()
+    for lineno, line in enumerate(f, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise IncompleteLog(
+                f"{path}: row {lineno} has {len(parts)} fields, "
+                f"expected {width}")
+        try:
+            for p in parts:
+                float(p)
+        except ValueError as exc:
+            raise IncompleteLog(
+                f"{path}: row {lineno} failed to parse: {exc}") from None
+    raise IncompleteLog(f"{path}: failed to parse: {reason}")
+
+
 def load_trial_csv(path: str, trial_index: int = -1) -> TrialRecord:
     """Parse a trial CSV back into a TrialRecord.
 
     The seed (set to -1) and gain history are not part of the CSV; callers
-    that need the gains read them from the sidecar. Raises IncompleteLog
-    naming the row on any structural or parse problem.
+    that need the gains read them from the sidecar. The rows are one
+    C-order (T, width) float64 block from np.loadtxt, and the fields are
+    column slices of it. Raises IncompleteLog naming the row on any
+    structural or parse problem.
     """
     if not os.path.exists(path):
         raise IncompleteLog(f"trial log missing: {path}")
@@ -132,25 +165,20 @@ def load_trial_csv(path: str, trial_index: int = -1) -> TrialRecord:
         if n < 1 or m < 1 or names != csv_header(n, m).split(","):
             raise IncompleteLog(f"{path}: header does not match the trial schema")
         width = len(names)
-        rows = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                raise IncompleteLog(
-                    f"{path}: row {lineno} has {len(parts)} fields, "
-                    f"expected {width}")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise IncompleteLog(
-                    f"{path}: row {lineno} failed to parse: {exc}") from None
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                # a log without rows is reported below, not warned about
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
+            if len(data) and data.shape[1] != width:
+                raise ValueError(f"rows have {data.shape[1]} fields, "
+                                 f"expected {width}")
+        except ValueError as exc:
+            _raise_bad_row(f, path, width, str(exc))
+    if not len(data):
         raise IncompleteLog(f"{path}: no data rows")
-    data = np.array(rows)
-    if not np.array_equal(data[:, 0], np.arange(1, len(rows) + 1)):
+    if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
         raise IncompleteLog(
             f"{path}: step column is not the integers 1, 2, ... in order")
     offset = 1
@@ -186,7 +214,8 @@ def save_gain_sidecar(record: TrialRecord, path: str) -> None:
 
 
 def load_gain_sidecar(path: str) -> list[tuple[int, np.ndarray]]:
-    """Gain segments from a sidecar; IncompleteLog names a bad file."""
+    """Gain segments from a sidecar; IncompleteLog names a bad file, a
+    gain with a NaN or infinite entry included."""
     if not os.path.exists(path):
         raise IncompleteLog(f"gain sidecar missing: {path}")
     try:
@@ -199,4 +228,8 @@ def load_gain_sidecar(path: str) -> list[tuple[int, np.ndarray]]:
                             f"{type(exc).__name__}: {exc}") from None
     if not segments:
         raise IncompleteLog(f"{path}: no gain segments recorded")
+    for start, K in segments:
+        if not np.isfinite(K).all():
+            raise IncompleteLog(f"{path}: the gain from step {start} has a "
+                                f"non-finite entry")
     return segments

@@ -68,13 +68,14 @@ def _per_step_terms(record: TrialRecord, oracle: RiccatiSolution,
     closed = X @ A.T + U_cb @ B.T                    # (A + B K_k) x_k
     probe_through_plant = U_pr @ B.T                 # B u_pr
     s = probe_through_plant + W                      # s_k
+    noise_sq = _cross_rows(W, P, W)                  # w_k' P w_k
 
     return {
         "d1": _cross_rows(gain_err, G, gain_err),
         "d2": 2.0 * _cross_rows(probe_through_plant, P, closed),
         "d3": 2.0 * _cross_rows(W, P, closed),
-        "d4": _cross_rows(s, P, s) - _cross_rows(W, P, W),
-        "d5": _cross_rows(W, P, W),
+        "d4": _cross_rows(s, P, s) - noise_sq,
+        "d5": noise_sq,
         "d7": 2.0 * _cross_rows(U_pr, R, U_cb) + _cross_rows(U_pr, R, U_pr),
     }
 

@@ -355,6 +355,26 @@ class TestAnalyze:
         assert named in report["failures"][0]["message"]
         assert [info["trial"] for info in report["trials"]] == [0, 1]
 
+    @pytest.mark.parametrize("entry", ["NaN", "1e400"])
+    def test_non_finite_gain_is_parse_failure(self, tmp_path, capsys,
+                                              entry):
+        _, out = simulate(tmp_path)
+        capsys.readouterr()
+        path = os.path.join(out, "trials", "trial_0_gains.json")
+        with open(path) as f:
+            doc = json.load(f)
+        doc["gain_segments"][-1]["K"][0][0] = "NONFINITE"
+        with open(path, "w") as f:
+            f.write(json.dumps(doc).replace('"NONFINITE"', entry))
+
+        code = cli.main(["analyze", "--out", out])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [(f["trial"], f["kind"]) for f in report["failures"]] == [
+            (0, "parse")]
+        assert "non-finite" in report["failures"][0]["message"]
+        assert [info["trial"] for info in report["trials"]] == [1, 2]
+
     def test_no_logs_is_unusable(self, tmp_path, capsys):
         out = tmp_path / "empty"
         out.mkdir()

@@ -319,6 +319,22 @@ def test_trial_batches_partition(ref):
                                          trials=3))) == 1
 
 
+@pytest.mark.parametrize("T", [1, CLEAN_SPAN_CAP, CLEAN_SPAN_CAP + 1])
+def test_trial_batches_count_the_clean_run_buffers(ref, T):
+    # a trial holds T + 1 rows of log arrays and min(CLEAN_SPAN_CAP, T)
+    # rows of the clean run's u_ce and x buffers; a batch that fills
+    # BATCH_BYTES with both takes one trial more than the budget allows
+    spec, _ = ref
+    n, m = spec.n, spec.m
+    per_trial = ((T + 1) * (8 * (2 * n + 3 * m + 1) + 1)
+                 + 8 * (n + m) * min(CLEAN_SPAN_CAP, T))
+    fit = BATCH_BYTES // per_trial
+    assert len(trial_batches(make_config(spec, horizon=T, trials=fit))) == 1
+    batches = trial_batches(make_config(spec, horizon=T, trials=fit + 1))
+    assert len(batches) == 2
+    assert all(len(b) * per_trial <= BATCH_BYTES for b in batches)
+
+
 def test_trial_record_satisfies_decomposition(ref):
     spec, oracle = ref
     result = run_trial(make_config(spec, horizon=2000), 1)

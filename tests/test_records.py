@@ -1,5 +1,6 @@
 """CSV and sidecar round-trip fidelity tests."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,66 @@ def test_csv_round_trip_bit_exact(tmp_path):
         decompose_at(record, oracle, spec, steps)
 
 
+def test_csv_round_trip_keeps_every_bit_of_edge_values(tmp_path):
+    # tobytes, not array_equal: NaN must come back as NaN and -0.0 as -0.0
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+              1.7976931348623157e308, -1.7976931348623157e308]
+    values += [float(f"{sign}1e{k}") for k in range(-323, 309)
+               for sign in ("", "-")]
+    column = np.array(values)
+    T = len(column)
+    cols = np.stack([np.roll(column, j) for j in range(2 * 3 + 3 * 2 + 1)],
+                    axis=1)
+    record = TrialRecord(
+        trial_index=0, seed=0, X=cols[:, 0:3], U_ce=cols[:, 3:5],
+        U_cb=cols[:, 5:7], U_pr=cols[:, 7:9], W=cols[:, 9:12],
+        breaker=np.arange(T, dtype=np.int8) % 3, stage_cost=cols[:, 12])
+    path = tmp_path / "trial.csv"
+    save_trial_csv(record, str(path))
+    back = load_trial_csv(str(path))
+    for name in ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost"):
+        got, want = getattr(back, name), getattr(record, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+
+def _random_cell(rng) -> str:
+    kind = rng.integers(4)
+    if kind == 0:
+        # any bit pattern, NaN payloads and subnormals included
+        return repr(float(rng.integers(0, 2 ** 64, dtype=np.uint64)
+                          .view(np.float64)))
+    if kind == 1:
+        # more digits than a double holds, so the parse has to round
+        digits = "".join(str(d) for d in rng.integers(0, 10, 25))
+        return (f"{rng.choice(['', '-', '+'])}{digits[:rng.integers(1, 5)]}"
+                f".{digits[5:]}e{rng.integers(-330, 320)}")
+    if kind == 2:
+        return str(rng.choice(["0", "-0", "1.", ".5", "1E5", "inf", "-inf",
+                               "Infinity", "nan", "-nan", "NaN", " 2.5",
+                               "2.5 ", "1e-400", "-1e400", "00012.5000"]))
+    return repr(float(rng.standard_normal()))
+
+
+def test_load_matches_a_per_field_float_parse(tmp_path):
+    rng = np.random.default_rng(2024)
+    n, m, T = 3, 2, 400
+    lines = [csv_header(n, m)]
+    for k in range(1, T + 1):
+        cells = [_random_cell(rng) for _ in range(2 * n + 3 * m)]
+        lines.append(",".join([str(k), *cells, str(rng.integers(3)),
+                               _random_cell(rng)]))
+    path = tmp_path / "trial.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = np.array([[float(p) for p in line.split(",")]
+                     for line in lines[1:]])
+    back = load_trial_csv(str(path))
+    got = np.hstack([back.X, back.U_ce, back.U_cb, back.U_pr, back.W])
+    assert got.tobytes() == want[:, 1:1 + 2 * n + 3 * m].tobytes()
+    assert back.breaker.tobytes() == want[:, -2].astype(np.int8).tobytes()
+    assert back.stage_cost.tobytes() == want[:, -1].tobytes()
+
+
 @pytest.mark.parametrize("field, bad", [
     ("W", np.zeros((50, 2))),
     ("breaker", np.zeros((49,), dtype=np.int8)),
@@ -124,6 +185,49 @@ def test_load_rejects_corrupt_cell(tmp_path):
     with pytest.raises(IncompleteLog) as info:
         load_trial_csv(str(path))
     assert "row 3" in str(info.value)
+
+
+def _with_cell(line: str, value: str) -> str:
+    parts = line.split(",")
+    parts[-1] = value
+    return ",".join(parts)
+
+
+@pytest.mark.parametrize("mangle, message", [
+    # lines[0] is the header, row 1; a blank line still counts as a row
+    (lambda lines: lines[:2] + [""] + [_with_cell(lines[2], "x")]
+     + lines[3:], "row 4 failed to parse"),
+    (lambda lines: lines[:2] + ["   "] + lines[2:], "row 3 has 1 fields"),
+    (lambda lines: lines[:2] + [lines[2] + ","] + lines[3:],
+     "row 3 has 16 fields"),
+    (lambda lines: lines[:1] + [line.rsplit(",", 1)[0] for line in lines[1:]],
+     "row 2 has 14 fields"),
+    (lambda lines: lines[:2] + [_with_cell(lines[2], "1_0")] + lines[3:],
+     "'1_0'"),
+], ids=["blank_line_before_bad_row", "whitespace_line", "trailing_comma",
+        "every_row_one_short", "underscored_digits"])
+def test_load_names_the_bad_row(tmp_path, mangle, message):
+    record = synthetic_record(T=5)
+    path = tmp_path / "trial.csv"
+    save_trial_csv(record, str(path))
+    lines = mangle(path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(IncompleteLog) as info:
+        load_trial_csv(str(path))
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"], ids=["header_only",
+                                                    "blank_lines"])
+def test_load_without_rows_warns_nothing(tmp_path, capsys, body):
+    path = tmp_path / "trial.csv"
+    path.write_text(csv_header(3, 2) + "\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IncompleteLog) as info:
+            load_trial_csv(str(path))
+    assert "no data rows" in str(info.value)
+    assert capsys.readouterr().err == ""
 
 
 def test_load_rejects_gap_in_steps(tmp_path):
