@@ -160,9 +160,6 @@ class ControllerConfig:
             return k + 1
         return 1 << k.bit_length()
 
-    def schedule_fires(self, k: int) -> bool:
-        return k >= 1 and self.next_update(k - 1) == k
-
 
 @dataclass(frozen=True)
 class InputBreakdown:
@@ -208,7 +205,7 @@ class AdaptiveController:
         controllability matrix or a failed Riccati solve resets the gain to
         zero rather than raising. Returns whether the schedule fired.
         """
-        if not self.config.schedule_fires(k):
+        if not (k >= 1 and self.config.next_update(k - 1) == k):
             return False
         Theta, _ = estimates([self.estimator])
         self.Khat = certainty_equivalent_gains(Theta, self.cost)[0]

@@ -143,7 +143,9 @@ class TrialSummary:
     """Scalar per-trial facts kept after the bulky log is dropped.
 
     A failed (diverged) trial sets only the first five fields; the rest
-    stay None. ``final_regret`` is the total stage cost minus T J*.
+    stay None. ``final_regret`` is the regret curve's last value: the
+    cumulative stage cost at T minus T J*, the same float
+    regret.decompose_at reports for step T.
     t_nocb: first step from which the breaker never interferes again
     (1 when it never fired at all). t_stab: first step from which both
     contraction conditions hold for every later logged step. Censored
@@ -462,8 +464,7 @@ def _finish(config: ExperimentConfig, oracle: RiccatiSolution,
     facts = {}
     if not failed:
         facts = compute_trial_diagnostics(record, oracle, spec, config.delta)
-        # np.sum, not cum[-1]: the two differ in the last bits
-        facts["final_regret"] = float(np.sum(stage)) - T * oracle.J_star
+        facts["final_regret"] = float(cum[-1]) - T * oracle.J_star
         facts["final_rel_avg_regret"] = float(rel[-1])
     summary = TrialSummary(
         trial_index=trial_index, seed=seed, failed=failed,

@@ -2,9 +2,9 @@
 
 The plant is x_{k+1} = A x_k + B u_k + w_k starting from x_1 = 0, with
 w_k ~ N(0, W). Noise is produced by a counter-based generator addressed by
-(seed, step, lane), so any step of any trial can be regenerated bit-for-bit
-without replaying the stream, and parallel trials never share generator
-state.
+(seed, step, lane) and read in blocks of consecutive steps, so any block of
+any trial can be regenerated bit-for-bit without replaying the stream, and
+parallel trials never share generator state.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ class NoiseStream:
     draws of dimension m. The value at (seed, step k, lane) is a pure
     function of those three coordinates: draws are generated in fixed-size
     chunks by a counter-mode bit generator whose key encodes (seed, lane)
-    and whose counter encodes the chunk index, so access at any step is
-    O(1) amortized and identical no matter what was drawn before.
+    and whose counter encodes the chunk index. Noise is read in blocks of
+    consecutive steps (block), which generate only the chunks they cover,
+    so a block at any step is identical no matter what was read before.
     """
 
     def __init__(self, seed: int, state_dim: int, input_dim: int):
@@ -80,31 +81,20 @@ class NoiseStream:
             raise ValueError("dimensions must be >= 1")
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._dims = {"w": state_dim, "v": input_dim}
-        # per lane: (chunk_index, chunk_array)
-        self._cache: dict[str, tuple[int, np.ndarray]] = {}
 
     def _chunk(self, lane: str, chunk_index: int) -> np.ndarray:
-        cached = self._cache.get(lane)
-        if cached is not None and cached[0] == chunk_index:
-            return cached[1]
         key = (self.seed << 1) | _LANES[lane]
         bitgen = np.random.Philox(key=key, counter=chunk_index << 64)
-        arr = np.random.Generator(bitgen).standard_normal(
+        return np.random.Generator(bitgen).standard_normal(
             (NOISE_CHUNK, self._dims[lane]))
-        self._cache[lane] = (chunk_index, arr)
-        return arr
-
-    def lane_row(self, lane: str, k: int) -> np.ndarray:
-        """Standard-normal vector for step k (1-based) on the given lane."""
-        if lane not in _LANES:
-            raise ValueError(f"unknown lane {lane!r}")
-        if k < 1:
-            raise ValueError("step index is 1-based")
-        i = k - 1
-        return self._chunk(lane, i // NOISE_CHUNK)[i % NOISE_CHUNK]
 
     def block(self, lane: str, start_k: int, count: int) -> np.ndarray:
-        """Rows for steps start_k .. start_k+count-1 as a (count, dim) array."""
+        """Rows for steps start_k .. start_k+count-1 (1-based) on the given
+        lane, as a (count, dim) array."""
+        if lane not in _LANES:
+            raise ValueError(f"unknown lane {lane!r}")
+        if start_k < 1:
+            raise ValueError("step index is 1-based")
         out = np.empty((count, self._dims[lane]))
         filled = 0
         while filled < count:
@@ -120,12 +110,12 @@ class NoiseStream:
 def draw_process_noise(stream: NoiseStream, spec: PlantSpec,
                        k: int) -> np.ndarray:
     """State noise L g at step k (1-based), where L = spec.chol_W."""
-    return spec.chol_W @ stream.lane_row("w", k)
+    return spec.chol_W @ stream.block("w", k, 1)[0]
 
 
 def draw_probe_noise(stream: NoiseStream, m: int, k: int) -> np.ndarray:
     """Standard-normal probe vector at step k (1-based)."""
-    g = stream.lane_row("v", k)
+    g = stream.block("v", k, 1)[0]
     if g.shape[0] != m:
         raise ValueError(f"stream provisions {g.shape[0]} probe dims, asked {m}")
     return g

@@ -8,7 +8,8 @@ fields expanded to one indexed column per component; floats are written as
 their shortest round-tripping decimal form, so a load returns bit-identical
 values. A load parses the rows in one np.loadtxt call, so a cell must be a
 plain ASCII decimal or nan/inf, which is all a save writes; underscored or
-non-ASCII digits, which float() accepts, fail to parse. Gain history does
+non-ASCII digits, which float() accepts, fail to parse, and the error names
+the row, as for any other bad cell. Gain history does
 not fit a flat per-step CSV row, so it travels in a JSON sidecar next to
 each trial file. A record holds exactly what a log and its sidecar hold:
 the state after the last step is not kept, since regret.decompose_at
@@ -121,27 +122,28 @@ def save_trial_csv(record: TrialRecord, path: str) -> None:
 
 def _raise_bad_row(f, path: str, width: int, reason: str) -> NoReturn:
     """Raise IncompleteLog naming the first row of the open log ``f`` that
-    has the wrong field count or a cell float() rejects, counting lines
-    from the header as row 1; with no such row, raise it for ``reason``.
-    np.loadtxt numbers rows its own way, so a row named here comes from
-    this rescan, which builds nothing."""
+    has the wrong field count or that the parse in load_trial_csv rejects,
+    counting lines from the header as row 1; with no such row, raise it
+    for ``reason``. np.loadtxt numbers rows its own way, so each line is
+    parsed here alone, by the same call, and named by its line."""
     f.seek(0)
     f.readline()
     for lineno, line in enumerate(f, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
-        parts = line.split(",")
-        if len(parts) != width:
+        fields = line.count(",") + 1
+        if fields != width:
             raise IncompleteLog(
-                f"{path}: row {lineno} has {len(parts)} fields, "
+                f"{path}: row {lineno} has {fields} fields, "
                 f"expected {width}")
         try:
-            for p in parts:
-                float(p)
+            np.loadtxt([line], delimiter=",", comments=None)
         except ValueError as exc:
+            # loadtxt counts this one line as row 0
+            message = str(exc).replace(" at row 0, column", " in column")
             raise IncompleteLog(
-                f"{path}: row {lineno} failed to parse: {exc}") from None
+                f"{path}: row {lineno} failed to parse: {message}") from None
     raise IncompleteLog(f"{path}: failed to parse: {reason}")
 
 

@@ -26,10 +26,10 @@ def scalar_gain_oracle():
 
 def test_schedule_powers_of_two():
     config = ControllerConfig()
-    fired = [k for k in range(1, 40) if config.schedule_fires(k)]
+    fired = [k for k in range(1, 40) if config.next_update(k - 1) == k]
     assert fired == [1, 2, 4, 8, 16, 32]
     every = ControllerConfig(gain_update_schedule="every-step")
-    assert all(every.schedule_fires(k) for k in range(1, 40))
+    assert all(every.next_update(k - 1) == k for k in range(1, 40))
 
 
 def test_update_gain_skips_off_schedule_steps():
@@ -220,7 +220,7 @@ def test_probe_decay_exact():
     stream = NoiseStream(seed=9, state_dim=2, input_dim=2)
     for k in (1, 7, 100, 4096):
         out = ctrl.compute_input(k, np.zeros(2), stream)
-        v = stream.lane_row("v", k)
+        v = stream.block("v", k, 1)[0]
         assert np.array_equal(out.u_pr, k ** -0.25 * v)
         ratio = np.linalg.norm(out.u_pr) / np.linalg.norm(v)
         assert abs(ratio - k ** -0.25) < 1e-12

@@ -161,30 +161,58 @@ def test_noise_same_counter_same_vector():
     assert np.array_equal(a, b)
 
 
+def row(stream, lane, k):
+    return stream.block(lane, k, 1)[0]
+
+
 def test_noise_streams_reproducible_across_instances():
     s1 = NoiseStream(seed=1234, state_dim=2, input_dim=2)
     s2 = NoiseStream(seed=1234, state_dim=2, input_dim=2)
     for k in (1, 2, 3, 5000, 4096, 4097, 123456):
-        assert np.array_equal(s1.lane_row("w", k), s2.lane_row("w", k))
-        assert np.array_equal(s1.lane_row("v", k), s2.lane_row("v", k))
+        assert np.array_equal(row(s1, "w", k), row(s2, "w", k))
+        assert np.array_equal(row(s1, "v", k), row(s2, "v", k))
     s3 = NoiseStream(seed=1235, state_dim=2, input_dim=2)
-    assert not np.array_equal(s1.lane_row("w", 1), s3.lane_row("w", 1))
+    assert not np.array_equal(row(s1, "w", 1), row(s3, "w", 1))
 
 
 def test_noise_random_access_matches_sequential():
     stream = NoiseStream(seed=7, state_dim=2, input_dim=1)
-    sequential = [stream.lane_row("w", k).copy() for k in range(1, 9000)]
+    sequential = stream.block("w", 1, 8999)
     # revisit out of order on a fresh stream
     fresh = NoiseStream(seed=7, state_dim=2, input_dim=1)
     for k in (8999, 1, 4096, 4097, 2048, 8192):
-        assert np.array_equal(fresh.lane_row("w", k), sequential[k - 1])
+        assert np.array_equal(row(fresh, "w", k), sequential[k - 1])
 
 
 def test_noise_block_matches_rows():
     stream = NoiseStream(seed=21, state_dim=3, input_dim=2)
     blk = stream.block("v", 4090, 20)
     for i in range(20):
-        assert np.array_equal(blk[i], stream.lane_row("v", 4090 + i))
+        assert np.array_equal(blk[i], row(stream, "v", 4090 + i))
+
+
+@pytest.mark.parametrize("lane, start_k, count, message", [
+    ("x", 1, 1, "unknown lane 'x'"),
+    ("w", 0, 1, "1-based"),
+    ("v", 0, 0, "1-based"),
+], ids=["unknown_lane", "step_zero", "step_zero_empty_block"])
+def test_noise_block_rejects_unknown_lane_and_step_zero(lane, start_k, count,
+                                                        message):
+    stream = NoiseStream(seed=3, state_dim=2, input_dim=1)
+    with pytest.raises(ValueError, match=message):
+        stream.block(lane, start_k, count)
+
+
+def test_draws_are_block_rows():
+    spec = make_spec(np.zeros((2, 2)), np.zeros((2, 1)),
+                     W=[[4.0, 1.0], [1.0, 2.0]])
+    stream = NoiseStream(seed=11, state_dim=2, input_dim=1)
+    # a block across the chunk boundary at step 4096
+    G, V = stream.block("w", 4095, 3), stream.block("v", 4095, 3)
+    for k in (4096, 4097):
+        assert np.array_equal(draw_process_noise(stream, spec, k),
+                              spec.chol_W @ G[k - 4095])
+        assert np.array_equal(draw_probe_noise(stream, 1, k), V[k - 4095])
 
 
 def test_cholesky_scaling_scalar():

@@ -203,9 +203,11 @@ def _with_cell(line: str, value: str) -> str:
     (lambda lines: lines[:1] + [line.rsplit(",", 1)[0] for line in lines[1:]],
      "row 2 has 14 fields"),
     (lambda lines: lines[:2] + [_with_cell(lines[2], "1_0")] + lines[3:],
-     "'1_0'"),
+     "row 3 failed to parse"),
+    (lambda lines: lines[:2] + [_with_cell(lines[2], "\u0661\u0662")]
+     + lines[3:], "row 3 failed to parse"),
 ], ids=["blank_line_before_bad_row", "whitespace_line", "trailing_comma",
-        "every_row_one_short", "underscored_digits"])
+        "every_row_one_short", "underscored_digits", "non_ascii_digits"])
 def test_load_names_the_bad_row(tmp_path, mangle, message):
     record = synthetic_record(T=5)
     path = tmp_path / "trial.csv"
