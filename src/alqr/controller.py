@@ -207,7 +207,7 @@ class AdaptiveController:
         """
         if not (k >= 1 and self.config.next_update(k - 1) == k):
             return False
-        Theta, _ = estimates([self.estimator])
+        Theta, _ = estimates([self.estimator.snapshot()])
         self.Khat = certainty_equivalent_gains(Theta, self.cost)[0]
         return True
 

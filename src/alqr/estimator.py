@@ -5,7 +5,11 @@ so memory is O((m+n)^2) regardless of trajectory length, and the estimate
 S V^+ reproduces the batch least-squares solution exactly. Incoming pairs are
 copied into a preallocated 512-row buffer and folded into (V, S) each time it
 fills, so the sums are grouped the same way however the pairs arrive: one at
-a time or in blocks of any size.
+a time or in blocks of any size. A read (snapshot) adds the unfolded tail
+into new arrays and leaves the folded sums as they were, so reading never
+changes the bits of what comes after. Estimates are one stacked
+computation over a list of snapshots (estimates): a batch's estimators,
+or one estimator at several steps.
 """
 
 from __future__ import annotations
@@ -53,25 +57,20 @@ class EstimatorState:
         self._Xn = np.empty((_FLUSH_BLOCK, state_dim))
         self._fill = 0
 
-    def _effective(self) -> tuple[np.ndarray, np.ndarray]:
-        """Statistics including the uncommitted tail, without committing it.
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V, S) over every pair absorbed so far, the uncommitted tail
+        included, without committing it.
 
         Reads must not change how the committed sums are grouped, so a
         trajectory comes out bit-identical whether or not anything looked
-        at the estimator along the way.
+        at the estimator along the way. The arrays are never written
+        afterwards: later pairs fold into new ones, so a snapshot keeps its
+        values while the estimator absorbs on.
         """
         if not self._fill:
             return self._V, self._S
         Z = self._Z[:self._fill]
         return self._V + Z.T @ Z, self._S + self._Xn[:self._fill].T @ Z
-
-    @property
-    def V(self) -> np.ndarray:
-        return self._effective()[0]
-
-    @property
-    def S(self) -> np.ndarray:
-        return self._effective()[1]
 
     @property
     def count(self) -> int:
@@ -98,7 +97,7 @@ class EstimatorState:
             self._fill += take
             done += take
             if self._fill == _FLUSH_BLOCK:
-                self._V, self._S = self._effective()
+                self._V, self._S = self.snapshot()
                 self._fill = 0
         self._count += len(Z)
 
@@ -107,25 +106,26 @@ class EstimatorState:
 
         Rank deficiency yields the minimum-norm solution, so an empty state
         returns the zero matrix with rank 0. This is ``estimates`` on a
-        stack of one.
+        stack of one snapshot.
         """
-        Theta, ranks = estimates([self])
+        Theta, ranks = estimates([self.snapshot()])
         return ParameterEstimate(Theta=Theta[0], rank=int(ranks[0]),
                                  state_dim=self.state_dim)
 
 
-def estimates(states: list[EstimatorState]) -> tuple[np.ndarray, np.ndarray]:
-    """Theta = S V^+ for several estimators of one shape at once.
+def estimates(snapshots: list[tuple[np.ndarray, np.ndarray]]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Theta = S V^+ for several (V, S) snapshots of one shape at once.
 
     Returns the (N, n, n+m) estimates and their (N,) ranks, each row the
-    same bits as that estimator's own ``estimate``. One stacked eigh
-    decomposes every V; eigh sorts eigenvalues in ascending order, so the
-    ones kept (above PINV_RTOL * the largest) are a suffix, and rows of
-    equal rank r share one stacked product over their last r eigenvectors.
+    same bits as ``estimate`` of the estimator the snapshot came from, at
+    the step it was taken. One stacked eigh decomposes every V; eigh sorts
+    eigenvalues in ascending order, so the ones kept (above PINV_RTOL *
+    the largest) are a suffix, and rows of equal rank r share one stacked
+    product over their last r eigenvectors.
     """
-    sums = [state._effective() for state in states]
-    V = np.stack([v for v, _ in sums])
-    S = np.stack([s for _, s in sums])
+    V = np.stack([v for v, _ in snapshots])
+    S = np.stack([s for _, s in snapshots])
     # V is symmetric PSD; eigendecomposition doubles as its SVD
     eigvals, eigvecs = np.linalg.eigh(V)
     cutoff = PINV_RTOL * np.maximum(eigvals[:, -1], 0.0)

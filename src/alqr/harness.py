@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -60,9 +61,10 @@ from .regret import stage_costs
 GENERATOR_RETRY_CAP = 16
 # bytes of trial arrays one lockstep batch may hold (at least one trial)
 BATCH_BYTES = 192 << 20
-# longest clean run run_trials takes before it checks the breaker: steps
-# past a trip are taken and discarded, and a short cap keeps them few and
-# keeps a destabilizing gain from growing the state far before the rewind
+# longest clean run run_trials takes before it checks the breaker (a run
+# also ends at the next gain update or chunk end): steps past a trip are
+# taken and discarded, and a short cap keeps them few and keeps a
+# destabilizing gain from growing the state far before the rewind
 CLEAN_SPAN_CAP = 64
 
 _MASK64 = (1 << 64) - 1
@@ -184,25 +186,29 @@ class TrialResult:
     est_error_sq: np.ndarray
 
 
-def _feed(estimator: EstimatorState, X: np.ndarray, U_cb: np.ndarray,
-          U_pr: np.ndarray, upto: int) -> None:
-    """Absorb the pairs of rows estimator.count .. upto-1 of the trial arrays.
-
-    Row i's pair is z = [X[i]; U_cb[i] + U_pr[i]] with successor X[i + 1].
-    Blocks are at most one noise chunk long, which bounds the temporaries.
-    """
-    for a in range(estimator.count, upto, NOISE_CHUNK):
-        b = min(a + NOISE_CHUNK, upto)
-        estimator.absorb(np.hstack([X[a:b], U_cb[a:b] + U_pr[a:b]]),
-                         X[a + 1:b + 1])
-
-
-def trial_bytes(horizon: int, n: int, m: int) -> int:
+def trial_bytes(horizon: int, n: int, m: int, snapshots: int = 0) -> int:
     """Bytes of one trial's arrays in a batch: per step X, U_ce, U_cb,
     U_pr, W, the stage cost and the breaker code, plus its rows of the
-    clean-run buffers (u_ce and x for up to CLEAN_SPAN_CAP steps)."""
+    clean-run buffers (u_ce and x for up to CLEAN_SPAN_CAP steps) and
+    ``snapshots`` estimator snapshots (V and S) held at once."""
+    d = n + m
     return ((horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-            + 8 * (n + m) * min(CLEAN_SPAN_CAP, horizon))
+            + 8 * (n + m) * min(CLEAN_SPAN_CAP, horizon)
+            + 8 * (d * d + n * d) * snapshots)
+
+
+def _snapshots_per_stop(config: ExperimentConfig) -> int:
+    """The most estimator snapshots a trial holds at a stop of run_trials:
+    one for each checkpoint since the last stop, and one at the stop.
+
+    Checkpoint c is measured at the first stop at or after it: the step
+    before the first gain update after c, or the end of c's noise chunk.
+    """
+    stops = Counter(
+        min(config.controller.next_update(c) - 1,
+            -(-c // NOISE_CHUNK) * NOISE_CHUNK, config.horizon)
+        for c in config.checkpoints().tolist())
+    return max(stops.values()) + 1
 
 
 def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
@@ -213,7 +219,8 @@ def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
     are trials to fill them), so a pool of that many workers gets an even
     share; batch sizes differ by at most one.
     """
-    per_trial = trial_bytes(config.horizon, config.plant.n, config.plant.m)
+    per_trial = trial_bytes(config.horizon, config.plant.n, config.plant.m,
+                            _snapshots_per_stop(config))
     count = -(-config.trials // max(1, BATCH_BYTES // per_trial))
     count = min(-(-count // workers) * workers, config.trials)
     bounds = [config.trials * j // count for j in range(count + 1)]
@@ -258,28 +265,29 @@ def run_trials(config: ExperimentConfig, indices,
     step's logged state, and the breaker rule takes the steps from there
     one at a time until no row dwells. ``span`` starts at 1, doubles after
     each clean run and drops back to 1 after a trip; CLEAN_SPAN_CAP caps
-    it. A run ends at the next gain update, checkpoint or chunk end at the
-    latest, so every logged row that per-trial work reads is final. A
+    it. A run ends at the next gain update or chunk end at the latest. A
     clean run steps in place: each step writes u_ce, u and the next state
     (plant.step with ``out``) into buffers allocated once per batch, and
     the run's rows are copied into the logs when it ends. The breaker
     steps x in place too, from a copy of the logged state it rewound to.
 
-    Gain updates fire at the same k for every trial, and each is one
-    stacked call over the live rows: their estimates from one stacked
-    eigendecomposition (estimates), then certainty_equivalent_gains, whose
-    Riccati loop runs every row until it stops where it would stop alone.
-    A checkpoint records the estimation error from the same stacked
-    estimates, and a checkpoint and gain update at the same step share
-    them. The estimator feeds stay per trial, made from the logged rows
-    only when the estimate is read. Every stacked product and
+    The loop stops only before a gain update and at each chunk end, where
+    every logged row is final. A stop first checks the overflow guard
+    (overflow_failures) on the states since the last one: a row past it
+    leaves the live rows but keeps stepping, unread; its trial comes back
+    cut at its first failing step and marked failed, and the batch ends at
+    the first stop with no row live. The stop then feeds each trial's
+    estimator the logged pairs since the last stop and takes its snapshot
+    at every checkpoint c passed since then that the trial has not failed
+    by (failure step > c), and at the stop if the trial is live. All the
+    snapshots go through one stacked estimate (estimates, one stacked
+    eigendecomposition); the checkpoints' estimates through one stacked
+    estimation_error. Gain updates fire at the same k for every trial:
+    the live rows' estimates at the stop go through one
+    certainty_equivalent_gains call, whose Riccati loop runs every row
+    until it stops where it would stop alone. Every stacked product and
     decomposition is the per-row one bit for bit, so a trial's outputs do
-    not depend on the batch it ran in. The overflow guard
-    (overflow_failures) is checked where per-trial work reads states:
-    before a gain update, at a checkpoint and at each chunk end. A row
-    past it leaves the live rows but keeps stepping, unread; its trial
-    comes back cut at its first failing step and marked failed. The batch
-    stops once no row is live.
+    not depend on the batch it ran in.
     """
     spec = config.plant
     n, m = spec.n, spec.m
@@ -314,20 +322,58 @@ def run_trials(config: ExperimentConfig, indices,
     failures: dict[int, tuple[int, str]] = {}
     checked = 0
 
-    def estimate(upto: int) -> np.ndarray:
-        """The live rows' stacked estimates from the pairs of steps 1..upto."""
-        for r in live:
-            _feed(estimators[r], X[r], U_cb[r], U_pr[r], upto)
-        return estimates([estimators[r] for r in live])[0]
+    cps = config.checkpoints()
+    est_sq = np.full((N, len(cps)), np.nan)
+    # the checkpoints before cps[measured] have their est_sq entries
+    measured = 0
 
-    def check(upto: int) -> bool:
-        """Guard the live rows' states after steps checked+1 .. upto."""
-        nonlocal live, checked
-        found = overflow_failures(X[live, checked + 1:upto + 1], checked + 1)
-        failures.update((live[j], failure) for j, failure in found.items())
-        live = [r for j, r in enumerate(live) if j not in found]
+    def stop_at(upto: int) -> np.ndarray | None:
+        """Guard the live rows' states after steps checked+1 .. upto, then
+        make the stop's estimates in one stacked call: each row's at every
+        checkpoint since the last stop that it has not failed by (failure
+        step > c), and at upto if it is live. Fills est_sq; returns the
+        live rows' estimates at upto, or None when no row is live.
+        """
+        nonlocal live, checked, measured
+        rows = live
+        found = overflow_failures(X[rows, checked + 1:upto + 1], checked + 1)
+        failures.update((rows[j], failure) for j, failure in found.items())
+        live = [r for j, r in enumerate(rows) if j not in found]
         checked = upto
-        return bool(live)
+        reached = int(np.searchsorted(cps, upto, side="right"))
+        pending = list(enumerate(cps[measured:reached].tolist(), measured))
+        measured = reached
+        cells, snapshots, at_stop = [], [], []
+        for r in rows:
+            estimator = estimators[r]
+            a = estimator.count
+            last = failures[r][0] - 1 if r in failures else upto
+            # row i's pair is z = [X[i]; U_cb[i] + U_pr[i]] with successor
+            # X[i + 1]; the row was fed to the last stop, so its new pairs
+            # span at most one noise chunk
+            Z = np.concatenate(
+                [X[r, a:last], U_cb[r, a:last] + U_pr[r, a:last]], axis=1)
+            Xn = X[r, a + 1:last + 1]
+            done = 0
+            for j, c in pending:
+                if c > last:
+                    break
+                estimator.absorb(Z[done:c - a], Xn[done:c - a])
+                done = c - a
+                cells.append((r, j))
+                snapshots.append(estimator.snapshot())
+            if r not in failures:
+                estimator.absorb(Z[done:], Xn[done:])
+                at_stop.append(estimator.snapshot())
+        snapshots += at_stop
+        if not snapshots:
+            return None
+        Theta = estimates(snapshots)[0]
+        if cells:
+            err = estimation_error(Theta[:len(cells)], spec.sys)
+            at_rows, at_cps = zip(*cells)
+            est_sq[at_rows, at_cps] = err * err
+        return Theta[len(cells):] if live else None
 
     # x is the batch's state as an (N, n, 1) column stack; a clean run
     # writes its steps' u_ce and successor states into run_ce and run_x,
@@ -342,12 +388,6 @@ def run_trials(config: ExperimentConfig, indices,
     K = np.zeros((N, m, n))
     xi = np.zeros(N, dtype=np.int64)
     next_update = config.controller.next_update(0)
-
-    cps = config.checkpoints()
-    est_sq = np.full((N, len(cps)), np.nan)
-    # 0 never matches a step: the sentinel after the last checkpoint
-    cp_steps = cps.tolist() + [0]
-    cp_idx = 0
 
     # steps of the next clean run: doubled after a clean run, back to 1
     # after a trip
@@ -368,32 +408,20 @@ def run_trials(config: ExperimentConfig, indices,
         limits = thresholds(start + 1, count)
         # i steps are taken: X[:, i] is final and x is the state at step i+1
         i = start
-        while True:
-            Theta = None
-            if i == cp_steps[cp_idx]:
-                if not check(i):
-                    break
-                Theta = estimate(i)
-                err = estimation_error(Theta, spec.sys)
-                est_sq[live, cp_idx] = err * err
-                cp_idx += 1
-            if i == stop:
-                break
+        while i < stop:
             if i + 1 == next_update:
-                if not check(i):
-                    break
+                Theta = stop_at(i)
                 if Theta is None:
-                    Theta = estimate(i)
+                    break
                 gains = certainty_equivalent_gains(Theta, spec.cost)
                 K[live] = gains
                 for r, gain in zip(live, gains):
                     segments[r].append((i + 1, gain))
                 next_update = config.controller.next_update(i + 1)
             if not np.count_nonzero(xi):
-                # a clean run, ending by the next gain update, checkpoint
-                # or chunk end: u_cb = u_ce at every step, the breaker
-                # checked after
-                end = min(i + span, stop, next_update - 1, cp_steps[cp_idx])
+                # a clean run, ending by the next gain update or chunk end:
+                # u_cb = u_ce at every step, the breaker checked after
+                end = min(i + span, stop, next_update - 1)
                 a, b = i - start, end - start
                 # out= passed by position, which numpy parses faster
                 for ce, x_next, p, w in zip(run_ce, run_x, Pc[a:b], Wc[a:b]):
@@ -424,7 +452,7 @@ def run_trials(config: ExperimentConfig, indices,
             step(x, u, Wc[i - start], spec, x)
             i += 1
             X[:, i] = x[..., 0]
-        if not (live and check(stop)):
+        if not live or stop_at(stop) is None:
             break
 
     logs = (X, U_ce, U_cb, U_pr, W, breaker_codes)

@@ -27,6 +27,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import IncompleteLog
+from .plant import NOISE_CHUNK
 
 BREAKER_CLEAR = 0   # feedback passed through (u_cb = u_ce)
 BREAKER_DWELL = 1   # dwell period running, feedback zeroed
@@ -101,23 +102,34 @@ def csv_header(n: int, m: int) -> str:
 
 
 def save_trial_csv(record: TrialRecord, path: str) -> None:
-    T = record.horizon
-    lines = [csv_header(record.n, record.m)]
-    X, U_ce, U_cb, U_pr, W = (record.X, record.U_ce, record.U_cb,
-                              record.U_pr, record.W)
-    breaker, stage = record.breaker, record.stage_cost
-    # python-level floats repr to the shortest digits that round-trip exactly
-    wide = np.hstack([X, U_ce, U_cb, U_pr, W]).tolist()
-    stage_list = stage.tolist()
-    for i in range(T):
-        parts = [str(i + 1)]
-        parts += [repr(v) for v in wide[i]]
-        parts.append(str(int(breaker[i])))
-        parts.append(repr(stage_list[i]))
-        lines.append(",".join(parts))
+    """Write the record's rows under the schema header.
+
+    Python floats repr to the shortest digits that round-trip exactly.
+    Cells are formatted a column at a time over blocks of at most
+    NOISE_CHUNK rows, so the strings held at once do not grow with the
+    horizon. A u_cb cell equal to the u_ce cell beside it, as at every step
+    the breaker passes, reuses that cell's string.
+    """
     with open(path, "w") as f:
-        f.write("\n".join(lines))
-        f.write("\n")
+        f.write(csv_header(record.n, record.m) + "\n")
+        for a in range(0, record.horizon, NOISE_CHUNK):
+            rows = slice(a, min(a + NOISE_CHUNK, record.horizon))
+            ce, cb = record.U_ce[rows], record.U_cb[rows]
+            ce_cells = [list(map(repr, col)) for col in ce.T.tolist()]
+            cb_cells = [list(cells) for cells in ce_cells]
+            # equal values of one sign are one float, so the same digits
+            same = (cb == ce) & (np.signbit(cb) == np.signbit(ce))
+            for i, j in np.argwhere(~same).tolist():
+                cb_cells[j][i] = repr(cb[i, j].item())
+            columns = [map(str, range(rows.start + 1, rows.stop + 1))]
+            columns += [map(repr, col) for col in record.X[rows].T.tolist()]
+            columns += ce_cells + cb_cells
+            columns += [map(repr, col) for arr in (record.U_pr, record.W)
+                        for col in arr[rows].T.tolist()]
+            columns.append(map(str, record.breaker[rows].tolist()))
+            columns.append(map(repr, record.stage_cost[rows].tolist()))
+            f.write("\n".join(map(",".join, zip(*columns))))
+            f.write("\n")
 
 
 def _raise_bad_row(f, path: str, width: int, reason: str) -> NoReturn:

@@ -15,8 +15,8 @@ def test_absorb_single_pair():
     est.absorb(z, x_next)
     V = np.zeros((3, 3)); V[0, 0] = 1.0
     S = np.zeros((2, 3)); S[0, 0] = 1.0
-    assert np.array_equal(est.V, V)
-    assert np.array_equal(est.S, S)
+    assert np.array_equal(est.snapshot()[0], V)
+    assert np.array_equal(est.snapshot()[1], S)
     assert est.count == 1
 
 
@@ -29,8 +29,8 @@ def test_absorb_commutes():
         fwd.absorb(z, x)
     for z, x in reversed(pairs):
         rev.absorb(z, x)
-    assert np.allclose(fwd.V, rev.V, atol=1e-15)
-    assert np.allclose(fwd.S, rev.S, atol=1e-15)
+    for a, b in zip(fwd.snapshot(), rev.snapshot()):
+        assert np.allclose(a, b, atol=1e-15)
 
 
 def test_absorb_accumulates_count_on_diagonal():
@@ -38,7 +38,7 @@ def test_absorb_accumulates_count_on_diagonal():
     z = np.array([1.0, 0.0])
     for _ in range(17):
         est.absorb(z, np.array([0.5]))
-    assert abs(est.V[0, 0] - 17.0) < 1e-12
+    assert abs(est.snapshot()[0][0, 0] - 17.0) < 1e-12
     assert est.count == 17
 
 
@@ -58,11 +58,38 @@ def test_block_splits_match_per_row_absorbs():
             blocks.absorb(Z[a:b], Xn[a:b])
             blocks.estimate()
         assert blocks.count == rows.count
-        assert np.array_equal(blocks.V, rows.V), cuts
-        assert np.array_equal(blocks.S, rows.S), cuts
+        for a, b in zip(blocks.snapshot(), rows.snapshot()):
+            assert np.array_equal(a, b), cuts
         assert np.array_equal(blocks.estimate().Theta,
                               rows.estimate().Theta), cuts
 
+
+
+def test_snapshots_keep_their_values():
+    # a snapshot is the sums at the step it was taken: later absorbs,
+    # folds at 512-row boundaries included, leave it alone, and it has the
+    # bits of an estimator fed exactly that far. estimates over snapshots
+    # of one estimator at several steps gives each step's own estimate
+    rng = np.random.default_rng(12)
+    Z = rng.standard_normal((1300, 5))
+    Xn = rng.standard_normal((1300, 3))
+    state = EstimatorState(state_dim=3, input_dim=2)
+    steps = (0, 1, 4, 511, 512, 513, 1024, 1300)
+    snapshots, copies = [], []
+    for a, b in zip((0,) + steps, steps):
+        state.absorb(Z[a:b], Xn[a:b])
+        snapshots.append(state.snapshot())
+        copies.append([array.copy() for array in snapshots[-1]])
+    Theta, ranks = estimates(snapshots)
+    for c, snapshot, copy, theta, rank in zip(steps, snapshots, copies,
+                                              Theta, ranks):
+        fresh = EstimatorState(state_dim=3, input_dim=2)
+        fresh.absorb(Z[:c], Xn[:c])
+        for got, kept, want in zip(snapshot, copy, fresh.snapshot()):
+            assert got.tobytes() == kept.tobytes() == want.tobytes(), c
+        single = fresh.estimate()
+        assert single.Theta.tobytes() == theta.tobytes(), c
+        assert single.rank == rank, c
 
 def test_trace_matches_sum_of_squares():
     rng = np.random.default_rng(8)
@@ -72,7 +99,7 @@ def test_trace_matches_sum_of_squares():
         z = rng.standard_normal(4)
         total += float(z @ z)
         est.absorb(z, rng.standard_normal(2))
-    assert abs(np.trace(est.V) - total) < 1e-9 * max(1.0, total)
+    assert abs(np.trace(est.snapshot()[0]) - total) < 1e-9 * max(1.0, total)
 
 
 def test_estimate_empty_state():
@@ -129,7 +156,7 @@ def test_minimum_norm_on_rank_deficient_data():
         est.absorb(z, rng.standard_normal(2))
     out = est.estimate()
     assert out.rank == 2
-    V = est.V
+    V = est.snapshot()[0]
     proj = np.eye(4) - V @ np.linalg.pinv(V)
     assert np.linalg.norm(out.Theta @ proj) < 1e-8
     assert np.allclose(out.Theta[:, 2:], 0.0, atol=1e-8)
@@ -171,7 +198,7 @@ def test_noisy_scalar_consistency():
 
 def _estimate_2d(state):
     """S V^+ written out for one estimator, one matrix at a time."""
-    V, S = state.V, state.S
+    V, S = state.snapshot()
     eigvals, eigvecs = np.linalg.eigh(V)
     keep = eigvals > PINV_RTOL * max(eigvals[-1], 0.0)
     if not keep.any():
@@ -193,7 +220,7 @@ def test_stacked_estimates_match_single_estimates(n, m):
             state.absorb(rng.standard_normal((steps, n + m)),
                          rng.standard_normal((steps, n)))
         states.append(state)
-    Theta, ranks = estimates(states)
+    Theta, ranks = estimates([state.snapshot() for state in states])
     assert ranks.tolist() == [min(steps, n + m) for steps in lengths]
     for state, theta, rank in zip(states, Theta, ranks):
         single = state.estimate()

@@ -14,12 +14,13 @@ import pytest
 
 from alqr.control_math import CostWeights, SystemMatrices, solve_dare
 from alqr.controller import ControllerConfig
+from alqr.estimator import EstimatorState, estimation_error
 from alqr.harness import (BATCH_BYTES, CLEAN_SPAN_CAP, ExperimentConfig,
                           TrialSummary, checkpoint_steps,
                           generate_stand_in_plant, resolve_workers,
                           run_experiment, run_trial, run_trials,
                           trial_batches, trial_seed)
-from alqr.plant import PlantSpec
+from alqr.plant import PlantSpec, step
 from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER,
                           load_gain_sidecar, load_trial_csv)
 from alqr.regret import decompose_at
@@ -201,6 +202,30 @@ def assert_same_trial(a, b, label):
                           equal_nan=True), label
 
 
+def assert_est_error_matches_oracle(result, config, label):
+    """Each est_error_sq[j] is, bit for bit, the squared estimation_error
+    of a fresh estimator fed the record's own pairs of steps 1..c, c the
+    checkpoint; at c = T the last successor state is one plant.step from
+    the last row, as regret.decompose_at derives it. From the failure
+    step on the value is NaN."""
+    record, spec = result.record, config.plant
+    U = record.U_cb + record.U_pr
+    successors = record.X[1:]
+    if not result.summary.failed:
+        successors = np.vstack([successors, step(
+            record.X[-1], U[-1], record.W[-1], spec)])
+    end = result.summary.failure_step or config.horizon + 1
+    for j, c in enumerate(config.checkpoints().tolist()):
+        got = result.est_error_sq[j]
+        if c >= end:
+            assert np.isnan(got), (label, c)
+            continue
+        fresh = EstimatorState(spec.n, spec.m)
+        fresh.absorb(np.hstack([record.X[:c], U[:c]]), successors[:c])
+        err = estimation_error(fresh.estimate(), spec.sys)
+        assert got == err * err, (label, c)
+
+
 def dense_w_8x4():
     big = reference_spec(n=8, m=4)
     M = np.random.default_rng(3).standard_normal((8, 8))
@@ -233,6 +258,7 @@ def test_batch_rows_match_trials_run_alone(ref):
             assert not result.summary.failed, (label, i)
             assert_same_trial(result, run_trial(config, i, truth),
                               (label, i))
+            assert_est_error_matches_oracle(result, config, (label, i))
 
 
 def test_batch_rows_in_different_breaker_states(ref):
@@ -274,6 +300,7 @@ def test_mixed_batch_rows_fail_at_their_own_steps(ref):
         assert steps == want
         for i, result in enumerate(batch):
             assert_same_trial(result, run_trial(config, i, truth), i)
+            assert_est_error_matches_oracle(result, config, i)
             if steps[i] is None:
                 assert result.record.horizon == T
                 continue
@@ -286,6 +313,33 @@ def test_mixed_batch_rows_fail_at_their_own_steps(ref):
             assert result.record.gain_segments[-1][0] <= steps[i]
             assert np.isnan(result.rel_avg_regret[-1])
             assert np.isnan(result.est_error_sq[-1])
+
+
+def test_batch_whose_rows_all_fail(ref):
+    # at W = 1e22 I every row of the batch passes the overflow guard inside
+    # the first noise chunk, the last at step 1298. A checkpoint does not
+    # end a run, so the failed rows step on, unread, to the stop before the
+    # gain update at 2048 and the batch ends there. Each row still equals
+    # its trial run alone and fails where the hand-written loop does; a
+    # RuntimeWarning from the extra steps would fail the test. Every step
+    # is a checkpoint, so each row's last estimate is the one just before
+    # its failure step, and the stop at 2047 measures 1024 checkpoints
+    spec, _ = ref
+    wild = PlantSpec(sys=spec.sys, W=1e22 * np.eye(spec.n), cost=spec.cost)
+    config = make_config(wild, horizon=5000, trials=3, base_seed=0,
+                         checkpoint_factor=1 + 1e-12)
+    truth = solve_dare(wild.sys, wild.cost, wild.W)
+    batch = run_trials(config, range(3), truth)
+    steps = [r.summary.failure_step for r in batch]
+    assert steps == [1298, 693, 166]
+    for i, result in enumerate(batch):
+        assert_same_trial(result, run_trial(config, i, truth), i)
+        assert_est_error_matches_oracle(result, config, i)
+        with pytest.raises(Diverged) as info:
+            drive_trial(wild, 5000, seed=trial_seed(0, i))
+        assert info.value.step == steps[i]
+        assert result.summary.failure_reason == str(info.value)
+        assert result.record.horizon == steps[i]
 
 
 def test_trial_batches_partition(ref):
@@ -319,21 +373,41 @@ def test_trial_batches_partition(ref):
                                          trials=3))) == 1
 
 
-@pytest.mark.parametrize("T", [1, CLEAN_SPAN_CAP, CLEAN_SPAN_CAP + 1])
-def test_trial_batches_count_the_clean_run_buffers(ref, T):
-    # a trial holds T + 1 rows of log arrays and min(CLEAN_SPAN_CAP, T)
-    # rows of the clean run's u_ce and x buffers; a batch that fills
-    # BATCH_BYTES with both takes one trial more than the budget allows
+@pytest.mark.parametrize("T,factor,schedule,snapshots", [
+    # at factor 1.2 the checkpoints 8 .. 13 wait for the stop before the
+    # gain update at 16
+    pytest.param(1, 1.2, "powers-of-two", 2, id="1"),
+    pytest.param(CLEAN_SPAN_CAP, 1.2, "powers-of-two", 6,
+                 id=str(CLEAN_SPAN_CAP)),
+    pytest.param(CLEAN_SPAN_CAP + 1, 1.2, "powers-of-two", 6,
+                 id=str(CLEAN_SPAN_CAP + 1)),
+    # every step a checkpoint: under every-step each has its own stop;
+    # under powers-of-two steps 2048 .. 4095 wait for the gain update at
+    # 4096, and steps 4097 .. 8191 for the chunk end at 8192
+    pytest.param(4096, 1 + 1e-12, "every-step", 2, id="every-step"),
+    pytest.param(4096, 1 + 1e-12, "powers-of-two", 2049, id="dense-4096"),
+    pytest.param(10_000, 1 + 1e-12, "powers-of-two", 4096,
+                 id="dense-10000")])
+def test_trial_batches_count_the_clean_run_buffers(ref, T, factor, schedule,
+                                                   snapshots):
+    # a trial holds T + 1 rows of log arrays, min(CLEAN_SPAN_CAP, T) rows
+    # of the clean run's u_ce and x buffers, and at a stop one estimator
+    # snapshot (V and S) per checkpoint passed since the last stop and
+    # one at the stop; a batch that fills BATCH_BYTES with all three
+    # takes one trial more than the budget allows
     spec, _ = ref
     n, m = spec.n, spec.m
+    d = n + m
     per_trial = ((T + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-                 + 8 * (n + m) * min(CLEAN_SPAN_CAP, T))
+                 + 8 * (n + m) * min(CLEAN_SPAN_CAP, T)
+                 + 8 * (d * d + n * d) * snapshots)
     fit = BATCH_BYTES // per_trial
-    assert len(trial_batches(make_config(spec, horizon=T, trials=fit))) == 1
-    batches = trial_batches(make_config(spec, horizon=T, trials=fit + 1))
+    over = dict(horizon=T, checkpoint_factor=factor,
+                controller=ControllerConfig(schedule))
+    assert len(trial_batches(make_config(spec, trials=fit, **over))) == 1
+    batches = trial_batches(make_config(spec, trials=fit + 1, **over))
     assert len(batches) == 2
     assert all(len(b) * per_trial <= BATCH_BYTES for b in batches)
-
 
 def test_trial_record_satisfies_decomposition(ref):
     spec, oracle = ref
