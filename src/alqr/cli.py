@@ -43,7 +43,7 @@ from .harness import (
 )
 from .plant import plant_spec_to_dict
 from .records import load_gain_sidecar, load_trial_csv
-from .regret import decompose_at, stage_costs
+from .regret import RegretFold, decompose_at, stage_costs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -158,49 +158,51 @@ def _trial_files(trials_dir: str) -> list[tuple[int, str]]:
 
 def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
                    oracle, failures: list) -> dict:
+    """Audit one trial log block by block; its failures join ``failures``
+    only once every block has been read."""
     spec = experiment.plant
-    record = load_trial_csv(path, trial_index=idx)
-    T = record.horizon
+    cps = experiment.checkpoints().tolist()
+    found = []
+    fold = RegretFold(oracle, spec, cps)
+    nocb, noise_holds = (1, False), True
+    for block in load_trial_csv(path, trial_index=idx):
+        expected = stage_costs(block.X, block.U_cb + block.U_pr, spec.cost)
+        gap = np.abs(block.stage_cost - expected)
+        tol = STAGE_RTOL * np.maximum(1.0, np.abs(expected))
+        bad = np.flatnonzero(~(gap <= tol))  # a NaN gap is bad too
+        if bad.size and not found:  # the first bad row of the trial
+            i = int(bad[0])
+            row = block.first_step + i
+            found.append({
+                "trial": idx, "kind": "stage_cost", "row": row,
+                "message": (f"stage_cost at step {row} is "
+                            f"{float(block.stage_cost[i])!r}, "
+                            f"recomputed {float(expected[i])!r}")})
+        fold.add(block)
+        nocb = detect_t_nocb(block, nocb)
+        noise_holds = noise_holds and check_noise_event(
+            block, spec, experiment.delta)
+    T = block.horizon
 
-    expected = stage_costs(record.X, record.U_cb + record.U_pr, spec.cost)
-    gap = np.abs(record.stage_cost - expected)
-    tol = STAGE_RTOL * np.maximum(1.0, np.abs(expected))
-    bad = np.flatnonzero(~(gap <= tol))  # a NaN gap is bad too
-    if bad.size:
-        row = int(bad[0]) + 1
-        failures.append({
-            "trial": idx, "kind": "stage_cost", "row": row,
-            "message": (f"stage_cost at step {row} is "
-                        f"{float(record.stage_cost[row - 1])!r}, "
-                        f"recomputed {float(expected[row - 1])!r}")})
-
-    cps = experiment.checkpoints()
-    cps = cps[cps <= T].tolist()
-    if not cps or cps[-1] != T:
-        cps.append(T)
-    reports = decompose_at(record, oracle, spec, cps)
+    cps = [c for c in cps if c < T] + [T]
     worst_residual = 0.0
-    for cp, report in zip(cps, reports):
+    for cp, report in zip(cps, fold.reports(cps)):
         worst_residual = max(worst_residual, report.residual)
         if not report.within_tolerance:
-            failures.append({
+            found.append({
                 "trial": idx, "kind": "decomposition", "checkpoint": int(cp),
                 "message": (f"residual {report.residual:.3e} exceeds "
                             f"tolerance at checkpoint {cp}")})
 
-    info = {"trial": idx, "steps": T, "worst_residual": worst_residual}
-    t_nocb, censored = detect_t_nocb(record)
-    info["t_nocb"] = t_nocb
-    info["t_nocb_censored"] = censored
-    info["noise_event_holds"] = check_noise_event(record, spec,
-                                                  experiment.delta)
+    info = {"trial": idx, "steps": T, "worst_residual": worst_residual,
+            "t_nocb": nocb[0], "t_nocb_censored": nocb[1],
+            "noise_event_holds": noise_holds}
     gains_path = os.path.splitext(path)[0] + "_gains.json"
     if os.path.exists(gains_path):
-        t_stab, stab_censored = detect_t_stab(
-            replace(record, gain_segments=load_gain_sidecar(gains_path)),
+        info["t_stab"], info["t_stab_censored"] = detect_t_stab(
+            replace(block, gain_segments=load_gain_sidecar(gains_path)),
             oracle, spec)
-        info["t_stab"] = t_stab
-        info["t_stab_censored"] = stab_censored
+    failures.extend(found)
     return info
 
 

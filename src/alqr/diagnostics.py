@@ -1,10 +1,12 @@
-"""Post-hoc measurement of stabilization and regularity quantities.
+"""Measurement of stabilization and regularity quantities.
 
-Everything here is a read-only scan over a completed TrialRecord: the two
-random times (when the closed loop becomes jointly contractive, and when the
-breaker goes quiet for good), the noise-regularity event, the state-norm
-growth ratio, and log-log slope fits of regret curves. Detectors never run
-during simulation.
+When the breaker goes quiet for good, the noise-regularity event and the
+state-norm growth ratio are read from one block of a trial's rows (a
+TrialRecord) at a time: t_nocb and the ratio take their value over the
+blocks before it, and the event holds for a trial if it holds on every
+block. simulate passes a finished trial as one block, analyze a log block
+by block. When the closed loop becomes jointly contractive reads the gain
+history, and log-log slope fits read regret curves.
 """
 
 from __future__ import annotations
@@ -33,18 +35,20 @@ class SlopeEstimate:
     excluded_nonpositive: int
 
 
-def detect_t_nocb(record: TrialRecord) -> tuple[int, bool]:
-    """First step after all breaker involvement, plus a censored flag.
+def detect_t_nocb(block: TrialRecord,
+                  before: tuple[int, bool] = (1, False)) -> tuple[int, bool]:
+    """First step after all breaker involvement, plus a censored flag,
+    through the block and ``before``, the pair over the blocks before it.
 
     Returns 1 + the last step whose breaker flag shows a trigger or dwell,
     or 1 if the breaker never fired. Censored means the breaker was still
-    active at the final logged step, so the true value lies past the log.
+    active at the block's last step, so the true value lies past the log.
     """
-    active = np.flatnonzero(record.breaker != 0)
+    active = np.flatnonzero(block.breaker != 0)
     if active.size == 0:
-        return 1, False
-    last_step = int(active[-1]) + 1
-    return last_step + 1, last_step == record.horizon
+        return before[0], False
+    last_step = block.first_step + int(active[-1])
+    return last_step + 1, last_step == block.horizon
 
 
 def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
@@ -56,7 +60,8 @@ def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
     where t_k = dwell(k) and Khat_k is the gain in effect at k.
     Returns 1 + the last failing step (1 if none fail) and a censored flag
     set when the final step itself fails. The maps of every dwell span and
-    gain segment go through one stacked stability_margin call.
+    gain segment go through one stacked stability_margin call. Only the
+    horizon and gain history are read: a last block with them will do.
     """
     if not record.gain_segments:
         raise IncompleteLog(
@@ -94,9 +99,10 @@ def noise_bound(k, n: int, delta: float):
     return 2.0 * math.sqrt(n + 1) * np.sqrt(np.log(np.asarray(k, dtype=float) / delta))
 
 
-def check_noise_event(record: TrialRecord, truth: PlantSpec,
+def check_noise_event(block: TrialRecord, truth: PlantSpec,
                       delta: float) -> bool:
-    """Whether max(||L^-1 w_k||, ||v_k||) stays under the regularity envelope.
+    """Whether max(||L^-1 w_k||, ||v_k||) stays under the regularity envelope
+    over the block's steps.
 
     The envelope is built for standard normal draws, so the process noise is
     whitened first by the Cholesky factor L = truth.chol_W of its covariance
@@ -105,31 +111,34 @@ def check_noise_event(record: TrialRecord, truth: PlantSpec,
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-    T = record.horizon
-    ks = np.arange(1, T + 1, dtype=float)
-    bound = noise_bound(ks, record.n, delta)
+    ks = np.arange(block.first_step, block.horizon + 1, dtype=float)
+    bound = noise_bound(ks, block.n, delta)
     # forward substitution L white_k = w_k over the n columns; a NaN row
     # fails the comparison below rather than raising here
     L = truth.chol_W
-    white = np.empty_like(record.W)
-    for i in range(record.n):
-        white[:, i] = (record.W[:, i] - white[:, :i] @ L[i, :i]) / L[i, i]
+    white = np.empty_like(block.W)
+    for i in range(block.n):
+        white[:, i] = (block.W[:, i] - white[:, :i] @ L[i, :i]) / L[i, i]
     w_norms = np.linalg.norm(white, axis=1)
-    v_norms = np.linalg.norm(record.U_pr, axis=1) * ks ** -PROBE_EXPONENT
+    v_norms = np.linalg.norm(block.U_pr, axis=1) * ks ** -PROBE_EXPONENT
     return bool(np.all(w_norms <= bound) and np.all(v_norms <= bound))
 
 
-def max_state_norm_ratio(record: TrialRecord, delta: float) -> float:
-    """max_k ||x_k|| / log(k/delta) over the logged trajectory."""
-    ks = np.arange(1, record.horizon + 1, dtype=float)
+def max_state_norm_ratio(block: TrialRecord, delta: float,
+                         before: float = -math.inf) -> float:
+    """max_k ||x_k|| / log(k/delta) over the block's steps and ``before``,
+    the value over the blocks before it."""
+    ks = np.arange(block.first_step, block.horizon + 1, dtype=float)
     denom = np.log(ks / delta)
-    return float(np.max(np.linalg.norm(record.X, axis=1) / denom))
+    return float(np.max(np.linalg.norm(block.X, axis=1) / denom,
+                        initial=before))
 
 
 def compute_trial_diagnostics(
         record: TrialRecord, oracle: RiccatiSolution, truth: PlantSpec,
         delta: float) -> dict:
-    """The six scalar diagnostics, keyed by their TrialSummary field names."""
+    """The six scalar diagnostics of a whole trial, keyed by their
+    TrialSummary field names."""
     t_nocb, nocb_cens = detect_t_nocb(record)
     t_stab, stab_cens = detect_t_stab(record, oracle, truth)
     return {"t_nocb": t_nocb, "t_nocb_censored": nocb_cens,

@@ -1,12 +1,14 @@
 """Per-trial trajectory logs and their on-disk CSV form.
 
-A TrialRecord holds everything needed to audit a finished trial: states,
-the three input components, process noise, breaker flags, stage costs, and
-the feedback gain in effect over each span of steps. The CSV schema is
+A TrialRecord holds everything needed to audit a finished trial, or a
+block of its steps: states, the three input components, process noise,
+breaker flags, stage costs, and the feedback gain in effect over each span
+of steps. The CSV schema is
 ``k,x...,u_ce...,u_cb...,u_pr...,w...,breaker,stage_cost`` with vector
 fields expanded to one indexed column per component; floats are written as
 their shortest round-tripping decimal form, so a load returns bit-identical
-values. A load parses the rows in one np.loadtxt call, so a cell must be a
+values. A load parses the rows in blocks of at most NOISE_CHUNK, one
+np.loadtxt call each, so a cell must be a
 plain ASCII decimal or nan/inf, which is all a save writes; underscored or
 non-ASCII digits, which float() accepts, fail to parse, and the error names
 the row, as for any other bad cell. Gain history does
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -36,10 +39,12 @@ BREAKER_TRIGGER = 2  # threshold exceeded this step, dwell counter set
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Completed trajectory of one trial, shape-checked at construction.
+    """Trajectory of one trial, or of a block of its consecutive steps,
+    shape-checked at construction.
 
-    ``X[i]`` is the state at step i+1, and row i's inputs and noise lead
-    from it to ``X[i + 1]``; the state after the last step is one
+    ``X[i]`` is the state at step first_step + i, and row i's inputs and
+    noise lead from it to ``X[i + 1]``; ``horizon`` is the step of the last
+    row, T for a whole trial. The state after a trial's last step is one
     plant.step from the last row. ``gain_segments`` lists
     ``(from_step, K)`` pairs: K is the feedback gain in effect from that
     step until the next segment starts. A field whose shape disagrees with
@@ -57,10 +62,11 @@ class TrialRecord:
     breaker: np.ndarray      # (T,) int8 codes above
     stage_cost: np.ndarray   # (T,)
     gain_segments: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    first_step: int = 1
 
     @property
     def horizon(self) -> int:
-        return self.X.shape[0]
+        return self.first_step + self.X.shape[0] - 1
 
     @property
     def n(self) -> int:
@@ -159,14 +165,16 @@ def _raise_bad_row(f, path: str, width: int, reason: str) -> NoReturn:
     raise IncompleteLog(f"{path}: failed to parse: {reason}")
 
 
-def load_trial_csv(path: str, trial_index: int = -1) -> TrialRecord:
-    """Parse a trial CSV back into a TrialRecord.
+def load_trial_csv(path: str,
+                   trial_index: int = -1) -> Iterator[TrialRecord]:
+    """Parse a trial CSV into TrialRecords of its consecutive blocks of at
+    most NOISE_CHUNK rows, in step order.
 
     The seed (set to -1) and gain history are not part of the CSV; callers
-    that need the gains read them from the sidecar. The rows are one
-    C-order (T, width) float64 block from np.loadtxt, and the fields are
-    column slices of it. Raises IncompleteLog naming the row on any
-    structural or parse problem.
+    that need the gains read them from the sidecar. A block's rows are one
+    (L, width) array from np.loadtxt with max_rows on the open file, and
+    its fields are column slices of it. Raises IncompleteLog naming the row
+    on any structural or parse problem, as the block holding it is read.
     """
     if not os.path.exists(path):
         raise IncompleteLog(f"trial log missing: {path}")
@@ -179,38 +187,42 @@ def load_trial_csv(path: str, trial_index: int = -1) -> TrialRecord:
         if n < 1 or m < 1 or names != csv_header(n, m).split(","):
             raise IncompleteLog(f"{path}: header does not match the trial schema")
         width = len(names)
-        try:
-            with warnings.catch_warnings():
-                # a log without rows is reported below, not warned about
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data")
-                data = np.loadtxt(f, delimiter=",", comments=None, ndmin=2)
-            if len(data) and data.shape[1] != width:
-                raise ValueError(f"rows have {data.shape[1]} fields, "
-                                 f"expected {width}")
-        except ValueError as exc:
-            _raise_bad_row(f, path, width, str(exc))
-    if not len(data):
-        raise IncompleteLog(f"{path}: no data rows")
-    if not np.array_equal(data[:, 0], np.arange(1, len(data) + 1)):
-        raise IncompleteLog(
-            f"{path}: step column is not the integers 1, 2, ... in order")
-    offset = 1
-    X = data[:, offset:offset + n]; offset += n
-    U_ce = data[:, offset:offset + m]; offset += m
-    U_cb = data[:, offset:offset + m]; offset += m
-    U_pr = data[:, offset:offset + m]; offset += m
-    W = data[:, offset:offset + n]; offset += n
-    breaker_f = data[:, offset]
-    stage = data[:, offset + 1]
-    breaker = breaker_f.astype(np.int8)
-    if not np.array_equal(breaker_f, breaker):
-        raise IncompleteLog(f"{path}: breaker column contains non-integer codes")
-    if np.any((breaker < 0) | (breaker > 2)):
-        raise IncompleteLog(f"{path}: breaker codes outside 0..2")
-    return TrialRecord(trial_index=trial_index, seed=-1, X=X, U_ce=U_ce,
-                       U_cb=U_cb, U_pr=U_pr, W=W, breaker=breaker,
-                       stage_cost=stage, gain_segments=[])
+        first = 1
+        while True:
+            try:
+                with warnings.catch_warnings():
+                    # a log without rows is reported below and a blank
+                    # line is skipped, neither warned about
+                    warnings.filterwarnings("ignore", ".*contained no data")
+                    data = np.loadtxt(f, delimiter=",", comments=None,
+                                      ndmin=2, max_rows=NOISE_CHUNK)
+                if len(data) and data.shape[1] != width:
+                    raise ValueError(f"rows have {data.shape[1]} fields, "
+                                     f"expected {width}")
+            except ValueError as exc:
+                _raise_bad_row(f, path, width, str(exc))
+            if not len(data):
+                if first == 1:
+                    raise IncompleteLog(f"{path}: no data rows")
+                return
+            steps, X, U_ce, U_cb, U_pr, W, codes, stage = np.split(
+                data, np.cumsum([1, n, m, m, m, n, 1]), axis=1)
+            if not np.array_equal(steps[:, 0], first + np.arange(len(data))):
+                raise IncompleteLog(f"{path}: step column is not the "
+                                    f"integers 1, 2, ... in order")
+            breaker = codes[:, 0].astype(np.int8)
+            if not np.array_equal(codes[:, 0], breaker):
+                raise IncompleteLog(
+                    f"{path}: breaker column contains non-integer codes")
+            if np.any((breaker < 0) | (breaker > 2)):
+                raise IncompleteLog(f"{path}: breaker codes outside 0..2")
+            yield TrialRecord(trial_index=trial_index, seed=-1, X=X,
+                              U_ce=U_ce, U_cb=U_cb, U_pr=U_pr, W=W,
+                              breaker=breaker, stage_cost=stage[:, 0],
+                              first_step=first)
+            if len(data) < NOISE_CHUNK:
+                return
+            first += len(data)
 
 
 def save_gain_sidecar(record: TrialRecord, path: str) -> None:

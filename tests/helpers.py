@@ -1,9 +1,12 @@
-"""Shared test utilities: a reference plant and a hand-driven closed loop.
+"""Shared test utilities: a reference plant, a hand-driven closed loop,
+and a record cut into blocks.
 
 drive_trial deliberately reimplements the simulation loop at test level so
 harness results can be checked against an independently written loop: one
 trial, one step at a time, with its own scalar circuit breaker.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -91,3 +94,16 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
     return TrialRecord(trial_index=0, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
                        U_pr=U_pr, W=W, breaker=breaker, stage_cost=stage,
                        gain_segments=segments)
+
+
+def blocks_of(record, cuts):
+    """``record`` as consecutive blocks, a new one starting at each step in
+    ``cuts``: TrialRecords of row slices with their first_step set."""
+    bounds = [1, *cuts, record.horizon + 1]
+    return [replace(record, X=record.X[a - 1:b - 1],
+                    U_ce=record.U_ce[a - 1:b - 1],
+                    U_cb=record.U_cb[a - 1:b - 1],
+                    U_pr=record.U_pr[a - 1:b - 1], W=record.W[a - 1:b - 1],
+                    breaker=record.breaker[a - 1:b - 1],
+                    stage_cost=record.stage_cost[a - 1:b - 1], first_step=a)
+            for a, b in zip(bounds, bounds[1:])]

@@ -7,10 +7,18 @@ request itself was unusable.
 
 import json
 import os
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
-from alqr import cli
+from alqr import cli, records
+from alqr.config import parse_config_document
+from alqr.control_math import solve_dare
+from alqr.harness import run_trial
+from alqr.plant import NOISE_CHUNK
+from alqr.records import load_trial_csv
+from alqr.regret import RegretFold, decompose_at
 
 SCALAR_DOC = {
     "plant": {"A": [[0.5]], "B": [[1.0]], "W": [[1.0]],
@@ -19,6 +27,18 @@ SCALAR_DOC = {
     "trials": 3,
     "base_seed": 11,
     "checkpoint_factor": 1.5,
+    "delta": 0.05,
+}
+
+
+# 3x2, logs on, checkpoints at the powers of two: 4096 and 8192 are the
+# last rows of the blocks analyze reads
+EDGE_DOC = {
+    "plant": {"generator": {"n": 3, "m": 2, "target_rho": 0.9, "seed": 42}},
+    "horizon": 8192,
+    "trials": 2,
+    "base_seed": 2025,
+    "checkpoint_factor": 2.0,
     "delta": 0.05,
 }
 
@@ -244,6 +264,79 @@ class TestAnalyze:
             assert "t_nocb" in info
             assert "t_stab" in info
             assert isinstance(info["noise_event_holds"], bool)
+
+    @pytest.mark.parametrize("T", [2 * NOISE_CHUNK, 9000])
+    def test_block_edges_match_the_in_memory_trial(self, tmp_path, capsys,
+                                                   T):
+        doc = dict(EDGE_DOC, horizon=T)
+        code, out = simulate(tmp_path, extra=("--workers", "1"), doc=doc)
+        assert code == 0
+        capsys.readouterr()
+        assert cli.main(["analyze", "--out", out]) == 0
+        report = json.loads(capsys.readouterr().out)
+        with open(os.path.join(out, "summary.json")) as f:
+            summaries = json.load(f)["trial_summaries"]
+        experiment = parse_config_document(doc).experiment
+        spec = experiment.plant
+        oracle = solve_dare(spec.sys, spec.cost, spec.W)
+        cps = experiment.checkpoints().tolist()
+        assert {NOISE_CHUNK, 2 * NOISE_CHUNK} <= set(cps) and cps[-1] == T
+        for info, summary in zip(report["trials"], summaries):
+            idx = info["trial"]
+            record = run_trial(experiment, idx, oracle).record
+            want = decompose_at(record, oracle, spec, cps)
+            # the reports analyze makes from the log's blocks
+            fold = RegretFold(oracle, spec, cps)
+            for block in load_trial_csv(
+                    os.path.join(out, "trials", f"trial_{idx}.csv")):
+                fold.add(block)
+            got = fold.reports(cps)
+            assert np.array(list(map(astuple, got))).tobytes() == \
+                np.array(list(map(astuple, want))).tobytes()
+            assert info["worst_residual"] == max(r.residual for r in want)
+            assert summary["final_regret"] == want[-1].regret
+            for key in ("t_nocb", "t_nocb_censored", "noise_event_holds",
+                        "t_stab", "t_stab_censored"):
+                assert info[key] == summary[key], key
+
+    def test_reads_each_log_in_blocks(self, tmp_path, capsys, monkeypatch):
+        _, out = simulate(tmp_path, extra=("--workers", "1"),
+                          doc=dict(EDGE_DOC, horizon=9000))
+        capsys.readouterr()
+        real = records.np.loadtxt
+        parsed = []
+
+        def counting(*args, **kwargs):
+            data = real(*args, **kwargs)
+            parsed.append(len(data))
+            return data
+
+        monkeypatch.setattr(records.np, "loadtxt", counting)
+        assert cli.main(["analyze", "--out", out]) == 0
+        capsys.readouterr()
+        # 9000 rows are 4096 + 4096 + 808, per log
+        assert sorted(parsed) == [808, 808] + [NOISE_CHUNK] * 4
+
+        # a bad cell in the second block, after a stage cost off in the
+        # first: the trial is one parse failure, nothing from its first
+        # block is reported
+        log = os.path.join(out, "trials", "trial_0.csv")
+        with open(log) as f:
+            lines = f.read().splitlines()
+        for i, value in ((10, "1e300"), (NOISE_CHUNK + 100, "x")):
+            lines[i] = lines[i].rsplit(",", 1)[0] + "," + value
+        with open(log, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        parsed.clear()
+        assert cli.main(["analyze", "--out", out]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert all(rows <= NOISE_CHUNK for rows in parsed)
+        [failure] = report["failures"]
+        assert (failure["trial"], failure["kind"]) == (0, "parse")
+        # row 1 is the header
+        assert f"row {NOISE_CHUNK + 101} failed to parse" in \
+            failure["message"]
+        assert [info["trial"] for info in report["trials"]] == [1]
 
     def test_corrupted_stage_cost_named_by_trial_and_row(
             self, tmp_path, capsys):

@@ -1,9 +1,11 @@
-"""Tests for the post-hoc trial diagnostics.
+"""Tests for the trial diagnostics.
 
 Synthetic records with hand-placed breaker flags and gains pin down the
 two detection times exactly; the envelope checks are exercised against
 bounds recomputed inline, with the noise event also checked under a
-non-identity W. The combined per-trial diagnostics run on a short manually
+non-identity W. The per-row facts are checked on the whole record, one
+block, and cut into blocks around the rows that decide them, as analyze
+reads a log. The combined per-trial diagnostics run on a short manually
 driven trial.
 """
 
@@ -23,7 +25,7 @@ from alqr.diagnostics import (check_noise_event, compute_trial_diagnostics,
 from alqr.errors import EmptyWindow, IncompleteLog
 from alqr.plant import PlantSpec
 from alqr.records import TrialRecord
-from helpers import drive_trial, reference_spec
+from helpers import blocks_of, drive_trial, reference_spec
 
 
 def make_record(T, n=1, m=1, **over):
@@ -43,6 +45,22 @@ def scalar_spec(w=1.0):
                      cost=CostWeights(Q=np.eye(1), R=np.eye(1)))
 
 
+def by_blocks(fact, record, cuts, *args):
+    """``fact`` of ``record`` cut into blocks at ``cuts``, each block's
+    value passed on to the next."""
+    blocks = blocks_of(record, cuts)
+    value = fact(blocks[0], *args)
+    for block in blocks[1:]:
+        value = fact(block, *args, value)
+    return value
+
+
+def noise_by_blocks(record, cuts, truth, delta):
+    """The noise event over ``record`` cut into blocks: it holds on all."""
+    return all(check_noise_event(block, truth, delta)
+               for block in blocks_of(record, cuts))
+
+
 @pytest.fixture(scope="module")
 def scalar_setup():
     spec = scalar_spec()
@@ -60,6 +78,7 @@ def driven():
 def test_t_nocb_quiet_log():
     record = make_record(40)
     assert detect_t_nocb(record) == (1, False)
+    assert by_blocks(detect_t_nocb, record, (20,)) == (1, False)
 
 
 def test_t_nocb_after_one_episode():
@@ -68,12 +87,21 @@ def test_t_nocb_after_one_episode():
     record.breaker[49] = 2
     record.breaker[50:53] = 1
     assert detect_t_nocb(record) == (54, False)
+    # blocks that start at the trigger, inside the dwell and at the first
+    # quiet step
+    for cuts in ((50,), (52,), (54,), (50, 53, 54)):
+        assert by_blocks(detect_t_nocb, record, cuts) == (54, False), cuts
 
 
 def test_t_nocb_censored_at_horizon():
     record = make_record(30)
     record.breaker[29] = 2
     assert detect_t_nocb(record) == (31, True)
+    for cuts in ((10,), (30,)):
+        assert by_blocks(detect_t_nocb, record, cuts) == (31, True), cuts
+    # censored only by the last block: active at the end of an earlier one
+    assert by_blocks(detect_t_nocb, make_record(30, breaker=np.int8(
+        [0] * 19 + [1] + [0] * 10)), (21,)) == (21, False)
 
 
 def test_t_nocb_uses_last_episode():
@@ -81,6 +109,8 @@ def test_t_nocb_uses_last_episode():
     record.breaker[4] = 2
     record.breaker[70] = 1
     assert detect_t_nocb(record) == (72, False)
+    for cuts in ((6,), (71,), (6, 72)):
+        assert by_blocks(detect_t_nocb, record, cuts) == (72, False), cuts
 
 
 def test_t_stab_scalar_hand_check(scalar_setup):
@@ -201,6 +231,13 @@ def test_noise_event_whitens_by_the_lower_cholesky_factor():
     nan_row = inside.W.copy()
     nan_row[7] = np.nan
     assert not check_noise_event(replace(inside, W=nan_row), spec, delta)
+    # cut into blocks, each row keeps its own step's envelope
+    for cuts in ((2,), (T // 2, T // 2 + 1), (8, 200)):
+        assert noise_by_blocks(inside, cuts, spec, delta)
+        assert not noise_by_blocks(replace(inside, W=outside), cuts, spec,
+                                   delta)
+        assert not noise_by_blocks(replace(inside, W=nan_row), cuts, spec,
+                                   delta)
 
 
 def test_noise_event_recovers_probe_draw():
@@ -209,6 +246,9 @@ def test_noise_event_recovers_probe_draw():
     record.U_pr[15, 0] = 5.0
     assert 10.0 > noise_bound(16, 1, 0.5)
     assert not check_noise_event(record, scalar_spec(), delta=0.5)
+    # the probe scale is the row's step's, in any block
+    for cuts in ((16,), (10, 17)):
+        assert not noise_by_blocks(record, cuts, scalar_spec(), 0.5)
 
 
 def test_noise_event_delta_range():
@@ -226,6 +266,9 @@ def test_max_state_norm_ratio_manual():
                    6.0 / math.log(30.0))
     assert max_state_norm_ratio(record, delta=0.1) == pytest.approx(
         expected, rel=1e-12)
+    for cuts in ((2,), (3,), (2, 3)):
+        assert by_blocks(max_state_norm_ratio, record, cuts, 0.1) == \
+            max_state_norm_ratio(record, delta=0.1), cuts
 
 
 def test_fit_slope_recovers_power_law():
@@ -276,3 +319,11 @@ def test_trial_diagnostics_consistency(driven):
     assert diag["noise_event_holds"] == check_noise_event(record, spec, 0.01)
     assert diag["max_state_norm_ratio"] == max_state_norm_ratio(record, 0.01)
     assert diag["max_state_norm_ratio"] > 0.0
+    # the same values from blocks, the ratio to the bit
+    for cuts in ((100,), (7, 8, 399)):
+        assert by_blocks(detect_t_nocb, record, cuts) == \
+            (diag["t_nocb"], diag["t_nocb_censored"])
+        assert noise_by_blocks(record, cuts, spec, 0.01) == \
+            diag["noise_event_holds"]
+        assert by_blocks(max_state_norm_ratio, record, cuts, 0.01) == \
+            diag["max_state_norm_ratio"]

@@ -392,15 +392,17 @@ def test_trial_batches_count_the_clean_run_buffers(ref, T, factor, schedule,
                                                    snapshots):
     # a trial holds T + 1 rows of log arrays, min(CLEAN_SPAN_CAP, T) rows
     # of the clean run's u_ce and x buffers, and at a stop one estimator
-    # snapshot (V and S) per checkpoint passed since the last stop and
-    # one at the stop; a batch that fills BATCH_BYTES with all three
-    # takes one trial more than the budget allows
+    # snapshot per checkpoint passed since the last stop and one at the
+    # stop, each costing its measured 44 (d^2 + n d) + 640 bytes (its V
+    # and S and its share of the stacked estimate); a batch that fills
+    # BATCH_BYTES with all three takes one trial more than the budget
+    # allows
     spec, _ = ref
     n, m = spec.n, spec.m
     d = n + m
     per_trial = ((T + 1) * (8 * (2 * n + 3 * m + 1) + 1)
                  + 8 * (n + m) * min(CLEAN_SPAN_CAP, T)
-                 + 8 * (d * d + n * d) * snapshots)
+                 + (44 * (d * d + n * d) + 640) * snapshots)
     fit = BATCH_BYTES // per_trial
     over = dict(horizon=T, checkpoint_factor=factor,
                 controller=ControllerConfig(schedule))
@@ -408,6 +410,15 @@ def test_trial_batches_count_the_clean_run_buffers(ref, T, factor, schedule,
     batches = trial_batches(make_config(spec, trials=fit + 1, **over))
     assert len(batches) == 2
     assert all(len(b) * per_trial <= BATCH_BYTES for b in batches)
+
+def test_dense_checkpoint_grid_splits_into_batches(ref):
+    # every step a checkpoint, 4096 snapshots per trial at the stop at
+    # 8191: one batch of all 20 peaks at about 244 MiB
+    spec, _ = ref
+    config = make_config(spec, horizon=10_000, trials=20,
+                         checkpoint_factor=1 + 1e-12)
+    assert [len(b) for b in trial_batches(config)] == [10, 10]
+
 
 def test_trial_record_satisfies_decomposition(ref):
     spec, oracle = ref
@@ -531,7 +542,7 @@ def test_trial_logs_written(tmp_path, ref):
         assert (base.parent / (base.name + ".csv")).exists()
         assert (base.parent / (base.name + "_gains.json")).exists()
     fresh = run_trial(config, 0).record
-    loaded = load_trial_csv(str(tmp_path / "trials" / "trial_0.csv"))
+    [loaded] = load_trial_csv(str(tmp_path / "trials" / "trial_0.csv"))
     for name in ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost"):
         assert np.array_equal(getattr(loaded, name), getattr(fresh, name))
     segments = load_gain_sidecar(

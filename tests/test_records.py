@@ -8,6 +8,7 @@ import pytest
 
 from alqr.control_math import solve_dare
 from alqr.errors import IncompleteLog
+from alqr.plant import NOISE_CHUNK
 from alqr.records import (
     TrialRecord,
     csv_header,
@@ -46,7 +47,7 @@ def test_csv_round_trip_bit_exact(tmp_path):
     path = tmp_path / "trial_4.csv"
     save_trial_csv(record, str(path))
     save_gain_sidecar(record, str(tmp_path / "trial_4_gains.json"))
-    back = load_trial_csv(str(path), trial_index=4)
+    [back] = load_trial_csv(str(path), trial_index=4)
     # the seed is not in the CSV
     assert (back.trial_index, back.seed) == (4, -1)
     assert np.array_equal(back.X, record.X)
@@ -83,11 +84,24 @@ def test_csv_round_trip_keeps_every_bit_of_edge_values(tmp_path):
         breaker=np.arange(T, dtype=np.int8) % 3, stage_cost=cols[:, 12])
     path = tmp_path / "trial.csv"
     save_trial_csv(record, str(path))
-    back = load_trial_csv(str(path))
+    [back] = load_trial_csv(str(path))
     for name in ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost"):
         got, want = getattr(back, name), getattr(record, name)
         assert got.dtype == want.dtype, name
         assert got.tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+
+def test_load_yields_consecutive_blocks(tmp_path):
+    record = synthetic_record(T=2 * NOISE_CHUNK + 5)
+    path = tmp_path / "trial.csv"
+    save_trial_csv(record, str(path))
+    blocks = list(load_trial_csv(str(path), trial_index=4))
+    assert [(b.first_step, b.horizon) for b in blocks] == [
+        (1, NOISE_CHUNK), (NOISE_CHUNK + 1, 2 * NOISE_CHUNK),
+        (2 * NOISE_CHUNK + 1, 2 * NOISE_CHUNK + 5)]
+    for name in ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost"):
+        got = np.concatenate([getattr(b, name) for b in blocks])
+        assert got.tobytes() == getattr(record, name).tobytes(), name
 
 
 def _random_cell(rng) -> str:
@@ -120,7 +134,7 @@ def test_load_matches_a_per_field_float_parse(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     want = np.array([[float(p) for p in line.split(",")]
                      for line in lines[1:]])
-    back = load_trial_csv(str(path))
+    [back] = load_trial_csv(str(path))
     got = np.hstack([back.X, back.U_ce, back.U_cb, back.U_pr, back.W])
     assert got.tobytes() == want[:, 1:1 + 2 * n + 3 * m].tobytes()
     assert back.breaker.tobytes() == want[:, -2].astype(np.int8).tobytes()
@@ -151,14 +165,14 @@ def test_save_twice_identical_bytes(tmp_path):
 
 def test_load_missing_file(tmp_path):
     with pytest.raises(IncompleteLog):
-        load_trial_csv(str(tmp_path / "absent.csv"))
+        list(load_trial_csv(str(tmp_path / "absent.csv")))
 
 
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("k,foo,bar\n1,0.0,0.0\n")
     with pytest.raises(IncompleteLog):
-        load_trial_csv(str(path))
+        list(load_trial_csv(str(path)))
 
 
 def test_load_rejects_short_row(tmp_path):
@@ -169,7 +183,7 @@ def test_load_rejects_short_row(tmp_path):
     lines[3] = ",".join(lines[3].split(",")[:-1])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IncompleteLog) as info:
-        load_trial_csv(str(path))
+        list(load_trial_csv(str(path)))
     assert "row 4" in str(info.value)
 
 
@@ -183,7 +197,7 @@ def test_load_rejects_corrupt_cell(tmp_path):
     lines[2] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IncompleteLog) as info:
-        load_trial_csv(str(path))
+        list(load_trial_csv(str(path)))
     assert "row 3" in str(info.value)
 
 
@@ -215,7 +229,7 @@ def test_load_names_the_bad_row(tmp_path, mangle, message):
     lines = mangle(path.read_text().splitlines())
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IncompleteLog) as info:
-        load_trial_csv(str(path))
+        list(load_trial_csv(str(path)))
     assert message in str(info.value)
 
 
@@ -227,7 +241,7 @@ def test_load_without_rows_warns_nothing(tmp_path, capsys, body):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IncompleteLog) as info:
-            load_trial_csv(str(path))
+            list(load_trial_csv(str(path)))
     assert "no data rows" in str(info.value)
     assert capsys.readouterr().err == ""
 
@@ -240,7 +254,7 @@ def test_load_rejects_gap_in_steps(tmp_path):
     del lines[3]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(IncompleteLog):
-        load_trial_csv(str(path))
+        list(load_trial_csv(str(path)))
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -253,7 +267,7 @@ def test_load_rejects_unreadable_bytes(tmp_path, corrupt):
     save_trial_csv(record, str(path))
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(IncompleteLog):
-        load_trial_csv(str(path))
+        list(load_trial_csv(str(path)))
 
 
 def test_gain_sidecar_round_trip(tmp_path):

@@ -2,8 +2,12 @@
 
 The decomposition is an algebraic identity, so every test here has an
 independent expected value: hand expansion for T = 1, a manually driven
-closed loop for longer records, and hand arithmetic for stage costs.
+closed loop for longer records, and hand arithmetic for stage costs. A
+record fed to RegretFold in blocks must give the bits of the one-block
+decompose_at.
 """
+
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,8 +16,8 @@ from alqr.control_math import CostWeights, solve_dare
 from alqr.harness import ExperimentConfig, run_trial
 from alqr.plant import step
 from alqr.records import TrialRecord
-from alqr.regret import decompose_at, stage_costs
-from helpers import drive_trial, reference_spec
+from alqr.regret import RegretFold, decompose_at, stage_costs
+from helpers import blocks_of, drive_trial, reference_spec
 
 
 def test_stage_costs_hand_values():
@@ -92,6 +96,27 @@ def test_decompose_identity_on_driven_trial():
     # a single-prefix call agrees with the same prefix in the batch
     single = decompose_at(record, oracle, spec, [50])[0]
     assert single == reports[checkpoints.index(50)]
+
+
+@pytest.mark.parametrize("cuts", [(2,), (51, 101), (100, 300, 600)],
+                         ids=["after-1", "after-50-100", "after-99-299-599"])
+def test_fold_over_blocks_matches_one_block(cuts):
+    # checkpoints 1, 50, 100 and 599 end blocks here, so their boundary
+    # state is the next block's first row; 600 is the last row, one
+    # plant.step past it
+    spec = reference_spec()
+    oracle = solve_dare(spec.sys, spec.cost, spec.W)
+    record = drive_trial(spec, T=600, seed=2024)
+    checkpoints = [1, 2, 3, 10, 50, 100, 599, 600]
+    fold = RegretFold(oracle, spec, checkpoints[:-1])
+    for block in blocks_of(record, cuts):
+        fold.add(block)
+    # the last step is reported without being a checkpoint, as analyze
+    # asks for a log's last step
+    got = fold.reports(checkpoints)
+    want = decompose_at(record, oracle, spec, checkpoints)
+    assert np.array(list(map(astuple, got))).tobytes() == \
+        np.array(list(map(astuple, want))).tobytes()
 
 
 def test_decompose_identity_with_forced_breaker_activity():
