@@ -294,9 +294,10 @@ def solve_dare_stack(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
             P_next = (A.swapaxes(-1, -2) @ P @ A
                       + BtPA.swapaxes(-1, -2) @ K + Q)
             P_next = 0.5 * (P_next + P_next.swapaxes(-1, -2))
-            delta = _frobenius(P_next - P).tolist()
+            # one stacked call for both: each norm is its own row's matmul
+            both = _frobenius(np.concatenate([P_next - P, P_next])).tolist()
+            delta, norms = both[:len(P)], both[len(P):]
             P = P_next
-            norms = _frobenius(P).tolist()
             # iterates beyond this scale cannot be a fixed point of a sane
             # problem, and Frobenius norms start overflowing to inf (which
             # would make the stopping rule inf <= rtol*inf spuriously

@@ -132,7 +132,9 @@ def estimates(snapshots: list[tuple[np.ndarray, np.ndarray]]
     ranks = np.count_nonzero(eigvals > cutoff[:, None], axis=1)
     Theta = np.zeros(S.shape)
     d = V.shape[-1]
-    # a set, not np.unique, which imports numpy.ma on its first call
+    # a set, not np.unique, which imports numpy.ma on its first call: no
+    # command loads numpy.ma (about 10 ms), as harness._median avoids
+    # np.median for the same reason
     for rank in sorted(set(ranks.tolist()) - {0}):
         rows = np.flatnonzero(ranks == rank)
         # column-major (d, rank) blocks, the layout eigvecs[:, keep] has in

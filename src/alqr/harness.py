@@ -19,6 +19,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -271,9 +272,11 @@ def run_trials(config: ExperimentConfig, indices,
     each clean run and drops back to 1 after a trip; CLEAN_SPAN_CAP caps
     it. A run ends at the next gain update or chunk end at the latest. A
     clean run steps in place: each step writes u_ce, u and the next state
-    (plant.step with ``out``) into buffers allocated once per batch, and
-    the run's rows are copied into the logs when it ends. The breaker
-    steps x in place too, from a copy of the logged state it rewound to.
+    into buffers allocated once per batch, by plant.step's operations in
+    its order, written out as six ufunc calls so that a step makes no
+    Python call; the run's rows are copied into the logs when it ends.
+    The breaker steps x in place too, with plant.step, from a copy of the
+    logged state it rewound to.
 
     The loop stops only before a gain update and at each chunk end, where
     every logged row is final. A stop first checks the overflow guard
@@ -388,7 +391,12 @@ def run_trials(config: ExperimentConfig, indices,
     span_cap = min(CLEAN_SPAN_CAP, T)
     run_ce = np.empty((span_cap, N, m, 1))
     run_x = np.empty((span_cap, N, n, 1))
+    # the clean-run step's row views, made once
+    ce_rows, x_rows = list(run_ce), list(run_x)
     u = np.empty((N, m, 1))
+    Bu = np.empty((N, n, 1))
+    A, B = spec.sys.A, spec.sys.B
+    matmul, add = np.matmul, np.add
     K = np.zeros((N, m, n))
     xi = np.zeros(N, dtype=np.int64)
     next_update = config.controller.next_update(0)
@@ -403,8 +411,9 @@ def run_trials(config: ExperimentConfig, indices,
         # step's rows are one contiguous column stack
         G = np.stack([s.block("w", start + 1, count) for s in streams], 1)
         Wc = L @ G[..., None]
-        scales = np.array([j ** PROBE_EXPONENT
-                           for j in range(start + 1, stop + 1)])
+        scales = np.fromiter(
+            map(pow, range(start + 1, stop + 1), repeat(PROBE_EXPONENT)),
+            float, count)
         Pc = (scales[:, None, None] * np.stack(
             [s.block("v", start + 1, count) for s in streams], 1))[..., None]
         W[:, start:stop] = Wc[..., 0].swapaxes(0, 1)
@@ -427,11 +436,17 @@ def run_trials(config: ExperimentConfig, indices,
                 # u_cb = u_ce at every step, the breaker checked after
                 end = min(i + span, stop, next_update - 1)
                 a, b = i - start, end - start
-                # out= passed by position, which numpy parses faster
-                for ce, x_next, p, w in zip(run_ce, run_x, Pc[a:b], Wc[a:b]):
-                    np.matmul(K, x, ce)
-                    np.add(ce, p, u)
-                    x = step(x, u, w, spec, x_next)
+                # plant.step's operations in its order, written out so a
+                # step makes no Python call; out= passed by position, which
+                # numpy parses faster
+                for ce, x_next, p, w in zip(ce_rows, x_rows, Pc[a:b], Wc[a:b]):
+                    matmul(K, x, ce)
+                    add(ce, p, u)
+                    matmul(A, x, x_next)
+                    matmul(B, u, Bu)
+                    add(x_next, Bu, x_next)
+                    add(x_next, w, x_next)
+                    x = x_next
                 U_ce[:, i:end] = run_ce[:b - a, ..., 0].swapaxes(0, 1)
                 X[:, i + 1:end + 1] = run_x[:b - a, ..., 0].swapaxes(0, 1)
                 clean = clean_steps(U_ce[:, i:end], limits[a:b])
@@ -564,6 +579,25 @@ class ExperimentSummary:
         }
 
 
+def _median(rows: np.ndarray) -> np.ndarray:
+    """np.median(rows, axis=0) of a 2-d array, bit for bit, by the calls
+    np.median makes: a partition at the middle row or two and the last
+    row, the mean of the middle rows, and NaN wherever the last row is NaN.
+    np.median's NaN check calls np.ma.isMaskedArray, which imports
+    numpy.ma (about 10 ms) on first use. A single middle row is averaged
+    too, not taken as it is: the mean's sum starts from +0.0, so a -0.0
+    median comes out +0.0.
+    """
+    size = len(rows)
+    mid = size // 2
+    kth = [mid] if size % 2 else [mid - 1, mid]
+    part = np.partition(rows, kth + [-1], axis=0)
+    median = np.mean(part[mid - 1 + size % 2:mid + 1], axis=0)
+    last = part[-1]
+    np.copyto(median, last, where=np.isnan(last))
+    return median
+
+
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count: requested (or cpu count), capped by ALQR_THREADS."""
     count = requested if requested is not None else (os.cpu_count() or 1)
@@ -641,9 +675,9 @@ def run_experiment(config: ExperimentConfig, log_dir: str | None = None,
     if completed.any():
         ok = rel_curves[completed]
         worst = np.max(ok, axis=0)
-        median = np.median(ok, axis=0)
+        median = _median(ok)
         mean = np.mean(ok, axis=0)
-        est_sq_median = np.median(est_sq_curves[completed], axis=0)
+        est_sq_median = _median(est_sq_curves[completed])
         mean_curve = list(zip(cps.tolist(), mean.tolist()))
         median_curve = list(zip(cps.tolist(), median.tolist()))
         worst_curve = list(zip(cps.tolist(), worst.tolist()))

@@ -132,7 +132,10 @@ def step(x: np.ndarray, u: np.ndarray, w: np.ndarray, spec: PlantSpec,
     run_trials steps a batch in, and x' is written to ``out``, a
     C-contiguous array of x's shape (x itself allowed), and returned.
     Either way every row of x' is the 1-D step of that row, bit for bit.
-    No bound is checked here (see overflow_failures).
+    No bound is checked here (see overflow_failures). This is the one
+    reference form of the dynamics: the clean-run loop of run_trials
+    writes out these operations in this order, with ``out``, and must
+    change with them.
     """
     if out is None:
         return step(x[..., None], u[..., None], w[..., None], spec,

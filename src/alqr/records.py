@@ -138,17 +138,25 @@ def save_trial_csv(record: TrialRecord, path: str) -> None:
             f.write("\n")
 
 
-def _raise_bad_row(f, path: str, width: int, reason: str) -> NoReturn:
-    """Raise IncompleteLog naming the first row of the open log ``f`` that
-    has the wrong field count or that the parse in load_trial_csv rejects,
-    counting lines from the header as row 1; with no such row, raise it
-    for ``reason``. np.loadtxt numbers rows its own way, so each line is
-    parsed here alone, by the same call, and named by its line."""
+def _raise_bad_row(f, path: str, width: int, first: int,
+                   reason: str) -> NoReturn:
+    """Raise IncompleteLog naming the first row of the open log ``f``, from
+    step ``first`` on, that has the wrong field count or that the parse in
+    load_trial_csv rejects, counting lines from the header as row 1; with
+    no such row, raise it for ``reason``. The rows before step ``first``
+    parsed already, so their lines, blank ones included, are only counted.
+    np.loadtxt numbers rows its own way, so each later line is parsed here
+    alone, by the same call, and named by its line."""
     f.seek(0)
     f.readline()
+    # the step of the row on the current line
+    step = 0
     for lineno, line in enumerate(f, start=2):
         line = line.rstrip("\n")
         if not line:
+            continue
+        step += 1
+        if step < first:
             continue
         fields = line.count(",") + 1
         if fields != width:
@@ -200,7 +208,7 @@ def load_trial_csv(path: str,
                     raise ValueError(f"rows have {data.shape[1]} fields, "
                                      f"expected {width}")
             except ValueError as exc:
-                _raise_bad_row(f, path, width, str(exc))
+                _raise_bad_row(f, path, width, first, str(exc))
             if not len(data):
                 if first == 1:
                     raise IncompleteLog(f"{path}: no data rows")

@@ -16,7 +16,7 @@ from alqr.control_math import CostWeights, SystemMatrices, solve_dare
 from alqr.controller import ControllerConfig
 from alqr.estimator import EstimatorState, estimation_error
 from alqr.harness import (BATCH_BYTES, CLEAN_SPAN_CAP, ExperimentConfig,
-                          TrialSummary, checkpoint_steps,
+                          TrialSummary, _median, checkpoint_steps,
                           generate_stand_in_plant, resolve_workers,
                           run_experiment, run_trial, run_trials,
                           trial_batches, trial_seed)
@@ -506,6 +506,20 @@ def test_single_trial_statistics_coincide(ref):
     summary = run_experiment(make_config(spec, horizon=120, trials=1))
     assert np.array_equal(summary.worst, summary.median)
     assert np.array_equal(summary.worst, summary.mean)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 8])
+def test_median_is_numpy_median_bit_for_bit(rows):
+    # signed zeros, NaN, infinities and pairs whose sum overflows, drawn
+    # with repeats so that columns hold ties of every kind
+    pool = [0.0, -0.0, 0.0, -0.0, np.nan, np.inf, -np.inf, 1.5e308,
+            -1.5e308, 1.0, -1.0, 2.5, 5e-324]
+    rng = np.random.default_rng(rows)
+    M = rng.choice(pool, size=(rows, 4000))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ours, theirs = _median(M), np.median(M, axis=0)
+    assert np.array_equal(ours, theirs, equal_nan=True)
+    assert np.array_equal(np.signbit(ours), np.signbit(theirs))
 
 
 def test_parallel_merge_matches_serial(ref):

@@ -233,6 +233,33 @@ def test_load_names_the_bad_row(tmp_path, mangle, message):
     assert message in str(info.value)
 
 
+def test_bad_row_search_parses_only_from_the_failing_block(tmp_path,
+                                                          monkeypatch):
+    # the earlier blocks parsed already, so their lines are only counted
+    # (the blank one too) and the one-line parses start at the third block
+    record = synthetic_record(T=9000)
+    path = tmp_path / "trial.csv"
+    save_trial_csv(record, str(path))
+    lines = path.read_text().splitlines()
+    bad = 2 * NOISE_CHUNK + 100
+    lines[bad] = _with_cell(lines[bad], "x")
+    lines.insert(10, "")
+    path.write_text("\n".join(lines) + "\n")
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        if isinstance(source, list):
+            parsed.append(int(source[0].split(",")[0]))
+        return loadtxt(source, *args, **kwargs)
+
+    monkeypatch.setattr("alqr.records.np.loadtxt", spy)
+    with pytest.raises(IncompleteLog) as info:
+        list(load_trial_csv(str(path)))
+    assert f"row {bad + 2} failed to parse" in str(info.value)
+    assert parsed == list(range(2 * NOISE_CHUNK + 1, bad + 1))
+
+
 @pytest.mark.parametrize("body", ["", "\n\n"], ids=["header_only",
                                                     "blank_lines"])
 def test_load_without_rows_warns_nothing(tmp_path, capsys, body):
