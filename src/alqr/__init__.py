@@ -28,11 +28,10 @@ from .plant import (
 from .estimator import EstimatorState, ParameterEstimate, estimation_error
 from .controller import AdaptiveController, ControllerConfig, InputBreakdown
 from .records import TrialRecord, load_trial_csv, save_trial_csv
-from .regret import DecompositionReport, decompose_at, stage_costs
+from .regret import DecompositionReport, TrialFold, decompose_at, stage_costs
 from .diagnostics import (
     SlopeEstimate,
     compute_trial_diagnostics,
-    detect_t_nocb,
     detect_t_stab,
     fit_regret_slope,
     noise_bound,

@@ -32,7 +32,7 @@ from .config import (
     parse_config_document,
 )
 from .control_math import CostWeights, SystemMatrices, solve_dare
-from .diagnostics import check_noise_event, detect_t_nocb, detect_t_stab
+from .diagnostics import detect_t_stab
 from .errors import AlqrError, ConfigInvalid, IncompleteLog, IoError
 from .harness import (
     ExperimentConfig,
@@ -43,7 +43,7 @@ from .harness import (
 )
 from .plant import plant_spec_to_dict
 from .records import load_gain_sidecar, load_trial_csv
-from .regret import RegretFold, decompose_at, stage_costs
+from .regret import TrialFold, decompose_at, stage_costs
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -163,8 +163,7 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
     spec = experiment.plant
     cps = experiment.checkpoints().tolist()
     found = []
-    fold = RegretFold(oracle, spec, cps)
-    nocb, noise_holds = (1, False), True
+    fold = TrialFold(oracle, spec, cps, experiment.delta, audit=True)
     for block in load_trial_csv(path, trial_index=idx):
         expected = stage_costs(block.X, block.U_cb + block.U_pr, spec.cost)
         gap = np.abs(block.stage_cost - expected)
@@ -179,9 +178,6 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
                             f"{float(block.stage_cost[i])!r}, "
                             f"recomputed {float(expected[i])!r}")})
         fold.add(block)
-        nocb = detect_t_nocb(block, nocb)
-        noise_holds = noise_holds and check_noise_event(
-            block, spec, experiment.delta)
     T = block.horizon
 
     cps = [c for c in cps if c < T] + [T]
@@ -195,8 +191,7 @@ def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
                             f"tolerance at checkpoint {cp}")})
 
     info = {"trial": idx, "steps": T, "worst_residual": worst_residual,
-            "t_nocb": nocb[0], "t_nocb_censored": nocb[1],
-            "noise_event_holds": noise_holds}
+            **fold.facts()}
     gains_path = os.path.splitext(path)[0] + "_gains.json"
     if os.path.exists(gains_path):
         info["t_stab"], info["t_stab_censored"] = detect_t_stab(

@@ -1,12 +1,11 @@
 """Measurement of stabilization and regularity quantities.
 
-When the breaker goes quiet for good, the noise-regularity event and the
-state-norm growth ratio are read from one block of a trial's rows (a
-TrialRecord) at a time: t_nocb and the ratio take their value over the
-blocks before it, and the event holds for a trial if it holds on every
-block. simulate passes a finished trial as one block, analyze a log block
-by block. When the closed loop becomes jointly contractive reads the gain
-history, and log-log slope fits read regret curves.
+When the closed loop becomes jointly contractive (t_stab) reads a trial's
+gain history; the facts its rows decide (t_nocb, the noise event, the
+state-norm ratio) are regret.TrialFold's, and compute_trial_diagnostics
+joins the two for a finished trial. noise_bound is the regularity
+envelope the fold checks, log-log slope fits read regret curves, and
+t_nocb values are binned for the histogram.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control_math import RiccatiSolution, stability_margin
-from .controller import PROBE_EXPONENT, dwell
+from .controller import dwell
 from .errors import EmptyWindow, IncompleteLog
 from .plant import PlantSpec
 from .records import TrialRecord
@@ -33,22 +32,6 @@ class SlopeEstimate:
     r_squared: float
     points_used: int
     excluded_nonpositive: int
-
-
-def detect_t_nocb(block: TrialRecord,
-                  before: tuple[int, bool] = (1, False)) -> tuple[int, bool]:
-    """First step after all breaker involvement, plus a censored flag,
-    through the block and ``before``, the pair over the blocks before it.
-
-    Returns 1 + the last step whose breaker flag shows a trigger or dwell,
-    or 1 if the breaker never fired. Censored means the breaker was still
-    active at the block's last step, so the true value lies past the log.
-    """
-    active = np.flatnonzero(block.breaker != 0)
-    if active.size == 0:
-        return before[0], False
-    last_step = block.first_step + int(active[-1])
-    return last_step + 1, last_step == block.horizon
 
 
 def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
@@ -99,52 +82,12 @@ def noise_bound(k, n: int, delta: float):
     return 2.0 * math.sqrt(n + 1) * np.sqrt(np.log(np.asarray(k, dtype=float) / delta))
 
 
-def check_noise_event(block: TrialRecord, truth: PlantSpec,
-                      delta: float) -> bool:
-    """Whether max(||L^-1 w_k||, ||v_k||) stays under the regularity envelope
-    over the block's steps.
-
-    The envelope is built for standard normal draws, so the process noise is
-    whitened first by the Cholesky factor L = truth.chol_W of its covariance
-    (at W = I the whitened rows equal the logged ones). The probe draws v_k
-    are recovered from the logged inputs by undoing the probe scale.
-    """
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"delta must be in (0, 1/2], got {delta}")
-    ks = np.arange(block.first_step, block.horizon + 1, dtype=float)
-    bound = noise_bound(ks, block.n, delta)
-    # forward substitution L white_k = w_k over the n columns; a NaN row
-    # fails the comparison below rather than raising here
-    L = truth.chol_W
-    white = np.empty_like(block.W)
-    for i in range(block.n):
-        white[:, i] = (block.W[:, i] - white[:, :i] @ L[i, :i]) / L[i, i]
-    w_norms = np.linalg.norm(white, axis=1)
-    v_norms = np.linalg.norm(block.U_pr, axis=1) * ks ** -PROBE_EXPONENT
-    return bool(np.all(w_norms <= bound) and np.all(v_norms <= bound))
-
-
-def max_state_norm_ratio(block: TrialRecord, delta: float,
-                         before: float = -math.inf) -> float:
-    """max_k ||x_k|| / log(k/delta) over the block's steps and ``before``,
-    the value over the blocks before it."""
-    ks = np.arange(block.first_step, block.horizon + 1, dtype=float)
-    denom = np.log(ks / delta)
-    return float(np.max(np.linalg.norm(block.X, axis=1) / denom,
-                        initial=before))
-
-
-def compute_trial_diagnostics(
-        record: TrialRecord, oracle: RiccatiSolution, truth: PlantSpec,
-        delta: float) -> dict:
-    """The six scalar diagnostics of a whole trial, keyed by their
-    TrialSummary field names."""
-    t_nocb, nocb_cens = detect_t_nocb(record)
-    t_stab, stab_cens = detect_t_stab(record, oracle, truth)
-    return {"t_nocb": t_nocb, "t_nocb_censored": nocb_cens,
-            "t_stab": t_stab, "t_stab_censored": stab_cens,
-            "noise_event_holds": check_noise_event(record, truth, delta),
-            "max_state_norm_ratio": max_state_norm_ratio(record, delta)}
+def compute_trial_diagnostics(fold, record: TrialRecord) -> dict:
+    """A finished trial's TrialSummary facts: those of ``fold``, a
+    regret.TrialFold fed every row of ``record``, and t_stab from the
+    record's gain history."""
+    t_stab, censored = detect_t_stab(record, fold.oracle, fold.truth)
+    return {**fold.facts(), "t_stab": t_stab, "t_stab_censored": censored}
 
 
 def fit_regret_slope(curve, window) -> SlopeEstimate:

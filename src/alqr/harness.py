@@ -57,7 +57,7 @@ from .plant import (
     step,
 )
 from .records import TrialRecord, save_gain_sidecar, save_trial_csv
-from .regret import prefix_sums, stage_costs
+from .regret import TrialFold, stage_costs
 
 GENERATOR_RETRY_CAP = 16
 # bytes of trial arrays one lockstep batch may hold (at least one trial)
@@ -146,9 +146,11 @@ class TrialSummary:
     """Scalar per-trial facts kept after the bulky log is dropped.
 
     A failed (diverged) trial sets only the first five fields; the rest
-    stay None. ``final_regret`` is the regret curve's last value: the
-    cumulative stage cost at T minus T J*, the same float
-    regret.decompose_at reports for step T.
+    stay None. t_stab comes from detect_t_stab, the rest from
+    regret.TrialFold.facts: the lines analyze derives them with too.
+    ``final_regret`` is the regret curve's last value: the cumulative stage
+    cost at T minus T J*, the same float regret.decompose_at reports for
+    step T.
     t_nocb: first step from which the breaker never interferes again
     (1 when it never fired at all). t_stab: first step from which both
     contraction conditions hold for every later logged step. Censored
@@ -202,9 +204,10 @@ def trial_bytes(horizon: int, n: int, m: int, snapshots: int = 0) -> int:
             + (44 * (d * d + n * d) + 640) * snapshots)
 
 
-def _snapshots_per_stop(config: ExperimentConfig) -> int:
-    """The most estimator snapshots a trial holds at a stop of run_trials:
-    one for each checkpoint since the last stop, and one at the stop.
+def trial_budget(config: ExperimentConfig) -> int:
+    """Bytes one trial takes in a run_trials batch: trial_bytes with the
+    most estimator snapshots it holds at a stop, one for each checkpoint
+    since the last stop and one at the stop.
 
     Checkpoint c is measured at the first stop at or after it: the step
     before the first gain update after c, or the end of c's noise chunk.
@@ -213,20 +216,20 @@ def _snapshots_per_stop(config: ExperimentConfig) -> int:
         min(config.controller.next_update(c) - 1,
             -(-c // NOISE_CHUNK) * NOISE_CHUNK, config.horizon)
         for c in config.checkpoints().tolist())
-    return max(stops.values()) + 1
+    return trial_bytes(config.horizon, config.plant.n, config.plant.m,
+                       max(stops.values()) + 1)
 
 
 def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
     """Consecutive runs of trial indices, one per lockstep batch.
 
-    A batch holds as many trials as fit in BATCH_BYTES, and at least one.
-    The batch count is rounded up to a multiple of ``workers`` (while there
-    are trials to fill them), so a pool of that many workers gets an even
-    share; batch sizes differ by at most one.
+    A batch holds as many trials as fit in BATCH_BYTES, trial_budget
+    each, and at least one. The batch count is rounded up to a multiple
+    of ``workers`` (while there are trials to fill them), so a pool of
+    that many workers gets an even share; batch sizes differ by at most
+    one.
     """
-    per_trial = trial_bytes(config.horizon, config.plant.n, config.plant.m,
-                            _snapshots_per_stop(config))
-    count = -(-config.trials // max(1, BATCH_BYTES // per_trial))
+    count = -(-config.trials // max(1, BATCH_BYTES // trial_budget(config)))
     count = min(-(-count // workers) * workers, config.trials)
     bounds = [config.trials * j // count for j in range(count + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -317,8 +320,8 @@ def run_trials(config: ExperimentConfig, indices,
         breaker_codes = np.zeros((N, T), dtype=np.int8)
     except MemoryError:
         raise ConfigInvalid(
-            f"too long: the batch's trial arrays would take "
-            f"{N * trial_bytes(T, n, m)} bytes, more than could be "
+            f"too long: the batch's trials would take "
+            f"{N * trial_budget(config)} bytes, more than could be "
             f"allocated", path="horizon") from None
     X[:, 0] = 0.0
     segments = [[] for _ in indices]
@@ -485,7 +488,7 @@ def _finish(config: ExperimentConfig, oracle: RiccatiSolution,
             failure: tuple[int, str] | None, logs: list[np.ndarray],
             segments: list, est_sq: np.ndarray) -> TrialResult:
     """One trial's record, curves and summary from its rows of the batch,
-    read as one block.
+    fed to a TrialFold in blocks of NOISE_CHUNK rows.
 
     ``cps`` is the config's checkpoint grid. ``failure`` is the (step,
     message) of the first state past the overflow guard, or None. ``logs``
@@ -493,32 +496,24 @@ def _finish(config: ExperimentConfig, oracle: RiccatiSolution,
     views, to the failure step or the horizon.
     """
     spec = config.plant
-    T = config.horizon
     failed = failure is not None
-    end, failure_reason = failure if failed else (T, "")
+    end, failure_reason = failure if failed else (config.horizon, "")
     X, U_ce, U_cb, U_pr, W, breaker_codes = (a[:end] for a in logs)
     stage = stage_costs(X, U_cb + U_pr, spec.cost)
     record = TrialRecord(
         trial_index=trial_index, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
         U_pr=U_pr, W=W, breaker=breaker_codes, stage_cost=stage,
         gain_segments=segments)
-
-    usable = cps <= end
-    c = cps[usable]
-    at, total = prefix_sums(stage[:, None], 1, c, np.zeros(1))
-    rel = np.full(len(cps), np.nan)
-    rel[usable] = (at[:, 0] - c * oracle.J_star) / (c * oracle.J_star)
-
-    facts = {}
-    if not failed:
-        facts = compute_trial_diagnostics(record, oracle, spec, config.delta)
-        facts["final_regret"] = float(total[0]) - T * oracle.J_star
-        facts["final_rel_avg_regret"] = float(rel[-1])
+    fold = TrialFold(oracle, spec, cps, config.delta)
+    for a in range(0, end, NOISE_CHUNK):
+        fold.add(record.rows(a, a + NOISE_CHUNK))
+    facts = {} if failed else compute_trial_diagnostics(fold, record)
     summary = TrialSummary(
         trial_index=trial_index, seed=seed, failed=failed,
         failure_step=end if failed else None,
         failure_reason=failure_reason, **facts)
-    return TrialResult(summary=summary, record=record, rel_avg_regret=rel,
+    return TrialResult(summary=summary, record=record,
+                       rel_avg_regret=fold.rel_avg_regret(),
                        est_error_sq=est_sq)
 
 

@@ -14,8 +14,9 @@ non-ASCII digits, which float() accepts, fail to parse, and the error names
 the row, as for any other bad cell. Gain history does
 not fit a flat per-step CSV row, so it travels in a JSON sidecar next to
 each trial file. A record holds exactly what a log and its sidecar hold:
-the state after the last step is not kept, since regret.decompose_at
-derives it from the last row with plant.step.
+the state after the last step is not kept, since regret.TrialFold derives
+it from the last row with plant.step. The fold reads blocks of rows:
+TrialRecord.rows cuts them from a trial, load_trial_csv from a log.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import os
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NoReturn
 
 import numpy as np
@@ -95,6 +96,16 @@ class TrialRecord:
                     f"trial {self.trial_index}: field gain_segments has a "
                     f"gain of shape {np.shape(K)} from step {start}, "
                     f"expected {(m, n)}")
+
+    def rows(self, start: int, stop: int) -> TrialRecord:
+        """Rows start:stop, clipped like a slice, as a record of their
+        steps: views of these arrays, the gain history kept."""
+        cut = slice(start, stop)
+        return replace(self, X=self.X[cut], U_ce=self.U_ce[cut],
+                       U_cb=self.U_cb[cut], U_pr=self.U_pr[cut],
+                       W=self.W[cut], breaker=self.breaker[cut],
+                       stage_cost=self.stage_cost[cut],
+                       first_step=self.first_step + start)
 
 
 def csv_header(n: int, m: int) -> str:

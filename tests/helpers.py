@@ -6,8 +6,6 @@ harness results can be checked against an independently written loop: one
 trial, one step at a time, with its own scalar circuit breaker.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from alqr.control_math import CostWeights, SystemMatrices
@@ -100,10 +98,4 @@ def blocks_of(record, cuts):
     """``record`` as consecutive blocks, a new one starting at each step in
     ``cuts``: TrialRecords of row slices with their first_step set."""
     bounds = [1, *cuts, record.horizon + 1]
-    return [replace(record, X=record.X[a - 1:b - 1],
-                    U_ce=record.U_ce[a - 1:b - 1],
-                    U_cb=record.U_cb[a - 1:b - 1],
-                    U_pr=record.U_pr[a - 1:b - 1], W=record.W[a - 1:b - 1],
-                    breaker=record.breaker[a - 1:b - 1],
-                    stage_cost=record.stage_cost[a - 1:b - 1], first_step=a)
-            for a, b in zip(bounds, bounds[1:])]
+    return [record.rows(a - 1, b - 1) for a, b in zip(bounds, bounds[1:])]

@@ -5,8 +5,9 @@ up (``alqr.harness:step``, ``alqr.controller:Class.method``). A binding
 that no longer resolves is skipped at run time and its layer silently
 reads zero calls, so a rename must fail here instead. Bindings are
 resolved, and the ``alqr.cli`` ones whose after-hooks read the call's
-arguments or result are wrapped through monkeypatch for one run, so no
-other test sees a traced function.
+arguments or result, with ``alqr.harness:compute_trial_diagnostics``, are
+wrapped through monkeypatch for one run, so no other test sees a traced
+function.
 """
 
 import importlib
@@ -17,6 +18,7 @@ import os
 import pytest
 
 import alqr.cli
+import alqr.harness
 from alqr.control_math import RiccatiSolution
 from alqr.controller import InputBreakdown
 from alqr.errors import NonConvergence
@@ -68,7 +70,9 @@ def test_solve_dare_outcomes_keep_iterations():
 def test_cli_hooks_run_on_analyze_and_verify(tmp_path, monkeypatch, capsys):
     # the hooks read args[0].gain_segments (detect_t_stab),
     # os.path.getsize(args[0]) (load_trial_csv) and len(outcome)
-    # (decompose_at); a signature change that breaks one raises here
+    # (decompose_at); a signature change that breaks one raises here.
+    # simulate runs with alqr.harness:compute_trial_diagnostics wrapped, so
+    # a harness that stops calling it once per completed trial fails here
     doc = {"plant": {"generator": {"n": 3, "m": 2, "target_rho": 0.9,
                                    "seed": 42}},
            "horizon": 300, "trials": 2, "base_seed": 5,
@@ -76,19 +80,25 @@ def test_cli_hooks_run_on_analyze_and_verify(tmp_path, monkeypatch, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     out = str(tmp_path / "run")
+    tracer = TRACER_MODULE.Tracer()
+    layers = {}
+
+    def wrap(module, attrs):
+        for binding, name, after in TRACER_MODULE.BINDINGS:
+            module_name, attr = binding.split(":")
+            if module_name == module.__name__ and attr in attrs:
+                monkeypatch.setattr(module, attr, tracer.wrap(
+                    getattr(module, attr), name, after))
+                layers[attr] = name
+
+    wrap(alqr.harness, {"compute_trial_diagnostics"})
     assert alqr.cli.main(["simulate", "--config", str(config),
                           "--out", out, "--workers", "1"]) == 0
-    tracer = TRACER_MODULE.Tracer()
+    assert tracer.stats["diagnostics.compute_trial_diagnostics"][0] == 2
     wrapped = {"load_trial_csv", "decompose_at", "detect_t_stab",
                "load_gain_sidecar"}
-    layers = {}
-    for binding, name, after in TRACER_MODULE.BINDINGS:
-        module_name, attr = binding.split(":")
-        if module_name == "alqr.cli" and attr in wrapped:
-            monkeypatch.setattr(alqr.cli, attr, tracer.wrap(
-                getattr(alqr.cli, attr), name, after))
-            layers[attr] = name
-    assert set(layers) == wrapped
+    wrap(alqr.cli, wrapped)
+    assert set(layers) == wrapped | {"compute_trial_diagnostics"}
     # decompose_at is verify's; analyze folds its logs block by block
     assert alqr.cli.main(["analyze", "--out", out]) == 0
     assert alqr.cli.main(["verify"]) == 0

@@ -15,10 +15,10 @@ import pytest
 from alqr import cli, records
 from alqr.config import parse_config_document
 from alqr.control_math import solve_dare
-from alqr.harness import run_trial
+from alqr.harness import run_trial, trial_budget
 from alqr.plant import NOISE_CHUNK
 from alqr.records import load_trial_csv
-from alqr.regret import RegretFold, decompose_at
+from alqr.regret import TrialFold, decompose_at
 
 SCALAR_DOC = {
     "plant": {"A": [[0.5]], "B": [[1.0]], "W": [[1.0]],
@@ -167,7 +167,8 @@ class TestSimulate:
         # one trial's arrays fit an array's index range but not the 128 TiB
         # user address space, so allocating them fails at once under any
         # overcommit setting; from a pool worker the error reaches the
-        # parent
+        # parent. A batch of one trial is named at the budget that
+        # trial_batches counts for it, snapshots included
         code, _ = simulate(
             tmp_path, extra=["--set", "horizon=1" + "0" * 16,
                              "--workers", workers])
@@ -176,6 +177,9 @@ class TestSimulate:
         assert err["error"] == "ConfigInvalid"
         assert err["path"] == "horizon"
         assert "more than could be allocated" in err["message"]
+        budget = trial_budget(parse_config_document(
+            dict(SCALAR_DOC, horizon=10 ** 16)).experiment)
+        assert f" would take {budget} bytes," in err["message"]
 
     @pytest.mark.parametrize("cell", ["1" + "0" * 400, "1e400", "-Infinity"],
                              ids=["10**400", "1e400", "-Infinity"])
@@ -286,7 +290,7 @@ class TestAnalyze:
             record = run_trial(experiment, idx, oracle).record
             want = decompose_at(record, oracle, spec, cps)
             # the reports analyze makes from the log's blocks
-            fold = RegretFold(oracle, spec, cps)
+            fold = TrialFold(oracle, spec, cps, experiment.delta, audit=True)
             for block in load_trial_csv(
                     os.path.join(out, "trials", f"trial_{idx}.csv")):
                 fold.add(block)
@@ -296,7 +300,8 @@ class TestAnalyze:
             assert info["worst_residual"] == max(r.residual for r in want)
             assert summary["final_regret"] == want[-1].regret
             for key in ("t_nocb", "t_nocb_censored", "noise_event_holds",
-                        "t_stab", "t_stab_censored"):
+                        "t_stab", "t_stab_censored", "final_regret",
+                        "final_rel_avg_regret", "max_state_norm_ratio"):
                 assert info[key] == summary[key], key
 
     def test_reads_each_log_in_blocks(self, tmp_path, capsys, monkeypatch):

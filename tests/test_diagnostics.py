@@ -3,10 +3,10 @@
 Synthetic records with hand-placed breaker flags and gains pin down the
 two detection times exactly; the envelope checks are exercised against
 bounds recomputed inline, with the noise event also checked under a
-non-identity W. The per-row facts are checked on the whole record, one
-block, and cut into blocks around the rows that decide them, as analyze
-reads a log. The combined per-trial diagnostics run on a short manually
-driven trial.
+non-identity W. The facts a trial's rows decide are regret.TrialFold's:
+each is checked on the whole record, one block, and cut into blocks
+around the rows that decide it, as analyze reads a log. The combined
+per-trial diagnostics run on a short manually driven trial.
 """
 
 import math
@@ -18,13 +18,12 @@ import pytest
 from alqr.control_math import (CostWeights, SystemMatrices, solve_dare,
                                stability_margin)
 from alqr.controller import ControllerConfig, dwell
-from alqr.diagnostics import (check_noise_event, compute_trial_diagnostics,
-                              detect_t_nocb, detect_t_stab, fit_regret_slope,
-                              max_state_norm_ratio, noise_bound,
-                              tnocb_histogram)
+from alqr.diagnostics import (compute_trial_diagnostics, detect_t_stab,
+                              fit_regret_slope, noise_bound, tnocb_histogram)
 from alqr.errors import EmptyWindow, IncompleteLog
 from alqr.plant import PlantSpec
 from alqr.records import TrialRecord
+from alqr.regret import TrialFold
 from helpers import blocks_of, drive_trial, reference_spec
 
 
@@ -45,20 +44,28 @@ def scalar_spec(w=1.0):
                      cost=CostWeights(Q=np.eye(1), R=np.eye(1)))
 
 
-def by_blocks(fact, record, cuts, *args):
-    """``fact`` of ``record`` cut into blocks at ``cuts``, each block's
-    value passed on to the next."""
-    blocks = blocks_of(record, cuts)
-    value = fact(blocks[0], *args)
-    for block in blocks[1:]:
-        value = fact(block, *args, value)
-    return value
+def fold_of(record, cuts=(), truth=None, delta=0.05):
+    """A TrialFold fed ``record`` cut into blocks at ``cuts``: one block
+    when there are none."""
+    truth = scalar_spec() if truth is None else truth
+    fold = TrialFold(solve_dare(truth.sys, truth.cost, truth.W), truth,
+                     [record.horizon], delta)
+    for block in blocks_of(record, cuts):
+        fold.add(block)
+    return fold
 
 
-def noise_by_blocks(record, cuts, truth, delta):
-    """The noise event over ``record`` cut into blocks: it holds on all."""
-    return all(check_noise_event(block, truth, delta)
-               for block in blocks_of(record, cuts))
+def t_nocb(record, cuts=()):
+    facts = fold_of(record, cuts).facts()
+    return facts["t_nocb"], facts["t_nocb_censored"]
+
+
+def noise_holds(record, truth, delta, cuts=()):
+    return fold_of(record, cuts, truth, delta).facts()["noise_event_holds"]
+
+
+def norm_ratio(record, delta, cuts=()):
+    return fold_of(record, cuts, delta=delta).facts()["max_state_norm_ratio"]
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +84,8 @@ def driven():
 
 def test_t_nocb_quiet_log():
     record = make_record(40)
-    assert detect_t_nocb(record) == (1, False)
-    assert by_blocks(detect_t_nocb, record, (20,)) == (1, False)
+    assert t_nocb(record) == (1, False)
+    assert t_nocb(record, (20,)) == (1, False)
 
 
 def test_t_nocb_after_one_episode():
@@ -86,21 +93,21 @@ def test_t_nocb_after_one_episode():
     record = make_record(80)
     record.breaker[49] = 2
     record.breaker[50:53] = 1
-    assert detect_t_nocb(record) == (54, False)
+    assert t_nocb(record) == (54, False)
     # blocks that start at the trigger, inside the dwell and at the first
     # quiet step
     for cuts in ((50,), (52,), (54,), (50, 53, 54)):
-        assert by_blocks(detect_t_nocb, record, cuts) == (54, False), cuts
+        assert t_nocb(record, cuts) == (54, False), cuts
 
 
 def test_t_nocb_censored_at_horizon():
     record = make_record(30)
     record.breaker[29] = 2
-    assert detect_t_nocb(record) == (31, True)
+    assert t_nocb(record) == (31, True)
     for cuts in ((10,), (30,)):
-        assert by_blocks(detect_t_nocb, record, cuts) == (31, True), cuts
+        assert t_nocb(record, cuts) == (31, True), cuts
     # censored only by the last block: active at the end of an earlier one
-    assert by_blocks(detect_t_nocb, make_record(30, breaker=np.int8(
+    assert t_nocb(make_record(30, breaker=np.int8(
         [0] * 19 + [1] + [0] * 10)), (21,)) == (21, False)
 
 
@@ -108,9 +115,9 @@ def test_t_nocb_uses_last_episode():
     record = make_record(100)
     record.breaker[4] = 2
     record.breaker[70] = 1
-    assert detect_t_nocb(record) == (72, False)
+    assert t_nocb(record) == (72, False)
     for cuts in ((6,), (71,), (6, 72)):
-        assert by_blocks(detect_t_nocb, record, cuts) == (72, False), cuts
+        assert t_nocb(record, cuts) == (72, False), cuts
 
 
 def test_t_stab_scalar_hand_check(scalar_setup):
@@ -189,7 +196,7 @@ def test_t_stab_requires_gain_history(scalar_setup):
 
 def test_noise_event_zero_noise_holds():
     record = make_record(50)
-    assert check_noise_event(record, scalar_spec(), delta=0.5)
+    assert noise_holds(record, scalar_spec(), delta=0.5)
 
 
 def test_noise_event_flags_large_process_noise():
@@ -198,14 +205,14 @@ def test_noise_event_flags_large_process_noise():
     limit = noise_bound(1, 1, 0.5)
     record.W[0, 0] = 8.0
     assert 8.0 > limit
-    assert not check_noise_event(record, unit, delta=0.5)
+    assert not noise_holds(record, unit, delta=0.5)
     record.W[0, 0] = 0.9 * limit
-    assert check_noise_event(record, unit, delta=0.5)
+    assert noise_holds(record, unit, delta=0.5)
     # the same draw under W = 100 I is logged 10x larger; whitening by
     # chol(W) = 10 brings it back under the envelope
     loud = replace(record, W=10.0 * record.W)
-    assert not check_noise_event(loud, unit, delta=0.5)
-    assert check_noise_event(loud, scalar_spec(100.0), delta=0.5)
+    assert not noise_holds(loud, unit, delta=0.5)
+    assert noise_holds(loud, scalar_spec(100.0), delta=0.5)
 
 
 def test_noise_event_whitens_by_the_lower_cholesky_factor():
@@ -223,21 +230,19 @@ def test_noise_event_whitens_by_the_lower_cholesky_factor():
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     g = dirs * noise_bound(np.arange(1, T + 1), n, delta)[:, None]
     inside = make_record(T, n=n, W=(1.0 - 1e-9) * g @ L.T)
-    assert check_noise_event(inside, spec, delta)
+    assert noise_holds(inside, spec, delta)
     outside = inside.W.copy()
     outside[T // 2] = (1.0 + 1e-9) * L @ g[T // 2]
-    assert not check_noise_event(replace(inside, W=outside), spec, delta)
+    assert not noise_holds(replace(inside, W=outside), spec, delta)
     # a NaN row fails the envelope instead of raising
     nan_row = inside.W.copy()
     nan_row[7] = np.nan
-    assert not check_noise_event(replace(inside, W=nan_row), spec, delta)
+    assert not noise_holds(replace(inside, W=nan_row), spec, delta)
     # cut into blocks, each row keeps its own step's envelope
     for cuts in ((2,), (T // 2, T // 2 + 1), (8, 200)):
-        assert noise_by_blocks(inside, cuts, spec, delta)
-        assert not noise_by_blocks(replace(inside, W=outside), cuts, spec,
-                                   delta)
-        assert not noise_by_blocks(replace(inside, W=nan_row), cuts, spec,
-                                   delta)
+        assert noise_holds(inside, spec, delta, cuts)
+        assert not noise_holds(replace(inside, W=outside), spec, delta, cuts)
+        assert not noise_holds(replace(inside, W=nan_row), spec, delta, cuts)
 
 
 def test_noise_event_recovers_probe_draw():
@@ -245,18 +250,18 @@ def test_noise_event_recovers_probe_draw():
     record = make_record(50)
     record.U_pr[15, 0] = 5.0
     assert 10.0 > noise_bound(16, 1, 0.5)
-    assert not check_noise_event(record, scalar_spec(), delta=0.5)
+    assert not noise_holds(record, scalar_spec(), delta=0.5)
     # the probe scale is the row's step's, in any block
     for cuts in ((16,), (10, 17)):
-        assert not noise_by_blocks(record, cuts, scalar_spec(), 0.5)
+        assert not noise_holds(record, scalar_spec(), 0.5, cuts)
 
 
-def test_noise_event_delta_range():
-    record = make_record(5)
+def test_noise_event_delta_range(scalar_setup):
+    spec, oracle = scalar_setup
     with pytest.raises(ValueError):
-        check_noise_event(record, scalar_spec(), delta=0.6)
+        TrialFold(oracle, spec, [5], delta=0.6)
     with pytest.raises(ValueError):
-        check_noise_event(record, scalar_spec(), delta=0.0)
+        TrialFold(oracle, spec, [5], delta=0.0)
 
 
 def test_max_state_norm_ratio_manual():
@@ -264,11 +269,10 @@ def test_max_state_norm_ratio_manual():
     record.X[:, 0] = [1.0, 2.0, 6.0]
     expected = max(1.0 / math.log(10.0), 2.0 / math.log(20.0),
                    6.0 / math.log(30.0))
-    assert max_state_norm_ratio(record, delta=0.1) == pytest.approx(
+    assert norm_ratio(record, delta=0.1) == pytest.approx(
         expected, rel=1e-12)
     for cuts in ((2,), (3,), (2, 3)):
-        assert by_blocks(max_state_norm_ratio, record, cuts, 0.1) == \
-            max_state_norm_ratio(record, delta=0.1), cuts
+        assert norm_ratio(record, 0.1, cuts) == norm_ratio(record, 0.1), cuts
 
 
 def test_fit_slope_recovers_power_law():
@@ -312,18 +316,16 @@ def test_tnocb_histogram_bins():
 
 def test_trial_diagnostics_consistency(driven):
     spec, oracle, record = driven
-    diag = compute_trial_diagnostics(record, oracle, spec, delta=0.01)
-    assert (diag["t_nocb"], diag["t_nocb_censored"]) == detect_t_nocb(record)
+    fold = TrialFold(oracle, spec, [record.horizon], 0.01)
+    fold.add(record)
+    diag = compute_trial_diagnostics(fold, record)
     assert (diag["t_stab"], diag["t_stab_censored"]) == detect_t_stab(
         record, oracle, spec)
-    assert diag["noise_event_holds"] == check_noise_event(record, spec, 0.01)
-    assert diag["max_state_norm_ratio"] == max_state_norm_ratio(record, 0.01)
+    assert diag == {**fold.facts(), "t_stab": diag["t_stab"],
+                    "t_stab_censored": diag["t_stab_censored"]}
+    assert diag["t_nocb"] == 1 + max(
+        np.flatnonzero(record.breaker).tolist(), default=0)
     assert diag["max_state_norm_ratio"] > 0.0
     # the same values from blocks, the ratio to the bit
     for cuts in ((100,), (7, 8, 399)):
-        assert by_blocks(detect_t_nocb, record, cuts) == \
-            (diag["t_nocb"], diag["t_nocb_censored"])
-        assert noise_by_blocks(record, cuts, spec, 0.01) == \
-            diag["noise_event_holds"]
-        assert by_blocks(max_state_norm_ratio, record, cuts, 0.01) == \
-            diag["max_state_norm_ratio"]
+        assert fold_of(record, cuts, spec, 0.01).facts() == fold.facts()

@@ -3,20 +3,20 @@
 The decomposition is an algebraic identity, so every test here has an
 independent expected value: hand expansion for T = 1, a manually driven
 closed loop for longer records, and hand arithmetic for stage costs. A
-record fed to RegretFold in blocks must give the bits of the one-block
-decompose_at.
+record fed to a TrialFold in blocks must give the bits of the one-block
+fold: its facts, checkpoint sums and decomposition reports alike.
 """
 
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
 
 from alqr.control_math import CostWeights, solve_dare
 from alqr.harness import ExperimentConfig, run_trial
-from alqr.plant import step
+from alqr.plant import NOISE_CHUNK, step
 from alqr.records import TrialRecord
-from alqr.regret import RegretFold, decompose_at, stage_costs
+from alqr.regret import TrialFold, decompose_at, stage_costs
 from helpers import blocks_of, drive_trial, reference_spec
 
 
@@ -98,6 +98,10 @@ def test_decompose_identity_on_driven_trial():
     assert single == reports[checkpoints.index(50)]
 
 
+def reports_bytes(reports):
+    return np.array(list(map(astuple, reports))).tobytes()
+
+
 @pytest.mark.parametrize("cuts", [(2,), (51, 101), (100, 300, 600)],
                          ids=["after-1", "after-50-100", "after-99-299-599"])
 def test_fold_over_blocks_matches_one_block(cuts):
@@ -108,15 +112,54 @@ def test_fold_over_blocks_matches_one_block(cuts):
     oracle = solve_dare(spec.sys, spec.cost, spec.W)
     record = drive_trial(spec, T=600, seed=2024)
     checkpoints = [1, 2, 3, 10, 50, 100, 599, 600]
-    fold = RegretFold(oracle, spec, checkpoints[:-1])
+    fold = TrialFold(oracle, spec, checkpoints[:-1], 0.05, audit=True)
     for block in blocks_of(record, cuts):
         fold.add(block)
     # the last step is reported without being a checkpoint, as analyze
     # asks for a log's last step
     got = fold.reports(checkpoints)
     want = decompose_at(record, oracle, spec, checkpoints)
-    assert np.array(list(map(astuple, got))).tobytes() == \
-        np.array(list(map(astuple, want))).tobytes()
+    assert reports_bytes(got) == reports_bytes(want)
+
+
+def test_every_fold_fact_is_the_same_bits_in_any_blocks():
+    # base seed 0: the breaker is active at steps 8-13 only (t_nocb 14)
+    # and the state-norm ratio peaks at step 8, so a fold that dropped a
+    # carry at a block start would read the later blocks alone. The cuts
+    # include the blocks run_trial's own fold is fed: rows of NOISE_CHUNK
+    spec = reference_spec()
+    oracle = solve_dare(spec.sys, spec.cost, spec.W)
+    T = 2 * NOISE_CHUNK + 808
+    config = ExperimentConfig(plant=spec, horizon=T, trials=1, base_seed=0,
+                              checkpoint_factor=2.0)
+    result = run_trial(config, 0, oracle)
+    record = result.record
+    assert np.flatnonzero(record.breaker).tolist() == list(range(7, 13))
+    cps = config.checkpoints()
+    assert {NOISE_CHUNK, 2 * NOISE_CHUNK} <= set(cps.tolist())
+    cut_sets = [(9,), (20,), (NOISE_CHUNK + 1,),
+                (NOISE_CHUNK + 1, 2 * NOISE_CHUNK + 1),
+                (NOISE_CHUNK, NOISE_CHUNK + 2, 2 * NOISE_CHUNK, T),
+                (2, 14, 1000, NOISE_CHUNK + 1, 5000, T - 1)]
+    for audit in (False, True):
+        whole = TrialFold(oracle, spec, cps, config.delta, audit=audit)
+        whole.add(record)
+        facts = whole.facts()
+        assert facts["t_nocb"] == 14 and not facts["t_nocb_censored"]
+        summary = asdict(result.summary)
+        assert {k: summary[k] for k in facts} == facts
+        assert whole.rel_avg_regret().tobytes() == \
+            result.rel_avg_regret.tobytes()
+        for cuts in cut_sets:
+            fold = TrialFold(oracle, spec, cps, config.delta, audit=audit)
+            for block in blocks_of(record, cuts):
+                fold.add(block)
+            assert fold.facts() == facts, cuts
+            assert fold.at.tobytes() == whole.at.tobytes(), cuts
+            assert fold.sums.tobytes() == whole.sums.tobytes(), cuts
+            if audit:
+                assert reports_bytes(fold.reports(cps)) == \
+                    reports_bytes(whole.reports(cps)), cuts
 
 
 def test_decompose_identity_with_forced_breaker_activity():
