@@ -134,12 +134,13 @@ def spectral_radius(M) -> float:
 def _frobenius(M: np.ndarray) -> np.ndarray:
     """Frobenius norms of a stack of matrices, (N, a, b) -> (N,).
 
-    Each norm is a 1x1 matmul of the raveled matrix with itself, the dot
+    Each norm is the np.vecdot of the raveled matrix with itself, the dot
     product np.linalg.norm(M[i], "fro") takes; a norm over axes (-2, -1)
-    is a pairwise sum and differs from it in the last bits.
+    is a pairwise sum and differs from it in the last bits. An empty stack
+    cannot reshape to -1, so the row length is spelled out.
     """
-    flat = M.reshape(len(M), 1, M.shape[-2] * M.shape[-1])
-    return np.sqrt(flat @ flat.swapaxes(-1, -2))[:, 0, 0]
+    flat = M.reshape(len(M), M.shape[-2] * M.shape[-1])
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 def stability_margin(M, P):
@@ -294,7 +295,7 @@ def solve_dare_stack(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
             P_next = (A.swapaxes(-1, -2) @ P @ A
                       + BtPA.swapaxes(-1, -2) @ K + Q)
             P_next = 0.5 * (P_next + P_next.swapaxes(-1, -2))
-            # one stacked call for both: each norm is its own row's matmul
+            # one stacked call for both: each norm is its own row's vecdot
             both = _frobenius(np.concatenate([P_next - P, P_next])).tolist()
             delta, norms = both[:len(P)], both[len(P):]
             P = P_next

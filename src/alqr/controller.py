@@ -64,12 +64,12 @@ def over_threshold(u_ce: np.ndarray, limits) -> np.ndarray:
 
     ``u_ce`` holds proposed inputs along its last axis, (..., m), and
     ``limits`` their thresholds threshold(k), broadcast against
-    u_ce.shape[:-1]. Each norm is a 1x1 matmul of the input with itself,
+    u_ce.shape[:-1]. Each norm is the np.vecdot of the input with itself,
     the same dot product np.linalg.norm takes of a 1-D float array. The
     test is strict: a norm equal to its threshold, or a NaN norm, does not
     trip.
     """
-    norms = np.sqrt(u_ce[..., None, :] @ u_ce[..., None])[..., 0, 0]
+    norms = np.sqrt(np.vecdot(u_ce, u_ce))
     return norms > limits
 
 

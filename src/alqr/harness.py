@@ -261,9 +261,9 @@ def run_trials(config: ExperimentConfig, indices,
     k^(-1/4) v and breaker threshold are built for every step at once. Per
     step the feedback path runs once for the batch on stacked rows:
     u_ce = Khat x with stacked gains, u_cb from the breaker rule,
-    u = u_cb + u_pr and the plant step. The state x is an (N, n, 1)
-    column stack, and the noise and probe rows are built in that layout,
-    so a step reshapes nothing.
+    u = u_cb + u_pr and the plant step. The state x is an (N, n) row
+    stack stepped with np.matvec, and a step's noise and probe rows are
+    contiguous (N, ·) blocks of the chunk, so a step reshapes nothing.
 
     The breaker fires only finitely often, so while no row dwells the
     steps go in clean runs: up to ``span`` steps with u_cb = u_ce (the
@@ -385,21 +385,21 @@ def run_trials(config: ExperimentConfig, indices,
             est_sq[at_rows, at_cps] = err * err
         return Theta[len(cells):] if live else None
 
-    # x is the batch's state as an (N, n, 1) column stack; a clean run
-    # writes its steps' u_ce and successor states into run_ce and run_x,
+    # x is the batch's state as an (N, n) row stack; a clean run writes
+    # its steps' u_ce and successor states into run_ce and run_x,
     # the input u = u_ce + u_pr into u, and x is then a view of run_x.
     # The buffers are no longer than the horizon: a short horizon packs
     # many trials into a batch
-    x = np.zeros((N, n, 1))
+    x = np.zeros((N, n))
     span_cap = min(CLEAN_SPAN_CAP, T)
-    run_ce = np.empty((span_cap, N, m, 1))
-    run_x = np.empty((span_cap, N, n, 1))
+    run_ce = np.empty((span_cap, N, m))
+    run_x = np.empty((span_cap, N, n))
     # the clean-run step's row views, made once
     ce_rows, x_rows = list(run_ce), list(run_x)
-    u = np.empty((N, m, 1))
-    Bu = np.empty((N, n, 1))
+    u = np.empty((N, m))
+    Bu = np.empty((N, n))
     A, B = spec.sys.A, spec.sys.B
-    matmul, add = np.matmul, np.add
+    matvec, add = np.matvec, np.add
     K = np.zeros((N, m, n))
     xi = np.zeros(N, dtype=np.int64)
     next_update = config.controller.next_update(0)
@@ -410,17 +410,17 @@ def run_trials(config: ExperimentConfig, indices,
     for start in range(0, T, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, T)
         count = stop - start
-        # the chunk's noise step-major in columns, (count, N, ., 1), so a
-        # step's rows are one contiguous column stack
+        # the chunk's noise step-major, (count, N, .), so a step's rows
+        # are one contiguous row stack
         G = np.stack([s.block("w", start + 1, count) for s in streams], 1)
-        Wc = L @ G[..., None]
+        Wc = np.matvec(L, G)
         scales = np.fromiter(
             map(pow, range(start + 1, stop + 1), repeat(PROBE_EXPONENT)),
             float, count)
-        Pc = (scales[:, None, None] * np.stack(
-            [s.block("v", start + 1, count) for s in streams], 1))[..., None]
-        W[:, start:stop] = Wc[..., 0].swapaxes(0, 1)
-        U_pr[:, start:stop] = Pc[..., 0].swapaxes(0, 1)
+        Pc = scales[:, None, None] * np.stack(
+            [s.block("v", start + 1, count) for s in streams], 1)
+        W[:, start:stop] = Wc.swapaxes(0, 1)
+        U_pr[:, start:stop] = Pc.swapaxes(0, 1)
         limits = thresholds(start + 1, count)
         # i steps are taken: X[:, i] is final and x is the state at step i+1
         i = start
@@ -443,15 +443,15 @@ def run_trials(config: ExperimentConfig, indices,
                 # step makes no Python call; out= passed by position, which
                 # numpy parses faster
                 for ce, x_next, p, w in zip(ce_rows, x_rows, Pc[a:b], Wc[a:b]):
-                    matmul(K, x, ce)
+                    matvec(K, x, ce)
                     add(ce, p, u)
-                    matmul(A, x, x_next)
-                    matmul(B, u, Bu)
+                    matvec(A, x, x_next)
+                    matvec(B, u, Bu)
                     add(x_next, Bu, x_next)
                     add(x_next, w, x_next)
                     x = x_next
-                U_ce[:, i:end] = run_ce[:b - a, ..., 0].swapaxes(0, 1)
-                X[:, i + 1:end + 1] = run_x[:b - a, ..., 0].swapaxes(0, 1)
+                U_ce[:, i:end] = run_ce[:b - a].swapaxes(0, 1)
+                X[:, i + 1:end + 1] = run_x[:b - a].swapaxes(0, 1)
                 clean = clean_steps(U_ce[:, i:end], limits[a:b])
                 U_cb[:, i:i + clean] = U_ce[:, i:i + clean]
                 if i + clean == end:
@@ -462,18 +462,18 @@ def run_trials(config: ExperimentConfig, indices,
                 # and rewind x to its state, where the breaker takes over;
                 # a copy, since the breaker steps x in place
                 i += clean
-                x = X[:, i, :, None].copy()
+                x = X[:, i].copy()
                 span = 1
             # a row dwells or trips: the breaker rule, one step
-            u_ce = (K @ x)[..., 0]
+            u_ce = np.matvec(K, x)
             u_cb, codes, xi = breaker(i + 1, u_ce, xi)
             U_ce[:, i] = u_ce
             U_cb[:, i] = u_cb
             breaker_codes[:, i] = codes
-            np.add(u_cb[..., None], Pc[i - start], u)
+            np.add(u_cb, Pc[i - start], u)
             step(x, u, Wc[i - start], spec, x)
             i += 1
-            X[:, i] = x[..., 0]
+            X[:, i] = x
         if not live or stop_at(stop) is None:
             break
 

@@ -82,11 +82,11 @@ class NoiseStream:
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self._dims = {"w": state_dim, "v": input_dim}
 
-    def _chunk(self, lane: str, chunk_index: int) -> np.ndarray:
+    def _chunk(self, lane: str, chunk_index: int, rows: int) -> np.ndarray:
         key = (self.seed << 1) | _LANES[lane]
         bitgen = np.random.Philox(key=key, counter=chunk_index << 64)
         return np.random.Generator(bitgen).standard_normal(
-            (NOISE_CHUNK, self._dims[lane]))
+            (rows, self._dims[lane]))
 
     def block(self, lane: str, start_k: int, count: int) -> np.ndarray:
         """Rows for steps start_k .. start_k+count-1 (1-based) on the given
@@ -99,10 +99,12 @@ class NoiseStream:
         filled = 0
         while filled < count:
             i = start_k - 1 + filled
-            chunk = self._chunk(lane, i // NOISE_CHUNK)
             offset = i % NOISE_CHUNK
             take = min(NOISE_CHUNK - offset, count - filled)
-            out[filled:filled + take] = chunk[offset:offset + take]
+            # the chunk's rows up to the last one read: a fresh generator
+            # fills in order, so they are the whole chunk's first rows
+            chunk = self._chunk(lane, i // NOISE_CHUNK, offset + take)
+            out[filled:filled + take] = chunk[offset:]
             filled += take
         return out
 
@@ -126,22 +128,16 @@ def step(x: np.ndarray, u: np.ndarray, w: np.ndarray, spec: PlantSpec,
     """One transition x' = A x + B u + w; pure in all arguments but ``out``.
 
     ``x``, ``u`` and ``w`` are 1-D float arrays, or (N, n), (N, m) and
-    (N, n) stacks of them for N trials in lockstep, and x' is a new array
-    of x's shape. With ``out`` they are columns (n, 1), (m, 1) and (n, 1),
-    or (N, n, 1), (N, m, 1) and (N, n, 1) stacks of them, the layout
-    run_trials steps a batch in, and x' is written to ``out``, a
-    C-contiguous array of x's shape (x itself allowed), and returned.
-    Either way every row of x' is the 1-D step of that row, bit for bit.
-    No bound is checked here (see overflow_failures). This is the one
-    reference form of the dynamics: the clean-run loop of run_trials
-    writes out these operations in this order, with ``out``, and must
-    change with them.
+    (N, n) row stacks of them for N trials in lockstep, and x' has x's
+    shape. It is written to ``out`` when given (x itself allowed), else to
+    a new array, and returned. Every row of x' is the 1-D step of that
+    row, bit for bit. No bound is checked here (see overflow_failures).
+    This is the one reference form of the dynamics: the clean-run loop of
+    run_trials writes out these operations in this order, with ``out``,
+    and must change with them.
     """
-    if out is None:
-        return step(x[..., None], u[..., None], w[..., None], spec,
-                    np.empty(x.shape + (1,)))[..., 0]
-    np.matmul(spec.sys.A, x, out)
-    out += spec.sys.B @ u
+    out = np.matvec(spec.sys.A, x, out)
+    out += np.matvec(spec.sys.B, u)
     out += w
     return out
 
@@ -156,7 +152,7 @@ def overflow_failures(X: np.ndarray,
     message naming it.
     """
     # per state, the dot product np.linalg.norm takes of a 1-D float array
-    norms = np.sqrt(X[..., None, :] @ X[..., None])[..., 0, 0]
+    norms = np.sqrt(np.vecdot(X, X))
     bad = ~(norms <= STATE_NORM_GUARD)
     failures = {}
     for r in np.flatnonzero(bad.any(axis=1)):

@@ -49,16 +49,28 @@ def test_import_scan_sees_imports_inside_functions(tmp_path):
     assert _top_level_imports(probe) == {"scipy"}
 
 
-def test_third_party_imports_match_declared_dependencies():
-    # each dependency here is imported under its distribution name
+def _declared_dependencies() -> list[str]:
+    """The requirement strings of pyproject.toml's dependencies."""
     text = (ROOT / "pyproject.toml").read_text()
     block = re.search(r"^dependencies = \[(.*?)\]", text, re.S | re.M)
-    declared = set(re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)))
+    return re.findall(r'"([^"]+)"', block.group(1))
+
+
+def test_third_party_imports_match_declared_dependencies():
+    # each dependency here is imported under its distribution name
+    declared = {re.match(r"[A-Za-z0-9_.-]+", requirement).group()
+                for requirement in _declared_dependencies()}
     imported = set()
     for path in _package_files():
         imported |= _top_level_imports(path)
     third_party = imported - set(sys.stdlib_module_names) - {"alqr"}
     assert third_party == declared == {"numpy"}
+
+
+def test_numpy_floor_has_the_row_ufuncs():
+    # the batch steps and norms its row stacks with np.matvec and
+    # np.vecdot; numpy 2.2 is the first release with np.matvec
+    assert _declared_dependencies() == ["numpy>=2.2"]
 
 
 _RUN_EVERY_COMMAND = """

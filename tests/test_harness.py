@@ -12,15 +12,17 @@ import os
 import numpy as np
 import pytest
 
-from alqr.control_math import CostWeights, SystemMatrices, solve_dare
-from alqr.controller import ControllerConfig
+from alqr import plant
+from alqr.control_math import (CostWeights, SystemMatrices, _frobenius,
+                               solve_dare)
+from alqr.controller import ControllerConfig, over_threshold
 from alqr.estimator import EstimatorState, estimation_error
 from alqr.harness import (BATCH_BYTES, CLEAN_SPAN_CAP, ExperimentConfig,
                           TrialSummary, _median, checkpoint_steps,
                           generate_stand_in_plant, resolve_workers,
                           run_experiment, run_trial, run_trials,
                           trial_batches, trial_seed)
-from alqr.plant import PlantSpec, step
+from alqr.plant import PlantSpec, overflow_failures, step
 from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER,
                           load_gain_sidecar, load_trial_csv)
 from alqr.regret import decompose_at
@@ -224,6 +226,42 @@ def assert_est_error_matches_oracle(result, config, label):
         fresh.absorb(np.hstack([record.X[:c], U[:c]]), successors[:c])
         err = estimation_error(fresh.estimate(), spec.sys)
         assert got == err * err, (label, c)
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (8, 4), (16, 8)])
+def test_row_forms_match_their_1d_calls(n, m, monkeypatch):
+    # the batch takes its noise rows with np.matvec and its norms with
+    # np.vecdot over row stacks; each row must be its 1-D call bit for bit,
+    # or a trial's bytes would depend on its batch. The norms are pinned
+    # exactly: a limit at the 1-D norm passes, one ulp below it trips
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n))
+    spec = PlantSpec(sys=reference_spec(n=n, m=m).sys,
+                     W=M @ M.T + n * np.eye(n),
+                     cost=CostWeights(Q=np.eye(n), R=np.eye(m)))
+    G = rng.standard_normal((5, 4, n))
+    Wc = np.matvec(spec.chol_W, G)
+    for j, r in np.ndindex(5, 4):
+        assert np.array_equal(Wc[j, r], spec.chol_W @ G[j, r])
+
+    for d in (m, n):
+        V = rng.standard_normal((5, 4, d)) * 1e3
+        norms = np.array([np.linalg.norm(v) for v in V.reshape(-1, d)]
+                         ).reshape(5, 4)
+        assert not over_threshold(V, norms).any()
+        assert over_threshold(V, np.nextafter(norms, -np.inf)).all()
+        for j, r in np.ndindex(5, 4):
+            monkeypatch.setattr(plant, "STATE_NORM_GUARD", norms[j, r])
+            assert overflow_failures(V[j, r][None, None], 1) == {}
+            monkeypatch.setattr(plant, "STATE_NORM_GUARD",
+                                np.nextafter(norms[j, r], -np.inf))
+            assert list(overflow_failures(V[j, r][None, None], 1)) == [0]
+
+    for shape in ((n, n), (m, n), (64, 64)):
+        P = rng.standard_normal((6,) + shape)
+        assert np.array_equal(_frobenius(P), [np.linalg.norm(p, "fro")
+                                              for p in P])
+    assert _frobenius(np.empty((0, n, n))).shape == (0,)
 
 
 def dense_w_8x4():

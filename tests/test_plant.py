@@ -8,6 +8,7 @@ from alqr.config import parse_config_document
 from alqr.control_math import CostWeights, SystemMatrices
 from alqr.errors import ConfigInvalid, UnstableMatrix
 from alqr.plant import (
+    NOISE_CHUNK,
     NoiseStream,
     PlantSpec,
     draw_probe_noise,
@@ -73,8 +74,8 @@ def test_step_stacked_rows_match_single_rows():
 
 
 def test_step_into_out_matches_the_plain_return():
-    # run_trials steps column stacks into buffers it reuses; the out form
-    # must give the plain step's bits, on one column and on a stack, also
+    # run_trials steps row stacks into buffers it reuses; the out form
+    # must give the plain step's bits, on one vector and on a stack, also
     # in place, and plain results kept from earlier rows must stay put
     rng = np.random.default_rng(12)
     for n, m in ((3, 2), (8, 4)):
@@ -85,17 +86,18 @@ def test_step_into_out_matches_the_plain_return():
         u = rng.standard_normal((6, m))
         w = rng.standard_normal((6, n))
         rows = [step(x[r], u[r], w[r], spec) for r in range(6)]
-        out = np.empty((6, n, 1))
-        assert step(x[..., None], u[..., None], w[..., None], spec,
-                    out) is out
-        in_place = x[..., None].copy()
-        step(in_place, u[..., None], w[..., None], spec, in_place)
+        plain = step(x, u, w, spec)
+        out = np.empty((6, n))
+        assert step(x, u, w, spec, out) is out
+        in_place = x.copy()
+        assert step(in_place, u, w, spec, in_place) is in_place
         for r in range(6):
-            assert np.array_equal(out[r, :, 0], rows[r])
-            assert np.array_equal(in_place[r, :, 0], rows[r])
-            column = np.empty((n, 1))
-            step(x[r, :, None], u[r, :, None], w[r, :, None], spec, column)
-            assert np.array_equal(column[:, 0], rows[r])
+            assert np.array_equal(plain[r], rows[r])
+            assert np.array_equal(out[r], rows[r])
+            assert np.array_equal(in_place[r], rows[r])
+            vector = np.empty(n)
+            step(x[r], u[r], w[r], spec, vector)
+            assert np.array_equal(vector, rows[r])
 
 
 def test_overflow_guard_flags_a_state_past_the_bound():
@@ -182,6 +184,26 @@ def test_noise_random_access_matches_sequential():
     fresh = NoiseStream(seed=7, state_dim=2, input_dim=1)
     for k in (8999, 1, 4096, 4097, 2048, 8192):
         assert np.array_equal(row(fresh, "w", k), sequential[k - 1])
+
+
+def test_noise_blocks_are_slices_of_whole_chunks():
+    # a block draws only the rows of a chunk it returns; they must be the
+    # rows of the whole chunk's draw, at any start and count, across chunk
+    # edges too
+    stream = NoiseStream(seed=2025, state_dim=3, input_dim=2)
+    whole = {lane: np.concatenate([stream._chunk(lane, c, NOISE_CHUNK)
+                                   for c in range(3)])
+             for lane in ("w", "v")}
+    rng = np.random.default_rng(4)
+    starts = [1, 4096, 4097, 8192, 12288] + rng.integers(
+        1, 3 * NOISE_CHUNK, 20).tolist()
+    for start in starts:
+        to_edge = NOISE_CHUNK - (start - 1) % NOISE_CHUNK
+        for count in (0, 1, to_edge, to_edge + 1, rng.integers(1, 5000)):
+            count = min(int(count), 3 * NOISE_CHUNK - start + 1)
+            for lane in ("w", "v"):
+                assert np.array_equal(stream.block(lane, start, count),
+                                      whole[lane][start - 1:start - 1 + count])
 
 
 def test_noise_block_matches_rows():
