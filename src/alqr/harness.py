@@ -191,16 +191,14 @@ class TrialResult:
 
 def trial_bytes(horizon: int, n: int, m: int, snapshots: int = 0) -> int:
     """Bytes of one trial's arrays in a batch: per step X, U_ce, U_cb,
-    U_pr, W, the stage cost and the breaker code, plus its rows of the
-    clean-run buffers (u_ce and x for up to CLEAN_SPAN_CAP steps) and
-    ``snapshots`` estimator snapshots held at once. A snapshot counts its
-    V and S with their share of the stacked estimate: the peak resident
-    memory (VmHWM) of one run_trials batch at T = 10 000 grew by 2350,
-    11 040 and 41 960 bytes per snapshot on 3x2, 8x4 and 16x8 (4096
-    snapshots per trial against 6; numpy 2.4, x86-64), d = n + m."""
+    U_pr, W, the stage cost and the breaker code, plus ``snapshots``
+    estimator snapshots held at once. A snapshot counts its V and S with
+    their share of the stacked estimate: the peak resident memory (VmHWM)
+    of one run_trials batch at T = 10 000 grew by 2350, 11 040 and 41 960
+    bytes per snapshot on 3x2, 8x4 and 16x8 (4096 snapshots per trial
+    against 6; numpy 2.4, x86-64), d = n + m."""
     d = n + m
     return ((horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-            + 8 * (n + m) * min(CLEAN_SPAN_CAP, horizon)
             + (44 * (d * d + n * d) + 640) * snapshots)
 
 
@@ -254,32 +252,28 @@ def run_trials(config: ExperimentConfig, indices,
                oracle: RiccatiSolution) -> list[TrialResult]:
     """Run the trials ``indices`` in lockstep, one TrialResult each.
 
-    The batch arrays are laid out (N, T(+1), ·), so every trial's slice is
-    contiguous and its TrialRecord holds views of them. The horizon is
-    walked in chunks of NOISE_CHUNK steps, aligned with the noise stream's
-    chunks: per chunk, each trial's process noise L g (L = chol W), probe
-    k^(-1/4) v and breaker threshold are built for every step at once. Per
-    step the feedback path runs once for the batch on stacked rows:
-    u_ce = Khat x with stacked gains, u_cb from the breaker rule,
-    u = u_cb + u_pr and the plant step. The state x is an (N, n) row
-    stack stepped with np.matvec, and a step's noise and probe rows are
-    contiguous (N, ·) blocks of the chunk, so a step reshapes nothing.
+    The batch arrays are step-major, (T(+1), N, ·), so a step's rows are
+    one (N, ·) row stack, stepped with np.matvec, and a trial's
+    TrialRecord holds strided views of its column. The horizon is walked
+    in chunks of NOISE_CHUNK steps, aligned with the noise stream's chunks:
+    per chunk, each trial's process noise L g (L = chol W) and probe
+    k^(-1/4) v are written into the chunk's rows of W and U_pr and the
+    breaker thresholds built, for every step at once. Per step the
+    feedback path runs once for the batch: u_ce = Khat x with stacked
+    gains, u_cb from the breaker rule, u = u_cb + u_pr and the plant step.
 
     The breaker fires only finitely often, so while no row dwells the
     steps go in clean runs: up to ``span`` steps with u_cb = u_ce (the
     float operations of a step at which breaker passes every row), then
     one clean_steps check of the run's logged u_ce. If some row trips at a
-    step of the run, the steps before it are kept, x is rewound to that
-    step's logged state, and the breaker rule takes the steps from there
-    one at a time until no row dwells. ``span`` starts at 1, doubles after
-    each clean run and drops back to 1 after a trip; CLEAN_SPAN_CAP caps
-    it. A run ends at the next gain update or chunk end at the latest. A
-    clean run steps in place: each step writes u_ce, u and the next state
-    into buffers allocated once per batch, by plant.step's operations in
-    its order, written out as six ufunc calls so that a step makes no
-    Python call; the run's rows are copied into the logs when it ends.
-    The breaker steps x in place too, with plant.step, from a copy of the
-    logged state it rewound to.
+    step of the run, the steps before it are kept, and the breaker rule
+    takes the steps from that step's logged state one at a time until no
+    row dwells. ``span`` starts at 1, doubles after each clean run and
+    drops back to 1 after a trip; CLEAN_SPAN_CAP caps it. A run ends at
+    the next gain update or chunk end at the latest. Every step writes
+    straight into the log rows: a clean-run step by plant.step's
+    operations in its order, written out as six ufunc calls so that it
+    makes no Python call, a breaker step by plant.step itself.
 
     The loop stops only before a gain update and at each chunk end, where
     every logged row is final. A stop first checks the overflow guard
@@ -297,7 +291,10 @@ def run_trials(config: ExperimentConfig, indices,
     certainty_equivalent_gains call, whose Riccati loop runs every row
     until it stops where it would stop alone. Every stacked product and
     decomposition is the per-row one bit for bit, so a trial's outputs do
-    not depend on the batch it ran in.
+    not depend on the batch it ran in. After a chunk's last stop, one
+    stage_costs call covers the rows the trials keep (each trial's up to
+    its failure step), and each trial's regret.TrialFold takes its rows
+    of the chunk.
     """
     spec = config.plant
     n, m = spec.n, spec.m
@@ -310,21 +307,27 @@ def run_trials(config: ExperimentConfig, indices,
     L = spec.chol_W
 
     try:
-        # T + 1 rows per trial: X[r, k] is the successor of the state at
-        # step k
-        X = np.empty((N, T + 1, n))
-        U_ce = np.empty((N, T, m))
-        U_cb = np.empty((N, T, m))
-        U_pr = np.empty((N, T, m))
-        W = np.empty((N, T, n))
-        breaker_codes = np.zeros((N, T), dtype=np.int8)
+        # T + 1 rows: X[k] holds the batch's states after k steps
+        X = np.empty((T + 1, N, n))
+        U_ce = np.empty((T, N, m))
+        U_cb = np.empty((T, N, m))
+        U_pr = np.empty((T, N, m))
+        W = np.empty((T, N, n))
+        breaker_codes = np.zeros((T, N), dtype=np.int8)
+        stage = np.empty((T, N))
     except MemoryError:
         raise ConfigInvalid(
             f"too long: the batch's trials would take "
             f"{N * trial_budget(config)} bytes, more than could be "
             f"allocated", path="horizon") from None
-    X[:, 0] = 0.0
-    segments = [[] for _ in indices]
+    X[0] = 0.0
+    records = [TrialRecord(
+        trial_index=index, seed=seed, X=X[:T, r], U_ce=U_ce[:, r],
+        U_cb=U_cb[:, r], U_pr=U_pr[:, r], W=W[:, r],
+        breaker=breaker_codes[:, r], stage_cost=stage[:, r])
+        for r, (index, seed) in enumerate(zip(indices, seeds))]
+    cps = config.checkpoints()
+    folds = [TrialFold(oracle, spec, cps, config.delta) for _ in indices]
 
     # the batch rows not yet failed; batch row -> (step, message) of its
     # first state past the guard; the steps whose states were checked
@@ -332,7 +335,6 @@ def run_trials(config: ExperimentConfig, indices,
     failures: dict[int, tuple[int, str]] = {}
     checked = 0
 
-    cps = config.checkpoints()
     est_sq = np.full((N, len(cps)), np.nan)
     # the checkpoints before cps[measured] have their est_sq entries
     measured = 0
@@ -346,7 +348,8 @@ def run_trials(config: ExperimentConfig, indices,
         """
         nonlocal live, checked, measured
         rows = live
-        found = overflow_failures(X[rows, checked + 1:upto + 1], checked + 1)
+        found = overflow_failures(
+            X[checked + 1:upto + 1, rows].swapaxes(0, 1), checked + 1)
         failures.update((rows[j], failure) for j, failure in found.items())
         live = [r for j, r in enumerate(rows) if j not in found]
         checked = upto
@@ -358,12 +361,12 @@ def run_trials(config: ExperimentConfig, indices,
             estimator = estimators[r]
             a = estimator.count
             last = failures[r][0] - 1 if r in failures else upto
-            # row i's pair is z = [X[i]; U_cb[i] + U_pr[i]] with successor
-            # X[i + 1]; the row was fed to the last stop, so its new pairs
-            # span at most one noise chunk
+            # step i's pair is z = [X[i]; U_cb[i] + U_pr[i]] with
+            # successor X[i + 1]; the row was fed to the last stop, so its
+            # new pairs span at most one noise chunk
             Z = np.concatenate(
-                [X[r, a:last], U_cb[r, a:last] + U_pr[r, a:last]], axis=1)
-            Xn = X[r, a + 1:last + 1]
+                [X[a:last, r], U_cb[a:last, r] + U_pr[a:last, r]], axis=1)
+            Xn = X[a + 1:last + 1, r]
             done = 0
             for j, c in pending:
                 if c > last:
@@ -385,19 +388,11 @@ def run_trials(config: ExperimentConfig, indices,
             est_sq[at_rows, at_cps] = err * err
         return Theta[len(cells):] if live else None
 
-    # x is the batch's state as an (N, n) row stack; a clean run writes
-    # its steps' u_ce and successor states into run_ce and run_x,
-    # the input u = u_ce + u_pr into u, and x is then a view of run_x.
-    # The buffers are no longer than the horizon: a short horizon packs
-    # many trials into a batch
-    x = np.zeros((N, n))
-    span_cap = min(CLEAN_SPAN_CAP, T)
-    run_ce = np.empty((span_cap, N, m))
-    run_x = np.empty((span_cap, N, n))
-    # the clean-run step's row views, made once
-    ce_rows, x_rows = list(run_ce), list(run_x)
+    # a step's input u = u_cb + u_pr and B u, rewritten each step
     u = np.empty((N, m))
     Bu = np.empty((N, n))
+    # a chunk's standard normal process noise g, L g written into W
+    G = np.empty((min(NOISE_CHUNK, T), N, n))
     A, B = spec.sys.A, spec.sys.B
     matvec, add = np.matvec, np.add
     K = np.zeros((N, m, n))
@@ -410,19 +405,17 @@ def run_trials(config: ExperimentConfig, indices,
     for start in range(0, T, NOISE_CHUNK):
         stop = min(start + NOISE_CHUNK, T)
         count = stop - start
-        # the chunk's noise step-major, (count, N, .), so a step's rows
-        # are one contiguous row stack
-        G = np.stack([s.block("w", start + 1, count) for s in streams], 1)
-        Wc = np.matvec(L, G)
+        chunk = slice(start, stop)
+        for r, s in enumerate(streams):
+            G[:count, r] = s.block("w", start + 1, count)
+            U_pr[chunk, r] = s.block("v", start + 1, count)
+        np.matvec(L, G[:count], out=W[chunk])
         scales = np.fromiter(
             map(pow, range(start + 1, stop + 1), repeat(PROBE_EXPONENT)),
             float, count)
-        Pc = scales[:, None, None] * np.stack(
-            [s.block("v", start + 1, count) for s in streams], 1)
-        W[:, start:stop] = Wc.swapaxes(0, 1)
-        U_pr[:, start:stop] = Pc.swapaxes(0, 1)
+        np.multiply(scales[:, None, None], U_pr[chunk], out=U_pr[chunk])
         limits = thresholds(start + 1, count)
-        # i steps are taken: X[:, i] is final and x is the state at step i+1
+        # i steps are taken: X[i] is the state at step i + 1
         i = start
         while i < stop:
             if i + 1 == next_update:
@@ -432,17 +425,18 @@ def run_trials(config: ExperimentConfig, indices,
                 gains = certainty_equivalent_gains(Theta, spec.cost)
                 K[live] = gains
                 for r, gain in zip(live, gains):
-                    segments[r].append((i + 1, gain))
+                    records[r].gain_segments.append((i + 1, gain))
                 next_update = config.controller.next_update(i + 1)
             if not np.count_nonzero(xi):
                 # a clean run, ending by the next gain update or chunk end:
                 # u_cb = u_ce at every step, the breaker checked after
                 end = min(i + span, stop, next_update - 1)
-                a, b = i - start, end - start
+                x = X[i]
                 # plant.step's operations in its order, written out so a
                 # step makes no Python call; out= passed by position, which
                 # numpy parses faster
-                for ce, x_next, p, w in zip(ce_rows, x_rows, Pc[a:b], Wc[a:b]):
+                for ce, x_next, p, w in zip(U_ce[i:end], X[i + 1:end + 1],
+                                            U_pr[i:end], W[i:end]):
                     matvec(K, x, ce)
                     add(ce, p, u)
                     matvec(A, x, x_next)
@@ -450,66 +444,53 @@ def run_trials(config: ExperimentConfig, indices,
                     add(x_next, Bu, x_next)
                     add(x_next, w, x_next)
                     x = x_next
-                U_ce[:, i:end] = run_ce[:b - a].swapaxes(0, 1)
-                X[:, i + 1:end + 1] = run_x[:b - a].swapaxes(0, 1)
-                clean = clean_steps(U_ce[:, i:end], limits[a:b])
-                U_cb[:, i:i + clean] = U_ce[:, i:i + clean]
-                if i + clean == end:
-                    i = end
+                clean = clean_steps(U_ce[i:end].swapaxes(0, 1),
+                                    limits[i - start:end - start])
+                U_cb[i:i + clean] = U_ce[i:i + clean]
+                i += clean
+                if i == end:
                     span = min(2 * span, CLEAN_SPAN_CAP)
                     continue
-                # a row trips at index i + clean: keep the steps before it
-                # and rewind x to its state, where the breaker takes over;
-                # a copy, since the breaker steps x in place
-                i += clean
-                x = X[:, i].copy()
+                # a row trips at step i + 1: the steps before it are kept,
+                # and the breaker takes the step from its logged state
                 span = 1
             # a row dwells or trips: the breaker rule, one step
-            u_ce = np.matvec(K, x)
+            u_ce = matvec(K, X[i], U_ce[i])
             u_cb, codes, xi = breaker(i + 1, u_ce, xi)
-            U_ce[:, i] = u_ce
-            U_cb[:, i] = u_cb
-            breaker_codes[:, i] = codes
-            np.add(u_cb, Pc[i - start], u)
-            step(x, u, Wc[i - start], spec, x)
+            U_cb[i] = u_cb
+            breaker_codes[i] = codes
+            add(u_cb, U_pr[i], u)
+            step(X[i], u, W[i], spec, X[i + 1])
             i += 1
-            X[:, i] = x
-        if not live or stop_at(stop) is None:
+        if live:
+            stop_at(stop)
+        # fold the chunk: a trial keeps its rows up to its failure step
+        kept = [failures[r][0] if r in failures else T for r in range(N)]
+        read = np.arange(start, stop)[:, None] < kept
+        stage[chunk][read] = stage_costs(
+            X[chunk][read], U_cb[chunk][read] + U_pr[chunk][read], spec.cost)
+        for r, rows in enumerate(kept):
+            if rows > start:
+                folds[r].add(records[r].rows(start, min(stop, rows)))
+        if not live:
             break
 
-    logs = (X, U_ce, U_cb, U_pr, W, breaker_codes)
-    return [_finish(config, oracle, cps, index, seeds[r], failures.get(r),
-                    [a[r] for a in logs], segments[r], est_sq[r])
-            for r, index in enumerate(indices)]
+    return [_finish(record, fold, failures.get(r), est_sq[r])
+            for r, (record, fold) in enumerate(zip(records, folds))]
 
 
-def _finish(config: ExperimentConfig, oracle: RiccatiSolution,
-            cps: np.ndarray, trial_index: int, seed: int,
-            failure: tuple[int, str] | None, logs: list[np.ndarray],
-            segments: list, est_sq: np.ndarray) -> TrialResult:
-    """One trial's record, curves and summary from its rows of the batch,
-    fed to a TrialFold in blocks of NOISE_CHUNK rows.
-
-    ``cps`` is the config's checkpoint grid. ``failure`` is the (step,
-    message) of the first state past the overflow guard, or None. ``logs``
-    are the trial's X, U_ce, U_cb, U_pr, W and breaker arrays, cut here, as
-    views, to the failure step or the horizon.
-    """
-    spec = config.plant
+def _finish(record: TrialRecord, fold: TrialFold,
+            failure: tuple[int, str] | None,
+            est_sq: np.ndarray) -> TrialResult:
+    """A trial's result from its record over the horizon, cut here at
+    ``failure`` (the step and message of its first state past the overflow
+    guard, or None), and its fold, fed every row it keeps."""
     failed = failure is not None
-    end, failure_reason = failure if failed else (config.horizon, "")
-    X, U_ce, U_cb, U_pr, W, breaker_codes = (a[:end] for a in logs)
-    stage = stage_costs(X, U_cb + U_pr, spec.cost)
-    record = TrialRecord(
-        trial_index=trial_index, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
-        U_pr=U_pr, W=W, breaker=breaker_codes, stage_cost=stage,
-        gain_segments=segments)
-    fold = TrialFold(oracle, spec, cps, config.delta)
-    for a in range(0, end, NOISE_CHUNK):
-        fold.add(record.rows(a, a + NOISE_CHUNK))
+    end, failure_reason = failure if failed else (record.horizon, "")
+    record = record.rows(0, end)
     facts = {} if failed else compute_trial_diagnostics(fold, record)
     summary = TrialSummary(
-        trial_index=trial_index, seed=seed, failed=failed,
+        trial_index=record.trial_index, seed=record.seed, failed=failed,
         failure_step=end if failed else None,
         failure_reason=failure_reason, **facts)
     return TrialResult(summary=summary, record=record,

@@ -16,13 +16,12 @@ not fit a flat per-step CSV row, so it travels in a JSON sidecar next to
 each trial file. A record holds exactly what a log and its sidecar hold:
 the state after the last step is not kept, since regret.TrialFold derives
 it from the last row with plant.step. The fold reads blocks of rows:
-TrialRecord.rows cuts them from a trial, load_trial_csv from a log.
+TrialRecord.rows cuts them from a running trial, load_trial_csv from a log.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
@@ -30,7 +29,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import IncompleteLog
+from .errors import IncompleteLog, IoError
 from .plant import NOISE_CHUNK
 
 BREAKER_CLEAR = 0   # feedback passed through (u_cb = u_ce)
@@ -50,7 +49,8 @@ class TrialRecord:
     ``(from_step, K)`` pairs: K is the feedback gain in effect from that
     step until the next segment starts. A field whose shape disagrees with
     ``X`` and ``U_ce``, or a gain that is not (m, n), raises IncompleteLog
-    naming the field.
+    naming the field. run_trials's records are strided views of the batch
+    arrays; every reader gives the bits of a contiguous copy.
     """
 
     trial_index: int
@@ -125,28 +125,33 @@ def save_trial_csv(record: TrialRecord, path: str) -> None:
     Cells are formatted a column at a time over blocks of at most
     NOISE_CHUNK rows, so the strings held at once do not grow with the
     horizon. A u_cb cell equal to the u_ce cell beside it, as at every step
-    the breaker passes, reuses that cell's string.
+    the breaker passes, reuses that cell's string. A file that cannot be
+    written raises IoError naming it.
     """
-    with open(path, "w") as f:
-        f.write(csv_header(record.n, record.m) + "\n")
-        for a in range(0, record.horizon, NOISE_CHUNK):
-            rows = slice(a, min(a + NOISE_CHUNK, record.horizon))
-            ce, cb = record.U_ce[rows], record.U_cb[rows]
-            ce_cells = [list(map(repr, col)) for col in ce.T.tolist()]
-            cb_cells = [list(cells) for cells in ce_cells]
-            # equal values of one sign are one float, so the same digits
-            same = (cb == ce) & (np.signbit(cb) == np.signbit(ce))
-            for i, j in np.argwhere(~same).tolist():
-                cb_cells[j][i] = repr(cb[i, j].item())
-            columns = [map(str, range(rows.start + 1, rows.stop + 1))]
-            columns += [map(repr, col) for col in record.X[rows].T.tolist()]
-            columns += ce_cells + cb_cells
-            columns += [map(repr, col) for arr in (record.U_pr, record.W)
-                        for col in arr[rows].T.tolist()]
-            columns.append(map(str, record.breaker[rows].tolist()))
-            columns.append(map(repr, record.stage_cost[rows].tolist()))
-            f.write("\n".join(map(",".join, zip(*columns))))
-            f.write("\n")
+    try:
+        with open(path, "w") as f:
+            f.write(csv_header(record.n, record.m) + "\n")
+            for a in range(0, record.horizon, NOISE_CHUNK):
+                rows = slice(a, min(a + NOISE_CHUNK, record.horizon))
+                ce, cb = record.U_ce[rows], record.U_cb[rows]
+                ce_cells = [list(map(repr, col)) for col in ce.T.tolist()]
+                cb_cells = [list(cells) for cells in ce_cells]
+                # equal values of one sign are one float, so the same digits
+                same = (cb == ce) & (np.signbit(cb) == np.signbit(ce))
+                for i, j in np.argwhere(~same).tolist():
+                    cb_cells[j][i] = repr(cb[i, j].item())
+                columns = [map(str, range(rows.start + 1, rows.stop + 1))]
+                columns += [map(repr, col)
+                            for col in record.X[rows].T.tolist()]
+                columns += ce_cells + cb_cells
+                columns += [map(repr, col) for arr in (record.U_pr, record.W)
+                            for col in arr[rows].T.tolist()]
+                columns.append(map(str, record.breaker[rows].tolist()))
+                columns.append(map(repr, record.stage_cost[rows].tolist()))
+                f.write("\n".join(map(",".join, zip(*columns))))
+                f.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def _raise_bad_row(f, path: str, width: int, first: int,
@@ -193,12 +198,15 @@ def load_trial_csv(path: str,
     that need the gains read them from the sidecar. A block's rows are one
     (L, width) array from np.loadtxt with max_rows on the open file, and
     its fields are column slices of it. Raises IncompleteLog naming the row
-    on any structural or parse problem, as the block holding it is read.
+    on any structural or parse problem, as the block holding it is read,
+    and naming the file when it cannot be opened.
     """
-    if not os.path.exists(path):
-        raise IncompleteLog(f"trial log missing: {path}")
     # an undecodable byte becomes U+FFFD, which no header or number matches
-    with open(path, encoding="utf-8", errors="replace") as f:
+    try:
+        f = open(path, encoding="utf-8", errors="replace")
+    except OSError as exc:
+        raise IncompleteLog(f"cannot read {path}: {exc}") from None
+    with f:
         header = f.readline().rstrip("\n")
         names = header.split(",")
         n = sum(1 for c in names if c.startswith("x_"))
@@ -245,6 +253,7 @@ def load_trial_csv(path: str,
 
 
 def save_gain_sidecar(record: TrialRecord, path: str) -> None:
+    """Write the gain history as JSON; IoError names an unwritable path."""
     doc = {
         "trial": record.trial_index,
         "seed": record.seed,
@@ -253,21 +262,24 @@ def save_gain_sidecar(record: TrialRecord, path: str) -> None:
             for start, K in record.gain_segments
         ],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-        f.write("\n")
+    try:
+        with open(path, "w") as f:
+            f.write(json.dumps(doc, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def load_gain_sidecar(path: str) -> list[tuple[int, np.ndarray]]:
-    """Gain segments from a sidecar; IncompleteLog names a bad file, a
-    gain with a NaN or infinite entry included."""
-    if not os.path.exists(path):
-        raise IncompleteLog(f"gain sidecar missing: {path}")
+    """Gain segments from a sidecar; IncompleteLog names a file that
+    cannot be opened or is bad, a gain with a NaN or infinite entry
+    included."""
     try:
         with open(path) as f:
             doc = json.load(f)
         segments = [(int(seg["from_step"]), np.array(seg["K"], dtype=float))
                     for seg in doc.get("gain_segments", [])]
+    except OSError as exc:
+        raise IncompleteLog(f"cannot read {path}: {exc}") from None
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise IncompleteLog(f"{path}: malformed gain sidecar: "
                             f"{type(exc).__name__}: {exc}") from None

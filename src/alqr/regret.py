@@ -11,8 +11,8 @@ log audit both compute per-step costs with it. TrialFold, fed a trial's
 blocks in order, derives every per-trial fact the rows decide: the regret
 and its curve, the breaker-quiescence time, the noise event, the
 state-norm ratio and, when asked to audit, the seven terms. simulate feeds
-it a finished trial in NOISE_CHUNK-row blocks and analyze a log block by
-block, so both derive each fact through the same lines and bits.
+it a trial's rows of each noise chunk as the chunk ends and analyze a log
+block by block, so both derive each fact through the same lines and bits.
 """
 
 from __future__ import annotations
@@ -53,8 +53,14 @@ class DecompositionReport:
 
 
 def _cross_rows(A: np.ndarray, P: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # row-wise a_i' P b_i
-    return np.einsum("ij,jl,il->i", A, P, B)
+    # row-wise a_i' P b_i, the same bits in a block of any length: einsum
+    # sums each j's terms apart in a block of one or two rows with a 2 x 2
+    # P, so such a block is padded with zero rows
+    rows = len(A)
+    if rows < 3:
+        pad = np.zeros((3 - rows, A.shape[1]))
+        A, B = np.concatenate([A, pad]), np.concatenate([B, pad])
+    return np.einsum("ij,jl,il->i", A, P, B)[:rows]
 
 
 def stage_costs(X: np.ndarray, U: np.ndarray,

@@ -119,6 +119,21 @@ class TestSimulate:
         assert err["error"] == "IoError"
         assert str(path) in err["message"]
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("blocked", ["trial_0.csv",
+                                         "trial_0_gains.json"])
+    def test_unwritable_trial_log_is_unusable(self, tmp_path, capsys,
+                                              workers, blocked):
+        # a directory stands where a worker writes a trial's log; at two
+        # workers the error crosses the process pool
+        path = tmp_path / "run" / "trials" / blocked
+        path.mkdir(parents=True)
+        code, _ = simulate(tmp_path, extra=["--workers", workers])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "IoError"
+        assert str(path) in err["message"]
+
     def test_set_override_reaches_controller(self, tmp_path):
         code, out = simulate(
             tmp_path,
@@ -404,6 +419,25 @@ class TestAnalyze:
         assert [(f["trial"], f["kind"]) for f in report["failures"]] == [
             (1, "parse")]
         assert [info["trial"] for info in report["trials"]] == [0, 2]
+
+    @pytest.mark.parametrize("name, trial", [("trial_1.csv", 1),
+                                             ("trial_2_gains.json", 2)])
+    def test_log_path_that_is_a_directory_is_parse_failure(
+            self, tmp_path, capsys, name, trial):
+        _, out = simulate(tmp_path)
+        capsys.readouterr()
+        path = os.path.join(out, "trials", name)
+        os.remove(path)
+        os.mkdir(path)
+
+        code = cli.main(["analyze", "--out", out])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert [(f["trial"], f["kind"]) for f in report["failures"]] == [
+            (trial, "parse")]
+        assert name in report["failures"][0]["message"]
+        assert [info["trial"] for info in report["trials"]] == \
+            [i for i in range(3) if i != trial]
 
     def test_hand_built_single_step_log(self, tmp_path, capsys):
         out = tmp_path / "byhand"

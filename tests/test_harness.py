@@ -428,18 +428,16 @@ def test_trial_batches_partition(ref):
                  id="dense-10000")])
 def test_trial_batches_count_the_clean_run_buffers(ref, T, factor, schedule,
                                                    snapshots):
-    # a trial holds T + 1 rows of log arrays, min(CLEAN_SPAN_CAP, T) rows
-    # of the clean run's u_ce and x buffers, and at a stop one estimator
+    # a trial holds T + 1 rows of log arrays and at a stop one estimator
     # snapshot per checkpoint passed since the last stop and one at the
     # stop, each costing its measured 44 (d^2 + n d) + 640 bytes (its V
-    # and S and its share of the stacked estimate); a batch that fills
-    # BATCH_BYTES with all three takes one trial more than the budget
-    # allows
+    # and S and its share of the stacked estimate); the clean runs step in
+    # the log rows and hold no buffer of their own. A batch that fills
+    # BATCH_BYTES with both takes one trial more than the budget allows
     spec, _ = ref
     n, m = spec.n, spec.m
     d = n + m
     per_trial = ((T + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-                 + 8 * (n + m) * min(CLEAN_SPAN_CAP, T)
                  + (44 * (d * d + n * d) + 640) * snapshots)
     fit = BATCH_BYTES // per_trial
     over = dict(horizon=T, checkpoint_factor=factor,

@@ -33,6 +33,25 @@ def test_stage_costs_hand_values():
     assert abs(other[0] - 5.0) < 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_stage_cost_rows_are_the_same_bits_in_any_block(n):
+    # einsum sums a block of one or two rows with a 2 x 2 weight in another
+    # order than a longer block; a trial's last noise chunk can hold one or
+    # two rows, and its stage costs must be those of the whole trial
+    rng = np.random.default_rng(n)
+    Q, R = (M @ M.T + len(M) * np.eye(len(M))
+            for M in (rng.standard_normal((n, n)),
+                      rng.standard_normal((2, 2))))
+    cost = CostWeights(Q=Q, R=R)
+    X = rng.standard_normal((60, n))
+    U = rng.standard_normal((60, 2))
+    whole = stage_costs(X, U, cost)
+    for size in (1, 2, 3, 7):
+        parts = [stage_costs(X[a:a + size], U[a:a + size], cost)
+                 for a in range(0, 60, size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), size
+
+
 def test_decompose_zero_noise_optimal_gain():
     # nothing moves: every term vanishes except R5 = -T J*, and the regret
     # itself is -T J*
