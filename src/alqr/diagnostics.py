@@ -82,12 +82,14 @@ def noise_bound(k, n: int, delta: float):
     return 2.0 * math.sqrt(n + 1) * np.sqrt(np.log(np.asarray(k, dtype=float) / delta))
 
 
-def compute_trial_diagnostics(fold, record: TrialRecord) -> dict:
-    """A finished trial's TrialSummary facts: those of ``fold``, a
-    regret.TrialFold fed every row of ``record``, and t_stab from the
-    record's gain history."""
+def compute_trial_diagnostics(fold, record: TrialRecord,
+                              trial: int = 0) -> dict:
+    """A finished trial's TrialSummary facts: those of trial ``trial`` of
+    ``fold``, a regret.TrialFold fed every row of ``record``, and t_stab
+    from the record's gain history."""
     t_stab, censored = detect_t_stab(record, fold.oracle, fold.truth)
-    return {**fold.facts(), "t_stab": t_stab, "t_stab_censored": censored}
+    return {**fold.facts(trial), "t_stab": t_stab,
+            "t_stab_censored": censored}
 
 
 def fit_regret_slope(curve, window) -> SlopeEstimate:

@@ -194,9 +194,11 @@ def trial_bytes(horizon: int, n: int, m: int, snapshots: int = 0) -> int:
     U_pr, W, the stage cost and the breaker code, plus ``snapshots``
     estimator snapshots held at once. A snapshot counts its V and S with
     their share of the stacked estimate: the peak resident memory (VmHWM)
-    of one run_trials batch at T = 10 000 grew by 2350, 11 040 and 41 960
-    bytes per snapshot on 3x2, 8x4 and 16x8 (4096 snapshots per trial
-    against 6; numpy 2.4, x86-64), d = n + m."""
+    of one run_trials batch at T = 10 000 grew by 1915, 10 800 and 42 220
+    bytes per trial snapshot on 3x2 (4 trials), 8x4 (2) and 16x8 (1), and
+    by 2350-2425 on 3x2 for a lone trial, whose snapshots share no array
+    overhead with a stack (4096 snapshots per trial against 6; numpy 2.4,
+    x86-64), d = n + m."""
     d = n + m
     return ((horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
             + (44 * (d * d + n * d) + 640) * snapshots)
@@ -280,28 +282,33 @@ def run_trials(config: ExperimentConfig, indices,
     (overflow_failures) on the states since the last one: a row past it
     leaves the live rows but keeps stepping, unread; its trial comes back
     cut at its first failing step and marked failed, and the batch ends at
-    the first stop with no row live. The stop then feeds each trial's
-    estimator the logged pairs since the last stop and takes its snapshot
-    at every checkpoint c passed since then that the trial has not failed
-    by (failure step > c), and at the stop if the trial is live. All the
-    snapshots go through one stacked estimate (estimates, one stacked
-    eigendecomposition); the checkpoints' estimates through one stacked
-    estimation_error. Gain updates fire at the same k for every trial:
-    the live rows' estimates at the stop go through one
-    certainty_equivalent_gains call, whose Riccati loop runs every row
-    until it stops where it would stop alone. Every stacked product and
-    decomposition is the per-row one bit for bit, so a trial's outputs do
-    not depend on the batch it ran in. After a chunk's last stop, one
-    stage_costs call covers the rows the trials keep (each trial's up to
-    its failure step), and each trial's regret.TrialFold takes its rows
-    of the chunk.
+    the first stop with no row live. The stop then feeds the live rows'
+    estimators, one EstimatorState stack, the logged pairs since the last
+    stop, one absorb per split point, and takes one stacked snapshot at
+    every checkpoint c passed since then. A row failing at this stop is
+    in the snapshots at the checkpoints before its failure step and
+    leaves the stack after its last valid pair; the stack left at the
+    stop is the live rows. All the snapshots go through one stacked
+    estimate (estimates, one stacked eigendecomposition); the
+    checkpoints' estimates through one stacked estimation_error. Gain
+    updates fire at the same k for every trial: the live rows' estimates
+    at the stop go through one certainty_equivalent_gains call, whose
+    Riccati loop runs every row until it stops where it would stop alone.
+    Every stacked product and decomposition is the per-row one bit for
+    bit, so a trial's outputs do not depend on the batch it ran in. After
+    a chunk's last stop, the rows every trial keeps go through one
+    stage_costs call as one reshaped view, and the rest of the rows
+    before a failing trial's failure step through a boolean mask; then
+    one batch regret.TrialFold takes the chunk's (count, N, ·) rows, each
+    trial's up to its failure step.
     """
     spec = config.plant
     n, m = spec.n, spec.m
     T = config.horizon
     N = len(indices)
     seeds = [trial_seed(config.base_seed, i) for i in indices]
-    estimators = [EstimatorState(n, m) for _ in indices]
+    # the live rows' estimators, one stack in the order of live
+    estimator = EstimatorState(n, m, trials=N)
     streams = [NoiseStream(seed=seed, state_dim=n, input_dim=m)
                for seed in seeds]
     L = spec.chol_W
@@ -327,7 +334,7 @@ def run_trials(config: ExperimentConfig, indices,
         breaker=breaker_codes[:, r], stage_cost=stage[:, r])
         for r, (index, seed) in enumerate(zip(indices, seeds))]
     cps = config.checkpoints()
-    folds = [TrialFold(oracle, spec, cps, config.delta) for _ in indices]
+    fold = TrialFold(oracle, spec, cps, config.delta, trials=N)
 
     # the batch rows not yet failed; batch row -> (step, message) of its
     # first state past the guard; the steps whose states were checked
@@ -345,6 +352,12 @@ def run_trials(config: ExperimentConfig, indices,
         checkpoint since the last stop that it has not failed by (failure
         step > c), and at upto if it is live. Fills est_sq; returns the
         live rows' estimates at upto, or None when no row is live.
+
+        The estimator stack holds the rows live at the last stop, fed to
+        it. It is fed on to each split point in one absorb: each pending
+        checkpoint, where it takes one snapshot of the stack, each failing
+        row's end (failure step - 1 pairs), after which that row leaves,
+        and upto, where the rows left are the live ones.
         """
         nonlocal live, checked, measured
         rows = live
@@ -354,39 +367,43 @@ def run_trials(config: ExperimentConfig, indices,
         live = [r for j, r in enumerate(rows) if j not in found]
         checked = upto
         reached = int(np.searchsorted(cps, upto, side="right"))
-        pending = list(enumerate(cps[measured:reached].tolist(), measured))
+        pending = dict(zip(cps[measured:reached].tolist(),
+                           range(measured, reached)))
         measured = reached
-        cells, snapshots, at_stop = [], [], []
-        for r in rows:
-            estimator = estimators[r]
+        # each row's count of valid pairs: step i's pair is
+        # z = [X[i]; U_cb[i] + U_pr[i]] with successor X[i + 1], and a row
+        # failing at step f has X[f] past the guard
+        last = np.array([failures[r][0] - 1 if r in failures else upto
+                         for r in rows])
+        # the stack's columns of the batch arrays: a slice, so views and
+        # not copies, while every row is in it
+        cols = slice(None) if len(rows) == N else rows
+        cell_rows, cell_cps, snapshots = [], [], []
+        for point in sorted({*pending, *last.tolist()}):
             a = estimator.count
-            last = failures[r][0] - 1 if r in failures else upto
-            # step i's pair is z = [X[i]; U_cb[i] + U_pr[i]] with
-            # successor X[i + 1]; the row was fed to the last stop, so its
-            # new pairs span at most one noise chunk
-            Z = np.concatenate(
-                [X[a:last, r], U_cb[a:last, r] + U_pr[a:last, r]], axis=1)
-            Xn = X[a + 1:last + 1, r]
-            done = 0
-            for j, c in pending:
-                if c > last:
-                    break
-                estimator.absorb(Z[done:c - a], Xn[done:c - a])
-                done = c - a
-                cells.append((r, j))
+            if point > a and rows:
+                Z = np.concatenate(
+                    [X[a:point, cols],
+                     U_cb[a:point, cols] + U_pr[a:point, cols]], axis=2)
+                estimator.absorb(Z, X[a + 1:point + 1, cols])
+            if point in pending and rows:
                 snapshots.append(estimator.snapshot())
-            if r not in failures:
-                estimator.absorb(Z[done:], Xn[done:])
-                at_stop.append(estimator.snapshot())
-        snapshots += at_stop
+                cell_rows += rows
+                cell_cps += [pending[point]] * len(rows)
+            if point < upto and np.any(last == point):
+                keep = last != point
+                estimator.leave(keep)
+                rows = cols = [r for r, kept in zip(rows, keep) if kept]
+                last = last[keep]
+        if live:
+            snapshots.append(estimator.snapshot())
         if not snapshots:
             return None
         Theta = estimates(snapshots)[0]
-        if cells:
-            err = estimation_error(Theta[:len(cells)], spec.sys)
-            at_rows, at_cps = zip(*cells)
-            est_sq[at_rows, at_cps] = err * err
-        return Theta[len(cells):] if live else None
+        if cell_rows:
+            err = estimation_error(Theta[:len(cell_rows)], spec.sys)
+            est_sq[cell_rows, cell_cps] = err * err
+        return Theta[len(cell_rows):] if live else None
 
     # a step's input u = u_cb + u_pr and B u, rewritten each step
     u = np.empty((N, m))
@@ -464,38 +481,52 @@ def run_trials(config: ExperimentConfig, indices,
             i += 1
         if live:
             stop_at(stop)
-        # fold the chunk: a trial keeps its rows up to its failure step
-        kept = [failures[r][0] if r in failures else T for r in range(N)]
-        read = np.arange(start, stop)[:, None] < kept
-        stage[chunk][read] = stage_costs(
-            X[chunk][read], U_cb[chunk][read] + U_pr[chunk][read], spec.cost)
-        for r, rows in enumerate(kept):
-            if rows > start:
-                folds[r].add(records[r].rows(start, min(stop, rows)))
+        # fold the chunk: a trial keeps its rows up to its failure step.
+        # The rows every trial keeps are one stage_costs call over a
+        # reshaped view; the rest, up to failing trials' failure steps,
+        # are picked by a mask
+        ends = np.clip([failures[r][0] - start if r in failures else count
+                        for r in range(N)], 0, count)
+        common = int(ends.min())
+        if common:
+            shared = slice(start, start + common)
+            stage[shared] = stage_costs(
+                X[shared].reshape(-1, n),
+                (U_cb[shared] + U_pr[shared]).reshape(-1, m),
+                spec.cost).reshape(common, N)
+        if common < count:
+            rest = slice(start + common, stop)
+            read = np.arange(common, count)[:, None] < ends
+            stage[rest][read] = stage_costs(
+                X[rest][read], U_cb[rest][read] + U_pr[rest][read],
+                spec.cost)
+        fold.add_rows(start + 1, X[chunk], U_cb[chunk], U_pr[chunk], W[chunk],
+                      breaker_codes[chunk], stage[chunk], ends)
         if not live:
             break
 
-    return [_finish(record, fold, failures.get(r), est_sq[r])
-            for r, (record, fold) in enumerate(zip(records, folds))]
+    curves = fold.rel_avg_regret()
+    return [_finish(record, fold, r, failures.get(r), curves[r], est_sq[r])
+            for r, record in enumerate(records)]
 
 
-def _finish(record: TrialRecord, fold: TrialFold,
-            failure: tuple[int, str] | None,
+def _finish(record: TrialRecord, fold: TrialFold, row: int,
+            failure: tuple[int, str] | None, rel_avg_regret: np.ndarray,
             est_sq: np.ndarray) -> TrialResult:
     """A trial's result from its record over the horizon, cut here at
     ``failure`` (the step and message of its first state past the overflow
-    guard, or None), and its fold, fed every row it keeps."""
+    guard, or None), and row ``row`` of the batch's fold, fed every row it
+    keeps."""
     failed = failure is not None
     end, failure_reason = failure if failed else (record.horizon, "")
     record = record.rows(0, end)
-    facts = {} if failed else compute_trial_diagnostics(fold, record)
+    facts = {} if failed else compute_trial_diagnostics(fold, record, row)
     summary = TrialSummary(
         trial_index=record.trial_index, seed=record.seed, failed=failed,
         failure_step=end if failed else None,
         failure_reason=failure_reason, **facts)
     return TrialResult(summary=summary, record=record,
-                       rel_avg_regret=fold.rel_avg_regret(),
-                       est_error_sq=est_sq)
+                       rel_avg_regret=rel_avg_regret, est_error_sq=est_sq)
 
 
 def _slope_dict(est: SlopeEstimate | None) -> dict | None:

@@ -7,12 +7,13 @@ terms, noise quadratics, a telescoped boundary, and the direct probe cost)
 whose sum reproduces the regret as an algebraic identity; checking the
 identity numerically is the strongest available audit of logging fidelity.
 ``stage_costs`` is the one stage-cost formula: the simulation loop and the
-log audit both compute per-step costs with it. TrialFold, fed a trial's
-blocks in order, derives every per-trial fact the rows decide: the regret
-and its curve, the breaker-quiescence time, the noise event, the
-state-norm ratio and, when asked to audit, the seven terms. simulate feeds
-it a trial's rows of each noise chunk as the chunk ends and analyze a log
-block by block, so both derive each fact through the same lines and bits.
+log audit both compute per-step costs with it. TrialFold, fed the blocks
+of a batch of trials in order, derives every per-trial fact the rows
+decide: the regret and its curve, the breaker-quiescence time, the noise
+event, the state-norm ratio and, when asked to audit one trial, the seven
+terms. simulate feeds one fold the batch's rows of each noise chunk as the
+chunk ends, step-major, and analyze feeds a fold of one trial a log block
+by block, so both derive each fact through the same lines and bits.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .records import TrialRecord
 
 # the identity should hold to accumulation round-off; this is the audit gate
 DECOMP_RTOL = 1e-6
+# the TrialRecord fields a TrialFold reads, in add_rows's order
+FOLD_ROWS = ("X", "U_cb", "U_pr", "W", "breaker", "stage_cost")
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,14 @@ def stage_costs(X: np.ndarray, U: np.ndarray,
     return _cross_rows(X, cost.Q, X) + _cross_rows(U, cost.R, U)
 
 
-def _step_terms(block: TrialRecord, oracle: RiccatiSolution,
-                truth: PlantSpec) -> np.ndarray:
-    """(L, 7) per-step rows: the logged stage cost and the summands of R1,
-    R2, R3, R4, R5 (before its -J* per step) and R7."""
+def _step_terms(X: np.ndarray, U_cb: np.ndarray, U_pr: np.ndarray,
+                W: np.ndarray, stage_cost: np.ndarray,
+                oracle: RiccatiSolution, truth: PlantSpec) -> np.ndarray:
+    """(L, 7) per-step rows of one trial's (L, ·) rows: the logged stage
+    cost and the summands of R1, R2, R3, R4, R5 (before its -J* per step)
+    and R7."""
     A, B = truth.sys.A, truth.sys.B
     P, K_star, R = oracle.P_star, oracle.K_star, truth.cost.R
-    X, U_cb, U_pr, W = block.X, block.U_cb, block.U_pr, block.W
 
     # the feedback in effect is u_cb itself: it equals Khat x on clean steps
     # and 0 on breaker steps, exactly the selection the terms call for
@@ -87,7 +91,7 @@ def _step_terms(block: TrialRecord, oracle: RiccatiSolution,
     noise_sq = _cross_rows(W, P, W)                  # w_k' P w_k
 
     return np.stack([
-        block.stage_cost,
+        stage_cost,
         _cross_rows(gain_err, G, gain_err),
         2.0 * _cross_rows(probe_through_plant, P, closed),
         2.0 * _cross_rows(W, P, closed),
@@ -98,14 +102,21 @@ def _step_terms(block: TrialRecord, oracle: RiccatiSolution,
 
 
 class TrialFold:
-    """Every per-trial fact the rows of a trial decide, fed its blocks in
-    step order (add), each carried onto the blocks before it: the
-    stage-cost sums at ``checkpoints`` and through the last step, the
-    last step the breaker was active, the noise event and the largest
-    state-norm ratio. ``audit`` adds the six decomposition columns and
-    the boundary states that reports() reads. A block's sums are one
-    np.cumsum with the carry as its first row, so a trial fed as one
-    block or cut into blocks gives the same bits.
+    """Every per-trial fact the rows of a batch of trials decide, fed
+    their blocks in step order, each carried onto the blocks before it as
+    an (N,) array over the trials: the stage-cost sums at ``checkpoints``
+    and through the last step, the last step the breaker was active, the
+    noise event and the largest state-norm ratio. ``audit``, for a fold of
+    one trial, adds the six decomposition columns and the boundary states
+    that reports() reads.
+
+    add_rows takes a block of the batch step-major, (L, N, ·), so each
+    quantity is one call over the block: one np.cumsum with the carry as
+    its first row, one whitening and one np.linalg.norm(axis=-1) per
+    vector, the noise bound and probe scale once per step. Each trial's
+    values are the bits of its rows folded alone, so a trial fed as one
+    block or cut into blocks, alone or in any batch, gives the same bits.
+    add feeds one trial's record as a batch of one.
 
     The boundary term at checkpoint c reads the state after step c: the
     row of step c + 1, in whichever block holds it, or after the last row
@@ -113,95 +124,149 @@ class TrialFold:
     """
 
     def __init__(self, oracle: RiccatiSolution, truth: PlantSpec,
-                 checkpoints, delta: float, audit: bool = False):
+                 checkpoints, delta: float, audit: bool = False,
+                 trials: int = 1):
         if not 0.0 < delta <= 0.5:
             raise ValueError(f"delta must be in (0, 1/2], got {delta}")
+        if audit and trials != 1:
+            raise ValueError(f"an audit fold holds one trial, not {trials}")
         self.oracle, self.truth, self.delta = oracle, truth, delta
         self.audit = audit
         self.checkpoints = np.asarray(checkpoints, dtype=np.int64)
-        self.sums = np.zeros(7 if audit else 1)   # through the last step
-        # the sums through each checkpoint, NaN until it is added
-        self.at = np.full((len(self.checkpoints), len(self.sums)), np.nan)
+        columns = 7 if audit else 1
+        # the sums through the last step, and through each checkpoint (NaN
+        # until it is added)
+        self.sums = np.zeros((trials, columns))
+        self.at = np.full((trials, len(self.checkpoints), columns), np.nan)
+        self.steps = np.zeros(trials, dtype=np.int64)  # the last step added
         self.start = 0.0          # x_1' P* x_1
         self.after: dict = {}     # checkpoint c -> x' P* x after step c
-        self.last: TrialRecord | None = None   # the last block added
-        self.last_active = 0      # the last step the breaker was active
-        self.noise_holds = True
-        self.ratio = -math.inf    # max_k ||x_k|| / log(k/delta)
+        self.end = None           # the last row's x, u and w
+        # the last step the breaker was active
+        self.last_active = np.zeros(trials, dtype=np.int64)
+        self.noise_holds = np.ones(trials, dtype=bool)
+        # max_k ||x_k|| / log(k/delta)
+        self.ratio = np.full(trials, -math.inf)
 
     def add(self, block: TrialRecord) -> None:
-        first, last, cps = block.first_step, block.horizon, self.checkpoints
+        """Feed one trial's block of rows, as a batch of one."""
+        self.add_rows(block.first_step, *(getattr(block, name)[:, None]
+                                          for name in FOLD_ROWS))
+
+    def add_rows(self, first: int, X: np.ndarray, U_cb: np.ndarray,
+                 U_pr: np.ndarray, W: np.ndarray, breaker: np.ndarray,
+                 stage_cost: np.ndarray, ends=None) -> None:
+        """Feed the batch's rows of steps first .. first + L - 1: (L, N, ·)
+        arrays, a TrialRecord's fields with a trial axis. Trial r keeps its
+        first ends[r] rows (every row by default, none leaves it as it
+        was). The rows past a trial's end may hold anything, inf and NaN
+        included, so they are replaced by zeros, which add nothing, before
+        any arithmetic."""
+        L, N = stage_cost.shape
+        ends = np.full(N, L) if ends is None else np.asarray(ends)
+        valid = True
+        if np.any(ends < L):
+            valid = np.arange(L)[:, None] < ends
+            X, U_cb, U_pr, W = (np.where(valid[..., None], a, 0.0)
+                                for a in (X, U_cb, U_pr, W))
+            breaker = np.where(valid, breaker, 0)
+            stage_cost = np.where(valid, stage_cost, 0.0)
+        cps = self.checkpoints
         if self.audit:
             P = self.oracle.P_star
-            if first == 1:
-                self.start = block.X[0] @ P @ block.X[0]
-            for c in cps[(cps >= first - 1) & (cps < last)].tolist():
-                x = block.X[c + 1 - first]
-                self.after[c] = x @ P @ x
-            rows = _step_terms(block, self.oracle, self.truth)
+            x, end = X[:, 0], int(ends[0])
+            if first == 1 and end:
+                self.start = x[0] @ P @ x[0]
+            for c in cps[(cps >= first - 1) & (cps < first - 1 + end)].tolist():
+                self.after[c] = x[c + 1 - first] @ P @ x[c + 1 - first]
+            if end:
+                self.end = (x[end - 1], U_cb[end - 1, 0] + U_pr[end - 1, 0],
+                            W[end - 1, 0])
+            rows = _step_terms(x, U_cb[:, 0], U_pr[:, 0], W[:, 0],
+                               stage_cost[:, 0], self.oracle,
+                               self.truth)[:, None]
         else:
-            rows = block.stage_cost[:, None]
-        cum = np.empty((len(rows) + 1, rows.shape[1]))
+            rows = stage_cost[..., None]
+        cum = np.empty((L + 1, N, rows.shape[-1]))
         cum[0] = self.sums
         cum[1:] = rows
         np.cumsum(cum, axis=0, out=cum)
-        hit = (cps >= first) & (cps <= last)
-        self.at[hit] = cum[cps[hit] - (first - 1)]
-        self.sums = cum[-1].copy()
+        hit = np.flatnonzero((cps >= first) & (cps < first + L))
+        if hit.size:
+            kept = (cps[hit, None] < first + ends).T
+            self.at[:, hit] = np.where(
+                kept[..., None], cum[cps[hit] - (first - 1)].swapaxes(0, 1),
+                self.at[:, hit])
+        self.sums = cum[ends, np.arange(N)]
+        self.steps = np.where(ends > 0, first + ends - 1, self.steps)
 
-        active = np.flatnonzero(block.breaker)
-        if active.size:
-            self.last_active = first + int(active[-1])
+        # a reduction over the rows of an (L, N) array runs one inner loop
+        # per row, so the per-trial ones go over (N, L) copies, and only
+        # when the whole block's cheap test does not already decide them
+        steps = np.arange(first, first + L)
+        if np.count_nonzero(breaker):
+            self.last_active = np.maximum(self.last_active, np.where(
+                breaker.T != 0, steps, 0).max(axis=1))
         # the noise event: max(||L^-1 w_k||, ||v_k||) under the envelope,
         # built for standard normal draws, so w_k is whitened by L = chol W
-        # (forward substitution over the n columns; a NaN row fails the
-        # comparison rather than raising) and the probe scale undone
-        ks = np.arange(first, last + 1, dtype=float)
-        bound = noise_bound(ks, block.n, self.delta)
-        L = self.truth.chol_W
-        white = np.empty_like(block.W)
-        for i in range(block.n):
-            white[:, i] = (block.W[:, i] - white[:, :i] @ L[i, :i]) / L[i, i]
-        w_norms = np.linalg.norm(white, axis=1)
-        v_norms = np.linalg.norm(block.U_pr, axis=1) * ks ** -PROBE_EXPONENT
-        self.noise_holds = self.noise_holds and bool(
-            np.all(w_norms <= bound) and np.all(v_norms <= bound))
-        self.ratio = float(np.max(
-            np.linalg.norm(block.X, axis=1) / np.log(ks / self.delta),
-            initial=self.ratio))
-        self.last = block
+        # and the probe scale undone. The forward substitution over the n
+        # columns is elementwise, so a row's bits do not depend on the
+        # block's shape, as a BLAS product's can; a zero entry of L adds
+        # nothing and is skipped, and a NaN row fails the comparison
+        # rather than raising
+        ks = steps.astype(float)
+        bound = noise_bound(ks, X.shape[-1], self.delta)[:, None]
+        L_w = self.truth.chol_W
+        white = np.empty_like(W)
+        for i in range(len(L_w)):
+            known = 0.0
+            for j in np.flatnonzero(L_w[i, :i]).tolist():
+                known = known + white[..., j] * L_w[i, j]
+            white[..., i] = (W[..., i] - known) / L_w[i, i]
+        w_norms = np.linalg.norm(white, axis=-1)
+        v_norms = (np.linalg.norm(U_pr, axis=-1)
+                   * (ks ** -PROBE_EXPONENT)[:, None])
+        holds = (w_norms <= bound) & (v_norms <= bound)
+        if not holds.all():
+            self.noise_holds &= holds.T.all(axis=1)
+        ratios = np.linalg.norm(X, axis=-1) / np.log(ks / self.delta)[:, None]
+        if valid is not True:
+            ratios[~valid] = -math.inf
+        self.ratio = np.maximum(self.ratio, np.max(
+            ratios.T.copy(), axis=1, initial=-math.inf))
 
-    def facts(self) -> dict:
-        """Every TrialSummary field but t_stab, through the last step added.
+    def facts(self, trial: int = 0) -> dict:
+        """Every TrialSummary field but t_stab of one trial of the batch,
+        through the last step added.
 
         t_nocb is 1 + the last step the breaker was active (1 if it never
         was), censored when that is the last step added.
         """
-        T = self.last.horizon
+        T = int(self.steps[trial])
         J = self.oracle.J_star
-        regret = float(self.sums[0]) - T * J
+        regret = float(self.sums[trial, 0]) - T * J
+        last_active = int(self.last_active[trial])
         return {"final_regret": regret,
                 "final_rel_avg_regret": regret / (T * J),
-                "t_nocb": self.last_active + 1,
-                "t_nocb_censored": self.last_active == T,
-                "noise_event_holds": self.noise_holds,
-                "max_state_norm_ratio": self.ratio}
+                "t_nocb": last_active + 1,
+                "t_nocb_censored": last_active == T,
+                "noise_event_holds": bool(self.noise_holds[trial]),
+                "max_state_norm_ratio": float(self.ratio[trial])}
 
     def rel_avg_regret(self) -> np.ndarray:
-        """(sum - c J*) / (c J*) at each checkpoint c, NaN past the last
-        step added."""
+        """(N, C): (sum - c J*) / (c J*) at each checkpoint c, per trial,
+        NaN past the last step added."""
         cJ = self.checkpoints * self.oracle.J_star
-        return (self.at[:, 0] - cJ) / cJ
+        return (self.at[..., 0] - cJ) / cJ
 
     def reports(self, checkpoints) -> list[DecompositionReport]:
         """Reports at ``checkpoints`` of an audit fold: checkpoints added by
         now, or the last step added."""
-        end = self.last
-        x = step(end.X[-1], end.U_cb[-1] + end.U_pr[-1], end.W[-1],
-                 self.truth)
-        at = {**dict(zip(self.checkpoints.tolist(), self.at)),
-              end.horizon: self.sums}
-        after = {**self.after, end.horizon: x @ self.oracle.P_star @ x}
+        T = int(self.steps[0])
+        x = step(*self.end, self.truth)
+        at = {**dict(zip(self.checkpoints.tolist(), self.at[0])),
+              T: self.sums[0]}
+        after = {**self.after, T: x @ self.oracle.P_star @ x}
         J = self.oracle.J_star
         reports = []
         for c in checkpoints:

@@ -91,6 +91,50 @@ def test_snapshots_keep_their_values():
         assert single.Theta.tobytes() == theta.tobytes(), c
         assert single.rank == rank, c
 
+
+@pytest.mark.parametrize("n, m", [(3, 2), (8, 4), (16, 8)])
+def test_stack_rows_match_lone_estimators(n, m):
+    # a stack of five trials fed step-major blocks that cross the 512-row
+    # flush, read between blocks, with rows leaving at different counts
+    # (one at 0, inside a flush group, right after a flush): each row's
+    # sums and estimate are the bits of a lone estimator fed its pairs in
+    # one block, and a snapshot keeps its values while the stack goes on
+    rng = np.random.default_rng([n, m])
+    N, d = 5, n + m
+    Z = rng.standard_normal((1400, N, d))
+    Xn = rng.standard_normal((1400, N, n))
+    cuts = (0, 1, 7, 300, 511, 512, 513, 1024, 1100, 1400)
+    leave = {0: [2], 300: [4], 512: [0, 3]}
+    stack = EstimatorState(n, m, trials=N)
+    rows = list(range(N))
+    snapshots, copies, cells = [], [], []
+    for a, b in zip(cuts, cuts[1:]):
+        for r in leave.get(a, ()):
+            stack.leave([row != r for row in rows])
+            rows.remove(r)
+        stack.absorb(Z[a:b, rows], Xn[a:b, rows])
+        assert stack.count == b
+        snapshots.append(stack.snapshot())
+        copies.append([array.copy() for array in snapshots[-1]])
+        cells += [(r, b) for r in rows]
+    assert rows == [1]
+    Theta, ranks = estimates(snapshots)
+    V = np.concatenate([v for v, _ in snapshots])
+    S = np.concatenate([s for _, s in snapshots])
+    for snapshot, copy in zip(snapshots, copies):
+        for got, kept in zip(snapshot, copy):
+            assert got.tobytes() == kept.tobytes()
+    for (r, c), v, s, theta, rank in zip(cells, V, S, Theta, ranks):
+        lone = EstimatorState(n, m)
+        lone.absorb(Z[:c, r], Xn[:c, r])
+        want_v, want_s = lone.snapshot()
+        assert v.tobytes() == want_v.tobytes(), (r, c)
+        assert s.tobytes() == want_s.tobytes(), (r, c)
+        single = lone.estimate()
+        assert single.Theta.tobytes() == theta.tobytes(), (r, c)
+        assert single.rank == rank, (r, c)
+
+
 def test_trace_matches_sum_of_squares():
     rng = np.random.default_rng(8)
     est = EstimatorState(state_dim=2, input_dim=2)

@@ -6,8 +6,12 @@ Aggregation is checked for order-independence (serial vs process pool) and
 for the documented failure accounting.
 """
 
+import ctypes
 import math
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -275,8 +279,8 @@ def test_batch_rows_match_trials_run_alone(ref):
     # 8x4 horizons cross a noise chunk, and an every-step batch updates
     # every trial's gain at every step (kept short: each update is a
     # Riccati solve). At W = 40 I rows trip inside clean runs of every
-    # length up to CLEAN_SPAN_CAP, and the batch steps on from each rewound
-    # state while the next clean runs reuse the run buffers
+    # length up to CLEAN_SPAN_CAP, and the batch steps on from the logged
+    # state at each trip, in the log rows the clean run wrote past it
     spec, _ = ref
     loud = PlantSpec(sys=spec.sys, W=40.0 * np.eye(spec.n), cost=spec.cost)
     cases = {
@@ -378,6 +382,54 @@ def test_batch_whose_rows_all_fail(ref):
         assert info.value.step == steps[i]
         assert result.summary.failure_reason == str(info.value)
         assert result.record.horizon == steps[i]
+
+
+def check_batches_match_alone():
+    """Batch rows against their trials run alone, bit for bit: a 3x2 batch
+    at W = 40 I, where the breaker trips often, and one at W = 5e21 I in
+    which two of four rows fail, one in each of the first two noise
+    chunks. test_batches_match_alone_under_other_blas_kernels runs this in
+    child processes; it also asserts that numpy's bundled OpenBLAS, when
+    it can be asked, runs the kernel OPENBLAS_CORETYPE names."""
+    core = os.environ.get("OPENBLAS_CORETYPE")
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for name in os.listdir(libs) if core and os.path.isdir(libs) else ():
+        corename = getattr(ctypes.CDLL(os.path.join(libs, name)),
+                           "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            assert corename().decode() == core
+    spec = reference_spec()
+    for scale, T, seed, failed in ((40.0, 1500, 0, [None] * 4),
+                                   (5e21, 5000, 11, [None, 103, 4984, None])):
+        loud = PlantSpec(sys=spec.sys, W=scale * np.eye(spec.n),
+                         cost=spec.cost)
+        config = make_config(loud, horizon=T, trials=4, base_seed=seed)
+        truth = solve_dare(loud.sys, loud.cost, loud.W)
+        batch = run_trials(config, range(4), truth)
+        assert [r.summary.failure_step for r in batch] == failed
+        if scale == 40.0:
+            assert all(np.count_nonzero(r.record.breaker) for r in batch)
+        for i, result in enumerate(batch):
+            assert_same_trial(result, run_trial(config, i, truth), (scale, i))
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge", "Nehalem"])
+def test_batches_match_alone_under_other_blas_kernels(core):
+    # the stacked products equal the per-row ones under the default kernel
+    # by construction of their layouts; other kernels block and vectorize
+    # differently, so the check reruns under each in a fresh process
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": os.pathsep.join([src, tests])}
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         "import test_harness; test_harness.check_batches_match_alone()"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
 
 
 def test_trial_batches_partition(ref):

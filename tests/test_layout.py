@@ -2,9 +2,10 @@
 
 run_trials lays its batch arrays out (T, N, ·), so a trial's record is a
 strided view of its column of the batch. Every reader of a record must
-give the bits of a contiguous copy of it, and the fold run_trials feeds
-each noise chunk as it ends must equal one fed the finished record in
-NOISE_CHUNK-row blocks, failed trials included.
+give the bits of a contiguous copy of it, and the batch fold run_trials
+feeds each noise chunk as it ends must equal, trial by trial, one fed the
+finished record in NOISE_CHUNK-row blocks, failed trials included. A
+batch fold never reads a row past a trial's failure step.
 """
 
 from dataclasses import asdict, astuple, replace
@@ -17,7 +18,7 @@ from alqr.diagnostics import detect_t_stab
 from alqr.harness import ExperimentConfig, run_trials
 from alqr.plant import NOISE_CHUNK, PlantSpec
 from alqr.records import save_trial_csv
-from alqr.regret import TrialFold, decompose_at, stage_costs
+from alqr.regret import FOLD_ROWS, TrialFold, decompose_at, stage_costs
 from helpers import blocks_of, reference_spec
 
 RECORD_ARRAYS = ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost")
@@ -36,6 +37,47 @@ def contiguous(record):
 
 def reports_bytes(reports):
     return np.array(list(map(astuple, reports))).tobytes()
+
+
+# the rows past a trial's end: a fold that reads one overflows squaring it
+# (a RuntimeWarning, an error here), sums a NaN or sees the breaker active
+POISON = {"breaker": 1, "stage_cost": np.nan}
+
+
+def assert_batch_fold_matches_alone(batch, oracle, spec, cps, delta):
+    """The batch's records laid out step-major, as run_trials holds them,
+    with every row past a trial's end poisoned, and folded as one batch in
+    NOISE_CHUNK blocks: each trial's carries and facts are the bits of its
+    contiguous record folded alone."""
+    T, N = max(r.record.horizon for r in batch), len(batch)
+    ends = np.array([r.record.horizon for r in batch])
+    rows = {}
+    for name in FOLD_ROWS:
+        column = getattr(batch[0].record, name)
+        rows[name] = np.full((T, N) + column.shape[1:],
+                             POISON.get(name, 1e300), dtype=column.dtype)
+        for r, result in enumerate(batch):
+            rows[name][:ends[r], r] = getattr(result.record, name)
+    fold = TrialFold(oracle, spec, cps, delta, trials=N)
+    for start in range(0, T, NOISE_CHUNK):
+        chunk = slice(start, start + NOISE_CHUNK)
+        fold.add_rows(start + 1, *(rows[name][chunk] for name in FOLD_ROWS),
+                      np.clip(ends - start, 0, NOISE_CHUNK))
+    curves = fold.rel_avg_regret()
+    for r, result in enumerate(batch):
+        record = contiguous(result.record)
+        alone = TrialFold(oracle, spec, cps, delta)
+        for block in blocks_of(record, range(NOISE_CHUNK + 1,
+                                             record.horizon + 1,
+                                             NOISE_CHUNK)):
+            alone.add(block)
+        label = record.trial_index
+        assert fold.facts(r) == alone.facts(), label
+        assert fold.sums[r].tobytes() == alone.sums[0].tobytes(), label
+        assert fold.at[r].tobytes() == alone.at[0].tobytes(), label
+        assert curves[r].tobytes() == alone.rel_avg_regret()[0].tobytes(), \
+            label
+        assert curves[r].tobytes() == result.rel_avg_regret.tobytes(), label
 
 
 # (n, m, W scale, base seed, some trial fails): with dense Q and R, at
@@ -88,6 +130,7 @@ def test_strided_records_read_as_their_contiguous_copies(tmp_path, n, m,
         save_trial_csv(copy, str(tmp_path / "packed.csv"))
         assert (tmp_path / "strided.csv").read_bytes() == \
             (tmp_path / "packed.csv").read_bytes(), label
+    assert_batch_fold_matches_alone(batch, oracle, spec, cps, config.delta)
 
 
 @pytest.mark.parametrize("scale, T, seed, factor, want", [
@@ -122,3 +165,4 @@ def test_chunk_folds_match_the_record_folded_after(scale, T, seed, factor,
             summary = asdict(result.summary)
             facts = fold.facts()
             assert {k: summary[k] for k in facts} == facts, label
+    assert_batch_fold_matches_alone(batch, oracle, wild, cps, config.delta)
