@@ -1,14 +1,14 @@
 """Exact discrete-time LQR mathematics.
 
-The discrete algebraic Riccati solver, optimal gain synthesis,
-controllability rank, and quadratic stability margins. The Riccati
-iteration, the controllability test and the margins each have one stacked
-form, which takes many systems per call and gives each the bits of its
-own call; the single-system functions are that form on a stack of one.
-All functions here
-are pure: given the same matrices they return the same values, and nothing
-is cached or mutated, so results are safe to share across threads or
-processes.
+The discrete algebraic Riccati solver (the structure-preserving doubling
+algorithm of Chu, Fan, Lin and Wang, Int. J. Control 77, 2004), optimal
+gain synthesis, controllability rank, and quadratic stability margins.
+The Riccati solver with its checks, the controllability test and the
+margins each have one stacked form, which takes many systems per call and
+gives each the bits of its own call; the single-system functions are that
+form on a stack of one. All functions here are pure: given the same
+matrices they return the same values, and nothing is cached or mutated,
+so results are safe to share across threads or processes.
 
 Conventions: the plant is x' = A x + B u with n states and m inputs; costs
 are x'Qx + u'Ru per step with Q, R symmetric positive definite.
@@ -16,6 +16,7 @@ are x'Qx + u'Ru per step with Q, R symmetric positive definite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,8 @@ SYMMETRY_RTOL = 1e-8
 EIG_INFLATION = 1.0 + 1e-9
 COND_CAP = 1e12
 DARE_RTOL = 1e-12
-DARE_MAX_ITER = 100_000
+# a cap on doubling steps: step k stands for 2**k steps of the Riccati map
+DARE_MAX_ITER = 64
 DARE_RESIDUAL_TOL = 1e-9
 RANK_RTOL = 1e-10
 
@@ -44,25 +46,42 @@ def _clean_matrix(M, name: str) -> np.ndarray:
     return M
 
 
+def _spd_stack(M: np.ndarray, name: str):
+    """The SPD test on a stack (N, k, k) of finite matrices: the
+    symmetrized stack, and the failing rows' messages by row index. Each
+    row gets the bits of its own 2-d call.
+
+    Each row is tested on S = M / 2**e, exact for a power of two, with e
+    chosen so its largest entry is below 2**480 and no sum, and no sum of
+    squares in a norm, can overflow; below that, e = 0 and the row is
+    tested as it is.
+    """
+    e = np.maximum(0, np.frexp(np.abs(M).max(axis=(-2, -1)))[1] - 480)
+    one = np.ldexp(1.0, -e)
+    S = np.ldexp(M, -e[:, None, None])
+    skewed = _frobenius(S - S.swapaxes(-1, -2)) > SYMMETRY_RTOL * np.maximum(
+        one, _frobenius(S))
+    S = 0.5 * (S + S.swapaxes(-1, -2))
+    eigs = np.linalg.eigvalsh(S)
+    failures = {}
+    for j in np.flatnonzero(
+            eigs[:, 0] <= 1e-14 * np.maximum(one, eigs[:, -1])).tolist():
+        failures[j] = (f"{name} is not positive definite "
+                       f"(min eig {np.ldexp(eigs[j, 0], e[j]):.3e})")
+    for j in np.flatnonzero(skewed).tolist():
+        failures[j] = f"{name} is not symmetric"
+    return np.ldexp(S, e[:, None, None]), failures
+
+
 def _check_spd(M: np.ndarray, name: str) -> np.ndarray:
+    """M symmetrized, or ValueError if it is not symmetric positive
+    definite."""
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got shape {M.shape}")
-    # the tests run on S = M / 2**e, exact for a power of two, with e
-    # chosen so the largest entry is below 2**480 and no sum, and no sum
-    # of squares in a norm, can overflow; below that, e = 0 and M is
-    # tested as it is
-    e = max(0, int(np.frexp(np.max(np.abs(M)))[1]) - 480)
-    one = np.ldexp(1.0, -e)
-    S = np.ldexp(M, -e)
-    scale = np.linalg.norm(S, "fro")
-    if np.linalg.norm(S - S.T, "fro") > SYMMETRY_RTOL * max(one, scale):
-        raise ValueError(f"{name} is not symmetric")
-    S = 0.5 * (S + S.T)
-    eigs = np.linalg.eigvalsh(S)
-    if eigs[0] <= 1e-14 * max(one, eigs[-1]):
-        raise ValueError(f"{name} is not positive definite "
-                         f"(min eig {np.ldexp(eigs[0], e):.3e})")
-    return np.ldexp(S, e)
+    S, failures = _spd_stack(M[None], name)
+    if failures:
+        raise ValueError(failures[0])
+    return S[0]
 
 
 @dataclass(frozen=True)
@@ -112,7 +131,7 @@ class RiccatiSolution:
     K_star = -(R + B'PB)^-1 B'PA is the optimal feedback gain.
     J_star = tr(W P_star) is the optimal average cost under noise covariance W.
     rho_star is the contraction factor of the optimal closed loop A + B K_star
-    measured in the P_star metric.
+    measured in the P_star metric. iterations counts doubling steps.
     """
 
     P_star: np.ndarray
@@ -192,9 +211,13 @@ def controllability_rank(sys: SystemMatrices) -> int:
 
 
 def _ill_conditioned(geigs: np.ndarray) -> IllConditioned:
-    return IllConditioned(
-        f"R + B'PB condition number {geigs[-1] / max(geigs[0], 1e-300):.3e} "
-        f"exceeds cap {COND_CAP:.1e}")
+    lo, hi = float(geigs[0]), float(geigs[-1])
+    # Python float division gives inf on overflow, with no warning
+    if lo > 0.0 and hi / lo < math.inf:
+        return IllConditioned(f"R + B'PB condition number {hi / lo:.3e} "
+                              f"exceeds cap {COND_CAP:.1e}")
+    return IllConditioned(f"R + B'PB is singular to working precision "
+                          f"(eigenvalues {lo:.3e} to {hi:.3e})")
 
 
 def _gain_step(A, B, P, R):
@@ -215,11 +238,17 @@ def _gain_step(A, B, P, R):
     ill = [j for j, row in enumerate(geigs.tolist())
            if row[0] <= 0.0 or row[-1] / row[0] > COND_CAP]
     if ill:
-        keep = np.ones(len(G), dtype=bool)
-        keep[ill] = False
+        keep = _keep(len(G), ill)
         BtP, G, A = BtP[keep], G[keep], A[keep]
     BtPA = BtP @ A
     return ill, BtPA, -np.linalg.solve(G, BtPA), geigs
+
+
+def _keep(count: int, gone: list) -> np.ndarray:
+    """The keep mask of a stack of ``count`` rows without rows ``gone``."""
+    keep = np.ones(count, dtype=bool)
+    keep[gone] = False
+    return keep
 
 
 def synthesize_gain(A, B, P, R) -> np.ndarray:
@@ -235,23 +264,62 @@ def synthesize_gain(A, B, P, R) -> np.ndarray:
     return K[0]
 
 
-def _finish_solve(A, B, P, Q, R, iterations: int, residual_tol: float):
-    """The checks on one converged iterate: (P, K, iterations, residual)."""
-    try:
-        K = synthesize_gain(A, B, _check_spd(P, "P"), R)
-    except ValueError as exc:
+def _finish(A, B, P, Q, R, steps: list, residual_tol: float) -> list:
+    """The checks on converged iterates, each one stacked call over the
+    rows still passing: P is SPD, R + B'PB passes the conditioning test,
+    the DARE residual is within residual_tol (1 + ||P||_F), and A + BK has
+    spectral radius below 1. Returns per row (P, K, steps, residual) or
+    the NonConvergence or IllConditioned it fails with.
+    """
+    out: list = [None] * len(P)
+    live = np.arange(len(P))
+    P, failures = _spd_stack(P, "P")
+    for j, message in failures.items():
         # a converged iterate that is not SPD is no stabilizing solution
-        raise NonConvergence(
-            f"Riccati iterate after {iterations} iterations is not a "
-            f"valid value matrix: {exc}", iterations=iterations) from exc
+        out[j] = NonConvergence(
+            f"Riccati doubling ended after {steps[j]} steps on an iterate "
+            f"that is not a valid value matrix: {message}",
+            iterations=steps[j])
+    if failures:
+        keep = _keep(len(P), list(failures))
+        live, A, B, P = live[keep], A[keep], B[keep], P[keep]
+    ill, BtPA, K, geigs = _gain_step(A, B, P, R)
+    for j in ill:
+        out[live[j]] = _ill_conditioned(geigs[j])
+    if ill:
+        keep = _keep(len(P), ill)
+        live, A, B, P = live[keep], A[keep], B[keep], P[keep]
     # K = -(R + B'PB)^-1 B'PA, so the Riccati map's correction is (B'PA)'K
-    residual = float(np.linalg.norm(
-        A.T @ P @ A + (B.T @ P @ A).T @ K + Q - P, "fro"))
-    if residual > residual_tol * (1.0 + np.linalg.norm(P, "fro")):
-        raise NonConvergence(
-            f"DARE residual {residual:.3e} exceeds tolerance "
-            f"{residual_tol:.1e}*(1+||P||)", iterations=iterations)
-    return P, K, iterations, residual
+    residual = _frobenius(A.swapaxes(-1, -2) @ P @ A
+                          + BtPA.swapaxes(-1, -2) @ K + Q - P)
+    bound = residual_tol * (1.0 + _frobenius(P))
+    closed = A + B @ K
+    # np.linalg.eigvals raises for the whole stack on one non-finite row
+    tested = (residual <= bound) & np.isfinite(closed).all(axis=(-2, -1))
+    radius = np.full(len(P), np.nan)
+    radius[tested] = np.abs(np.linalg.eigvals(closed[tested])).max(axis=-1)
+    for j, r in enumerate(live.tolist()):
+        if not residual[j] <= bound[j]:
+            out[r] = NonConvergence(
+                f"DARE residual {residual[j]:.3e} exceeds tolerance "
+                f"{residual_tol:.1e}*(1+||P||)", iterations=steps[r])
+        elif not radius[j] < 1.0:
+            out[r] = NonConvergence(
+                f"closed loop A + BK has spectral radius {radius[j]:.6g}, "
+                f"not below 1: the solution is not stabilizing",
+                iterations=steps[r])
+        else:
+            out[r] = (P[j], K[j], steps[r], float(residual[j]))
+    return out
+
+
+def _solvable(W: np.ndarray, rhs: np.ndarray) -> bool:
+    """Whether np.linalg.solve(W, rhs) returns rather than raises."""
+    try:
+        np.linalg.solve(W, rhs)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def solve_dare_stack(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
@@ -259,75 +327,93 @@ def solve_dare_stack(A: np.ndarray, B: np.ndarray, Q: np.ndarray,
                      residual_tol: float = DARE_RESIDUAL_TOL) -> list:
     """Riccati solves for a stack of systems that share the weights Q, R.
 
-    A is (N, n, n) and B (N, n, m). All rows iterate the Riccati map
-    together, one stacked call per operation; a row leaves the stack at
-    the iteration where solve_dare stops on its system alone: when it
-    converges, diverges or meets an ill-conditioned R + B'PB. Each
-    converged row then runs solve_dare's SPD and residual checks on its
-    own. Returns per row either (P, K, iterations, residual), the same bits
+    A is (N, n, n) and B (N, n, m). All rows take the doubling steps of
+    solve_dare together, one stacked call per operation, and a row leaves
+    the stack at the step where it stops on its system alone: when H
+    converges or diverges, or when I + GH is exactly singular. The
+    converged rows then take solve_dare's checks together (_finish).
+    Returns per row either (P, K, steps, residual), the same bits
     solve_dare gives for that system, or the NonConvergence or
     IllConditioned it raises.
     """
     out: list = [None] * len(A)
+    n = A.shape[-1]
     rows = np.arange(len(A))
-    # Q and R as stacks of one: adding arrays of equal ndim is the faster
+    # Q and I as stacks of one: adding arrays of equal ndim is the faster
     # numpy loop, and the sums are the same
-    Q, R = Q[None], R[None]
-    P = np.repeat(Q, len(A), axis=0)
-    converged = []
+    Q, eye = Q[None], np.eye(n)[None]
+    Ak = A
+    G = B @ np.linalg.solve(R, B.swapaxes(-1, -2))
+    G = 0.5 * (G + G.swapaxes(-1, -2))
+    H = np.repeat(Q, len(A), axis=0)
+    converged, done_P, done_steps = [], [], []
 
     def leave(gone: list) -> None:
         """Drop the rows at indices ``gone`` from the stack."""
-        nonlocal rows, A, B, P
-        keep = np.ones(len(rows), dtype=bool)
-        keep[gone] = False
-        rows, A, B, P = rows[keep], A[keep], B[keep], P[keep]
+        nonlocal rows, Ak, G, H
+        keep = _keep(len(rows), gone)
+        rows, Ak, G, H = rows[keep], Ak[keep], G[keep], H[keep]
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, DARE_MAX_ITER + 1):
+        for step in range(1, DARE_MAX_ITER + 1):
             if not len(rows):
                 break
-            ill, BtPA, K, geigs = _gain_step(A, B, P, R)
-            if ill:
-                for j in ill:
-                    out[rows[j]] = _ill_conditioned(geigs[j])
-                leave(ill)
-            P_next = (A.swapaxes(-1, -2) @ P @ A
-                      + BtPA.swapaxes(-1, -2) @ K + Q)
-            P_next = 0.5 * (P_next + P_next.swapaxes(-1, -2))
+            W = eye + G @ H
+            AG = np.concatenate([Ak, G], axis=-1)
+            try:
+                X = np.linalg.solve(W, AG)
+            except np.linalg.LinAlgError:
+                # an exactly singular I + GH raises for the whole stack:
+                # its rows are found alone and leave
+                stuck = [j for j in range(len(rows))
+                         if not _solvable(W[j], AG[j])]
+                for j in stuck:
+                    out[rows[j]] = IllConditioned(
+                        f"I + GH is singular at doubling step {step}")
+                keep = _keep(len(rows), stuck)
+                leave(stuck)
+                X = np.linalg.solve(W[keep], AG[keep])
+            # W^-1 A and W^-1 G; with At = A', the step is A <- A W^-1 A,
+            # G <- G + A W^-1 G At and H <- H + At H W^-1 A
+            At = Ak.swapaxes(-1, -2)
+            G_next = G + Ak @ X[..., n:] @ At
+            H_next = H + At @ H @ X[..., :n]
+            Ak = Ak @ X[..., :n]
+            G = 0.5 * (G_next + G_next.swapaxes(-1, -2))
+            H_next = 0.5 * (H_next + H_next.swapaxes(-1, -2))
             # one stacked call for both: each norm is its own row's vecdot
-            both = _frobenius(np.concatenate([P_next - P, P_next])).tolist()
-            delta, norms = both[:len(P)], both[len(P):]
-            P = P_next
-            # iterates beyond this scale cannot be a fixed point of a sane
+            both = _frobenius(np.concatenate([H_next - H, H_next])).tolist()
+            change, norms = both[:len(H)], both[len(H):]
+            H = H_next
+            # iterates beyond this scale cannot be a solution of a sane
             # problem, and Frobenius norms start overflowing to inf (which
             # would make the stopping rule inf <= rtol*inf spuriously
             # true); a NaN or inf entry makes the norm fail this test too
-            done = [j for j, (change, norm_p) in enumerate(zip(delta, norms))
-                    if not norm_p <= 1e150 or change <= rtol * norm_p]
-            if done:
-                for j in done:
+            stop = [j for j, (delta, norm_h) in enumerate(zip(change, norms))
+                    if not norm_h <= 1e150 or delta <= rtol * norm_h]
+            if stop:
+                for j in stop:
                     if norms[j] <= 1e150:
-                        converged.append((rows[j], A[j], B[j], P[j],
-                                          iterations))
+                        converged.append(rows[j])
+                        done_P.append(H[j])
+                        done_steps.append(step)
                     else:
                         out[rows[j]] = NonConvergence(
-                            f"Riccati iteration diverged by iteration "
-                            f"{iterations}; the pair may not be "
-                            f"stabilizable", iterations=iterations)
-                leave(done)
+                            f"Riccati doubling diverged by step {step}; "
+                            f"the pair may not be stabilizable",
+                            iterations=step)
+                leave(stop)
         else:
             for r in rows:
                 out[r] = NonConvergence(
-                    f"Riccati iteration did not converge in {DARE_MAX_ITER} "
-                    f"iterations; the pair may not be stabilizable",
+                    f"Riccati doubling did not converge in {DARE_MAX_ITER} "
+                    f"steps; the pair may not be stabilizable",
                     iterations=DARE_MAX_ITER)
-    for r, A_r, B_r, P_r, iterations in converged:
-        try:
-            out[r] = _finish_solve(A_r, B_r, P_r, Q[0], R[0], iterations,
-                                   residual_tol)
-        except (NonConvergence, IllConditioned) as exc:
-            out[r] = exc
+        if converged:
+            for r, solved in zip(converged, _finish(
+                    A[converged], B[converged], np.stack(done_P), Q, R[None],
+                    done_steps, residual_tol)):
+                out[r] = solved
     return out
 
 
@@ -336,17 +422,24 @@ def solve_dare(sys: SystemMatrices, cost: CostWeights, W=None,
                residual_tol: float = DARE_RESIDUAL_TOL) -> RiccatiSolution:
     """Stabilizing solution of the discrete algebraic Riccati equation.
 
-    Iterates the Riccati map P <- A'PA - A'PB (R + B'PB)^-1 B'PA + Q from
-    P = Q, symmetrizing each iterate, until the relative Frobenius change
-    drops below rtol. For a stabilizable (A, B) with Q > 0 this converges
-    to the unique SPD fixed point. W is the process-noise covariance used
-    for the optimal average cost J_star = tr(W P_star); defaults to I.
+    Solves P = A'PA - A'PB (R + B'PB)^-1 B'PA + Q by structure-preserving
+    doubling: from A_0 = A, G_0 = B R^-1 B' and H_0 = Q, each step takes
+    W = I + G H and sets A <- A W^-1 A, G <- G + A W^-1 G A' and
+    H <- H + A' H W^-1 A, with G and H symmetrized. H_k is the Riccati
+    map's iterate after 2**k - 1 steps from P = Q, so for a stabilizable
+    (A, B) with Q > 0 it converges quadratically to the unique SPD
+    solution. It stops when the relative Frobenius change of H drops to
+    rtol, and P is that H. W (the argument) is the process-noise
+    covariance used for the optimal average cost J_star = tr(W P_star);
+    defaults to I.
 
-    The iteration is solve_dare_stack on a stack of one, so this raises
-    what that returns for the system: NonConvergence (its ``iterations``
-    set) when the iteration diverges, stalls at DARE_MAX_ITER, ends on an
-    iterate that is not SPD or fails the residual test, and IllConditioned
-    when R + B'PB is. On success it adds the oracle-only quantities the
+    The solve is solve_dare_stack on a stack of one, so this raises what
+    that returns for the system: NonConvergence (its ``iterations`` the
+    doubling steps taken) when H diverges or has not converged in
+    DARE_MAX_ITER steps, or when P is not SPD, fails the residual test
+    or gives a closed loop A + BK with spectral radius not below 1; and
+    IllConditioned when I + GH is singular or R + B'PB fails the
+    conditioning test. On success it adds the oracle-only quantities the
     controller never needs: rho_star and J_star.
     """
     A, B = sys.A, sys.B

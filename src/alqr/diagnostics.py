@@ -57,7 +57,6 @@ def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
     spans = []
     A_pow = np.eye(truth.n)
     for t in range(dwell(T) + 1):
-        # dwell(k) = t exactly for e**t <= k < e**(t+1)
         spans.append((math.ceil(math.e ** t), math.ceil(math.e ** (t + 1)) - 1,
                       A_pow))
         A_pow = A_pow @ A

@@ -193,15 +193,17 @@ def trial_bytes(horizon: int, n: int, m: int, snapshots: int = 0) -> int:
     """Bytes of one trial's arrays in a batch: per step X, U_ce, U_cb,
     U_pr, W, the stage cost and the breaker code, plus ``snapshots``
     estimator snapshots held at once. A snapshot counts its V and S with
-    their share of the stacked estimate: the peak resident memory (VmHWM)
-    of one run_trials batch at T = 10 000 grew by 1915, 10 800 and 42 220
+    their share of the stacked estimate, 44 (d^2 + n d) + 720 bytes with
+    d = n + m: an upper bound on the growth of the peak resident memory
+    (VmHWM) of one run_trials batch at T = 10 000, 4096 snapshots per trial
+    against 6 (numpy 2.4, x86-64). That grew by 1915, 10 800 and 42 220
     bytes per trial snapshot on 3x2 (4 trials), 8x4 (2) and 16x8 (1), and
-    by 2350-2425 on 3x2 for a lone trial, whose snapshots share no array
-    overhead with a stack (4096 snapshots per trial against 6; numpy 2.4,
-    x86-64), d = n + m."""
+    for a lone trial, whose snapshots share no array overhead with a
+    stack, by 2416-2425, 10 999-11 075 and 42 219-42 297 in three runs
+    each, against the 2480, 11 280 and 42 960 counted."""
     d = n + m
     return ((horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-            + (44 * (d * d + n * d) + 640) * snapshots)
+            + (44 * (d * d + n * d) + 720) * snapshots)
 
 
 def trial_budget(config: ExperimentConfig) -> int:

@@ -7,6 +7,7 @@ symmetric eigensolver is the independent reference for the margin.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -268,66 +269,79 @@ def _outcome(solved):
     return ("ok", P.tobytes(), K.tobytes(), iterations, residual)
 
 
-def _riccati_2d(A, B, Q, R, rtol, residual_tol):
-    """The Riccati iteration on one system with 2-d matrices, written out:
-    (P, K, iterations) or (exception type name, iterations)."""
-
-    def gain(P):
-        BtP = B.T @ P
-        G = R + BtP @ B
-        G = 0.5 * (G + G.T)
-        geigs = np.linalg.eigvalsh(G)
-        if geigs[0] <= 0.0 or geigs[-1] / geigs[0] > 1e12:
-            return None, None
-        return BtP @ A, -np.linalg.solve(G, BtP @ A)
-
-    P = Q.copy()
+def _doubling_2d(A, B, Q, R, rtol, residual_tol):
+    """The Riccati doubling and its checks on one system with 2-d matrices,
+    written out: (P, K, steps) or (exception type name, steps)."""
+    n = len(A)
+    Ak, H = A, Q.copy()
+    G = B @ np.linalg.solve(R, B.T)
+    G = 0.5 * (G + G.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, 100_001):
-            BtPA, K = gain(P)
-            if K is None:
+        for step in range(1, 65):
+            W = np.eye(n) + G @ H
+            try:
+                X = np.linalg.solve(W, np.concatenate([Ak, G], axis=1))
+            except np.linalg.LinAlgError:
                 return ("IllConditioned", None)
-            P_next = A.T @ P @ A + BtPA.T @ K + Q
-            P_next = 0.5 * (P_next + P_next.T)
-            delta = np.linalg.norm(P_next - P, "fro")
-            P = P_next
-            norm_p = np.linalg.norm(P, "fro")
-            if not norm_p <= 1e150:
-                return ("NonConvergence", iterations)
-            if delta <= rtol * norm_p:
+            G_next = G + Ak @ X[:, n:] @ Ak.T
+            H_next = H + Ak.T @ H @ X[:, :n]
+            Ak = Ak @ X[:, :n]
+            G = 0.5 * (G_next + G_next.T)
+            H_next = 0.5 * (H_next + H_next.T)
+            delta = np.linalg.norm(H_next - H, "fro")
+            H = H_next
+            norm_h = np.linalg.norm(H, "fro")
+            if not norm_h <= 1e150:
+                return ("NonConvergence", step)
+            if delta <= rtol * norm_h:
                 break
+        else:
+            return ("NonConvergence", 64)
+    P = H
     eigs = np.linalg.eigvalsh(P)
     if eigs[0] <= 1e-14 * max(1.0, eigs[-1]):
-        return ("NonConvergence", iterations)
-    BtPA, K = gain(P)
-    if K is None:
+        return ("NonConvergence", step)
+    BtP = B.T @ P
+    G = R + BtP @ B
+    G = 0.5 * (G + G.T)
+    geigs = np.linalg.eigvalsh(G)
+    if geigs[0] <= 0.0 or geigs[-1] / geigs[0] > 1e12:
         return ("IllConditioned", None)
-    residual = np.linalg.norm(A.T @ P @ A + BtPA.T @ K + Q - P, "fro")
+    K = -np.linalg.solve(G, BtP @ A)
+    residual = np.linalg.norm(A.T @ P @ A + (BtP @ A).T @ K + Q - P, "fro")
     if residual > residual_tol * (1.0 + np.linalg.norm(P, "fro")):
-        return ("NonConvergence", iterations)
-    return (P.tobytes(), K.tobytes(), iterations)
+        return ("NonConvergence", step)
+    if not np.max(np.abs(np.linalg.eigvals(A + B @ K))) < 1.0:
+        return ("NonConvergence", step)
+    return (P.tobytes(), K.tobytes(), step)
 
 
 def test_riccati_stack_rows_match_separate_solves():
     # one stack mixing every way a row can leave it, in an order that makes
     # the compaction carry rows past each other; each row must come out as
-    # the separate solve_dare on its system, iteration count included
+    # the separate solve_dare on its system, step count included
     rng = np.random.default_rng(11)
     rows = [
-        # R + B'PB = 1e20 [[1, 1], [1, 1]] exactly: R is lost in the sum,
+        # R + B'PB = 1e20 [[p, p], [p, p]] exactly: R is lost in the sum,
         # so the matrix is singular and a stacked solve over it would raise
         ("ill", 0.5 * np.eye(2), np.array([[1e10, 1e10], [0.0, 0.0]])),
         ("healthy", 0.3 * rng.standard_normal((2, 2)),
          rng.standard_normal((2, 2))),
         # unstable mode the input cannot reach
         ("diverges", np.diag([1.5, 0.2]), np.array([[0.0, 0.0], [1.0, 0.5]])),
-        # uncontrollable mode at 0.9: slow convergence, loose residual
-        ("residual", np.diag([0.9, 0.5]), np.array([[0.0, 0.0], [0.0, 1.0]])),
+        # unstable mode at 50: A'PA amplifies the round-off of P past
+        # 1e-13 (1 + ||P||)
+        ("residual", np.diag([50.0, 0.5]), np.eye(2)),
         # barely controllable unstable mode: P reaches ~5e15 next to ~1,
         # past the SPD test's 1e-14 eigenvalue ratio
         ("not SPD", np.diag([1.25, 0.5]), np.array([[1e-8, 0.0], [0.0, 1.0]])),
         ("healthy", 0.3 * rng.standard_normal((2, 2)),
          rng.standard_normal((2, 2))),
+        # G = B B' = 1e20 [[1, 1], [1, 1]], so I + G Q rounds to a singular
+        # matrix and the first step's stacked solve would raise
+        ("stuck", 0.5 * np.eye(2), np.array([[1e10, 0.0], [1e10, 0.0]])),
+        # uncontrollable mode at 0.9: 426 steps of the Riccati map
+        ("slow", np.diag([0.9, 0.5]), np.array([[0.0, 0.0], [0.0, 1.0]])),
     ]
     cost = CostWeights(Q=np.eye(2), R=np.eye(2))
     tol = 1e-13
@@ -343,7 +357,7 @@ def test_riccati_stack_rows_match_separate_solves():
             alone = exc
         assert _outcome(got) == _outcome(alone), name
         kinds.append(_outcome(got)[0])
-        reference = _riccati_2d(A, B, cost.Q, cost.R, 1e-12, tol)
+        reference = _doubling_2d(A, B, cost.Q, cost.R, 1e-12, tol)
         if isinstance(got, Exception):
             assert (type(got).__name__, got.iterations
                     if isinstance(got, NonConvergence) else None) == reference
@@ -351,12 +365,67 @@ def test_riccati_stack_rows_match_separate_solves():
             assert (got[0].tobytes(), got[1].tobytes(), got[2]) == reference
     messages = [str(got) for got in stacked]
     assert kinds == ["IllConditioned", "ok", "NonConvergence",
-                     "NonConvergence", "NonConvergence", "ok"]
-    assert "diverged by iteration" in messages[2]
+                     "NonConvergence", "NonConvergence", "ok",
+                     "IllConditioned", "ok"]
+    assert "singular to working precision" in messages[0]
+    assert "diverged by step" in messages[2]
     assert "DARE residual" in messages[3]
     assert "not a valid value matrix" in messages[4]
+    assert messages[6] == "I + GH is singular at doubling step 1"
     assert [getattr(got, "iterations", None) if isinstance(got, Exception)
-            else got[2] for got in stacked][1:] == [12, 426, 124, 140, 13]
+            else got[2] for got in stacked] == [None, 5, 9, 4, 9, 5, None, 9]
+
+
+def test_dare_refuses_a_closed_loop_that_does_not_contract():
+    # a = 2, b = 0.1: with rtol = 1 the doubling stops after one step at
+    # H = 1 + 4 / 1.01, which passes every other check (the residual test
+    # is off), but A + BK = 1.906 is unstable
+    sys = SystemMatrices(A=np.array([[2.0]]), B=np.array([[0.1]]))
+    cost = CostWeights(Q=np.eye(1), R=np.eye(1))
+    with pytest.raises(NonConvergence, match="spectral radius 1.9") as info:
+        solve_dare(sys, cost, rtol=1.0, residual_tol=math.inf)
+    assert info.value.iterations == 1
+    sol = solve_dare(sys, cost)
+    assert abs(2.0 + 0.1 * sol.K_star[0, 0]) < 1.0
+
+
+def test_dare_solves_an_estimate_the_riccati_map_stalled_on():
+    # an every-step estimate (3x2 reference plant, base seed 0, horizon
+    # 12) with |eig(A)| = 149: A'PA amplifies round-off, and the Riccati
+    # map's relative change sat at a floor above DARE_RTOL for 100 000
+    # iterations, so the controller took the zero gain
+    A = np.array([
+        [-455.0871122757005, 508.99625459627276, -579.5137347527746],
+        [-218.99325552691798, 244.24584172938032, -279.924614614132],
+        [48.021360136121615, -53.95837166188334, 60.94367009524178]])
+    B = np.array([
+        [-150.2509793591829, -834.0587229636589],
+        [-70.20406490047068, -401.11954008537947],
+        [18.2150534688802, 88.9050797343248]])
+    cost = CostWeights(Q=np.eye(3), R=np.eye(2))
+    start = time.perf_counter()
+    sol = solve_dare(SystemMatrices(A=A, B=B), cost)
+    assert time.perf_counter() - start < 1.0
+    expected = scipy.linalg.solve_discrete_are(A, B, cost.Q, cost.R)
+    assert np.linalg.norm(sol.P_star - expected) <= 1e-9 * np.linalg.norm(
+        expected)
+    assert spectral_radius(A + B @ sol.K_star) < 1.0
+    assert sol.iterations == 5
+
+
+def test_ill_conditioned_message_is_finite_when_r_plus_bpb_is_singular():
+    # R + B'PB rounds to 1e20 [[1, 1], [1, 1]], whose smallest eigenvalue
+    # is 0: the condition number is no float, and the message says so
+    # with no RuntimeWarning
+    with pytest.raises(IllConditioned) as info:
+        synthesize_gain(0.5 * np.eye(2), np.array([[1e10, 1e10], [0.0, 0.0]]),
+                        np.eye(2), np.eye(2))
+    message = str(info.value)
+    assert "singular to working precision" in message
+    assert "inf" not in message and "nan" not in message
+    with pytest.raises(IllConditioned, match=r"condition number 1\.000e\+13"):
+        synthesize_gain(np.eye(2), np.zeros((2, 2)), np.eye(2),
+                        np.diag([1.0, 1e-13]))
 
 
 def test_riccati_stack_of_none():

@@ -482,15 +482,16 @@ def test_trial_batches_count_the_clean_run_buffers(ref, T, factor, schedule,
                                                    snapshots):
     # a trial holds T + 1 rows of log arrays and at a stop one estimator
     # snapshot per checkpoint passed since the last stop and one at the
-    # stop, each costing its measured 44 (d^2 + n d) + 640 bytes (its V
-    # and S and its share of the stacked estimate); the clean runs step in
-    # the log rows and hold no buffer of their own. A batch that fills
-    # BATCH_BYTES with both takes one trial more than the budget allows
+    # stop, each costing 44 (d^2 + n d) + 720 bytes (its V and S and its
+    # share of the stacked estimate, at least the measured growth of a lone
+    # trial's peak memory); the clean runs step in the log rows and hold no
+    # buffer of their own. A batch that fills BATCH_BYTES with both takes
+    # one trial more than the budget allows
     spec, _ = ref
     n, m = spec.n, spec.m
     d = n + m
     per_trial = ((T + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-                 + (44 * (d * d + n * d) + 640) * snapshots)
+                 + (44 * (d * d + n * d) + 720) * snapshots)
     fit = BATCH_BYTES // per_trial
     over = dict(horizon=T, checkpoint_factor=factor,
                 controller=ControllerConfig(schedule))

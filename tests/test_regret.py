@@ -16,7 +16,7 @@ from alqr.control_math import CostWeights, solve_dare
 from alqr.harness import ExperimentConfig, run_trial
 from alqr.plant import NOISE_CHUNK, step
 from alqr.records import TrialRecord
-from alqr.regret import TrialFold, decompose_at, stage_costs
+from alqr.regret import TrialFold, decompose_at, row_norms, stage_costs
 from helpers import blocks_of, drive_trial, reference_spec
 
 
@@ -31,6 +31,28 @@ def test_stage_costs_hand_values():
     scalar_cost = CostWeights(Q=np.array([[2.0]]), R=np.array([[3.0]]))
     other = stage_costs(np.array([[1.0]]), np.array([[-1.0]]), scalar_cost)
     assert abs(other[0] - 5.0) < 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_row_norms_are_the_bits_of_np_linalg_norm(n):
+    # a chunk of step-major (L, N, n) rows at scales from 1e-30 to 1e30,
+    # with rows whose squares overflow or underflow and rows holding a NaN
+    # or an inf, in contiguous and strided layouts
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((300, 4, n)) * np.exp(
+        rng.uniform(-70.0, 70.0, (300, 4, 1)))
+    X[0, 0] = 1e200
+    X[1, 1] = 1e-200
+    X[2, 2, 0] = 1e155
+    X[3, 3, -1] = 1e-170
+    X[4, 0, n // 2] = np.nan
+    X[5, 1, -1] = np.inf
+    X[6, 2, 0] = -np.inf
+    X[7, 3] = 0.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for block in (X, X[::3, 1:], X.swapaxes(0, 1)):
+            got = row_norms(block)
+            assert got.tobytes() == np.linalg.norm(block, axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
