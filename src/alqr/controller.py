@@ -160,6 +160,12 @@ class ControllerConfig:
             return k + 1
         return 1 << k.bit_length()
 
+    def updates(self, horizon: int) -> int:
+        """How many of the steps 1 .. horizon the schedule fires at."""
+        if self.gain_update_schedule == "every-step":
+            return horizon
+        return horizon.bit_length()
+
 
 @dataclass(frozen=True)
 class InputBreakdown:

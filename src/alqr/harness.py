@@ -6,7 +6,11 @@ individually replayable. Trials run as lockstep batches (run_trials): one
 Python step advances the feedback path of every trial in the batch, and
 every stacked product equals its per-trial form bit for bit, so a trial's
 outputs do not depend on the batch it ran in; a single trial is a batch of
-one. The experiment layer runs the batches, reduces their checkpoint
+one. A batch steps each noise chunk in one window of rows: views of
+horizon-long arrays when full trial records are kept (trial logs, run_trial),
+else one buffer reused for every chunk, so that a run without logs holds
+memory that does not grow with the horizon. The experiment layer runs the
+batches, sized from that memory, reduces their checkpoint
 curves to worst/median/mean statistics, fits log-log slopes, and tallies
 breaker-quiescence times. A trial fails at the first step whose state
 passes the overflow guard (plant.STATE_NORM_GUARD); failed trials are cut
@@ -179,8 +183,9 @@ class TrialResult:
 
     A failed trial's record ends with its failure step; its regret curve is
     NaN past that step and its estimation-error curve from it on. The
-    record may be dropped (set to None) by the experiment reduction to
-    bound memory; the summary and the curves always survive.
+    record is None when run_trials kept no records, and the experiment
+    reduction drops it (sets it to None) to bound memory; the summary and
+    the curves always survive.
     """
 
     summary: TrialSummary
@@ -189,27 +194,43 @@ class TrialResult:
     est_error_sq: np.ndarray
 
 
-def trial_bytes(horizon: int, n: int, m: int, snapshots: int = 0) -> int:
-    """Bytes of one trial's arrays in a batch: per step X, U_ce, U_cb,
-    U_pr, W, the stage cost and the breaker code, plus ``snapshots``
-    estimator snapshots held at once. A snapshot counts its V and S with
-    their share of the stacked estimate, 44 (d^2 + n d) + 720 bytes with
-    d = n + m: an upper bound on the growth of the peak resident memory
-    (VmHWM) of one run_trials batch at T = 10 000, 4096 snapshots per trial
-    against 6 (numpy 2.4, x86-64). That grew by 1915, 10 800 and 42 220
+def trial_bytes(horizon: int, n: int, m: int, snapshots: int = 0,
+                updates: int = 0) -> int:
+    """Bytes of one trial's arrays in a batch of ``horizon`` rows: per row
+    X, U_ce, U_cb, U_pr, W, the stage cost and the breaker code; per row
+    of one noise chunk's window 24 (n + m) bytes of arrays a chunk makes
+    and drops (its noise, estimator pairs and fold terms); ``snapshots``
+    estimator snapshots held at once; and the gain history of ``updates``
+    gain updates. The last three terms are upper bounds on the growth of
+    the peak resident memory (VmHWM) of one run_trials batch (numpy 2.4,
+    x86-64) on 3x2, 8x4 and 16x8 plants.
+
+    Window: 64 trials over 8 at T = 8192 grew by 96-104, 265-266 and
+    476-500 bytes per trial per window row beyond the arrays in two runs,
+    against 120, 288 and 576 counted. Snapshot: its V and S with their share of the stacked
+    estimate, 44 (d^2 + n d) + 720 bytes with d = n + m. At T = 10 000,
+    4096 snapshots per trial against 6 grew by 1915, 10 800 and 42 220
     bytes per trial snapshot on 3x2 (4 trials), 8x4 (2) and 16x8 (1), and
     for a lone trial, whose snapshots share no array overhead with a
     stack, by 2416-2425, 10 999-11 075 and 42 219-42 297 in three runs
-    each, against the 2480, 11 280 and 42 960 counted."""
+    each, against the 2480, 11 280 and 42 960 counted. Gain update: the
+    (step, gain) pair kept per trial, and at the trial's end its closed
+    loop's share of detect_t_stab's stacked margins, 48 n^2 + 900 bytes.
+    A lone every-step trial grew by 1289-1290, 3702 and 12 208 bytes per
+    update from T = 5000 to 20 000, against 1332, 3972 and 13 188
+    counted; 4 trials on 3x2 grew by 550 per trial update."""
     d = n + m
     return ((horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-            + (44 * (d * d + n * d) + 720) * snapshots)
+            + (min(horizon, NOISE_CHUNK) + 1) * 24 * d
+            + (44 * (d * d + n * d) + 720) * snapshots
+            + (48 * n * n + 900) * updates)
 
 
-def trial_budget(config: ExperimentConfig) -> int:
-    """Bytes one trial takes in a run_trials batch: trial_bytes with the
-    most estimator snapshots it holds at a stop, one for each checkpoint
-    since the last stop and one at the stop.
+def trial_budget(config: ExperimentConfig, records: bool = True) -> int:
+    """Bytes one trial takes in a run_trials batch: trial_bytes of the
+    horizon's rows with ``records``, else of one window's, with the most
+    estimator snapshots it holds at a stop, one for each checkpoint since
+    the last stop and one at the stop, and the schedule's gain updates.
 
     Checkpoint c is measured at the first stop at or after it: the step
     before the first gain update after c, or the end of c's noise chunk.
@@ -218,20 +239,25 @@ def trial_budget(config: ExperimentConfig) -> int:
         min(config.controller.next_update(c) - 1,
             -(-c // NOISE_CHUNK) * NOISE_CHUNK, config.horizon)
         for c in config.checkpoints().tolist())
-    return trial_bytes(config.horizon, config.plant.n, config.plant.m,
-                       max(stops.values()) + 1)
+    rows = config.horizon if records else min(NOISE_CHUNK, config.horizon)
+    return trial_bytes(rows, config.plant.n, config.plant.m,
+                       max(stops.values()) + 1,
+                       config.controller.updates(config.horizon))
 
 
-def trial_batches(config: ExperimentConfig, workers: int = 1) -> list[range]:
+def trial_batches(config: ExperimentConfig, workers: int = 1,
+                  records: bool = True) -> list[range]:
     """Consecutive runs of trial indices, one per lockstep batch.
 
     A batch holds as many trials as fit in BATCH_BYTES, trial_budget
-    each, and at least one. The batch count is rounded up to a multiple
+    each (with ``records`` or without, as run_trials will run them), and
+    at least one. The batch count is rounded up to a multiple
     of ``workers`` (while there are trials to fill them), so a pool of
     that many workers gets an even share; batch sizes differ by at most
     one.
     """
-    count = -(-config.trials // max(1, BATCH_BYTES // trial_budget(config)))
+    count = -(-config.trials
+              // max(1, BATCH_BYTES // trial_budget(config, records)))
     count = min(-(-count // workers) * workers, config.trials)
     bounds = [config.trials * j // count for j in range(count + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
@@ -252,17 +278,21 @@ def run_trial(config: ExperimentConfig, trial_index: int,
     return run_trials(config, range(trial_index, trial_index + 1), oracle)[0]
 
 
-def run_trials(config: ExperimentConfig, indices,
-               oracle: RiccatiSolution) -> list[TrialResult]:
+def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
+               records: bool = True) -> list[TrialResult]:
     """Run the trials ``indices`` in lockstep, one TrialResult each.
 
-    The batch arrays are step-major, (T(+1), N, ·), so a step's rows are
-    one (N, ·) row stack, stepped with np.matvec, and a trial's
-    TrialRecord holds strided views of its column. The horizon is walked
-    in chunks of NOISE_CHUNK steps, aligned with the noise stream's chunks:
-    per chunk, each trial's process noise L g (L = chol W) and probe
-    k^(-1/4) v are written into the chunk's rows of W and U_pr and the
-    breaker thresholds built, for every step at once. Per step the
+    The horizon is walked in chunks of NOISE_CHUNK steps, aligned with the
+    noise stream's chunks, each stepped in a window of count + 1 state rows
+    and count rows of every other field, step-major, (rows, N, ·), so a
+    step's rows are one (N, ·) row stack, stepped with np.matvec; a chunk
+    indexes its window from 0. With ``records`` the windows are views of
+    horizon-long arrays and each trial's TrialRecord holds strided views of
+    its column. Without them one window serves every chunk, its last state
+    row carried to row 0, so memory does not grow with the horizon, and a
+    result's record is None. Per chunk, each trial's process noise L g
+    (L = chol W) and probe k^(-1/4) v are written into the window's W and
+    U_pr, its breaker codes zeroed and the thresholds built. Per step the
     feedback path runs once for the batch: u_ce = Khat x with stacked
     gains, u_cb from the breaker rule, u = u_cb + u_pr and the plant step.
 
@@ -275,34 +305,29 @@ def run_trials(config: ExperimentConfig, indices,
     row dwells. ``span`` starts at 1, doubles after each clean run and
     drops back to 1 after a trip; CLEAN_SPAN_CAP caps it. A run ends at
     the next gain update or chunk end at the latest. Every step writes
-    straight into the log rows: a clean-run step by plant.step's
-    operations in its order, written out as six ufunc calls so that it
-    makes no Python call, a breaker step by plant.step itself.
+    straight into the window: a clean-run step by plant.step's operations
+    in its order, written out as six ufunc calls so that it makes no
+    Python call, a breaker step by plant.step itself.
 
-    The loop stops only before a gain update and at each chunk end, where
-    every logged row is final. A stop first checks the overflow guard
-    (overflow_failures) on the states since the last one: a row past it
+    The loop stops only before a gain update and at each chunk end, and a
+    stop reads only the window's rows since the last one. It checks the
+    overflow guard (overflow_failures) on their states: a row past it
     leaves the live rows but keeps stepping, unread; its trial comes back
     cut at its first failing step and marked failed, and the batch ends at
-    the first stop with no row live. The stop then feeds the live rows'
-    estimators, one EstimatorState stack, the logged pairs since the last
-    stop, one absorb per split point, and takes one stacked snapshot at
-    every checkpoint c passed since then. A row failing at this stop is
-    in the snapshots at the checkpoints before its failure step and
-    leaves the stack after its last valid pair; the stack left at the
-    stop is the live rows. All the snapshots go through one stacked
-    estimate (estimates, one stacked eigendecomposition); the
-    checkpoints' estimates through one stacked estimation_error. Gain
-    updates fire at the same k for every trial: the live rows' estimates
-    at the stop go through one certainty_equivalent_gains call, whose
-    Riccati loop runs every row until it stops where it would stop alone.
-    Every stacked product and decomposition is the per-row one bit for
-    bit, so a trial's outputs do not depend on the batch it ran in. After
-    a chunk's last stop, the rows every trial keeps go through one
-    stage_costs call as one reshaped view, and the rest of the rows
-    before a failing trial's failure step through a boolean mask; then
-    one batch regret.TrialFold takes the chunk's (count, N, ·) rows, each
-    trial's up to its failure step.
+    the first stop with no row live. It feeds the live rows' estimators,
+    one EstimatorState stack, the logged pairs, one absorb per split
+    point, with one stacked snapshot at every checkpoint passed since the
+    last stop; a failing row leaves the stack after its last valid pair.
+    All the snapshots go through one stacked estimate (estimates), the
+    checkpoints' through one stacked estimation_error. Gain updates fire
+    at the same k for every trial: one certainty_equivalent_gains call
+    takes the live rows' estimates, and its Riccati loop runs every row
+    until it stops where it would stop alone. Every stacked product and
+    decomposition is the per-row one bit for bit, so a trial's outputs do
+    not depend on its batch. After a chunk's last stop, the window goes
+    through one stage_costs call as one reshaped view, and one batch
+    regret.TrialFold takes its (count, N, ·) rows, each trial's up to its
+    failure step.
     """
     spec = config.plant
     n, m = spec.n, spec.m
@@ -315,26 +340,21 @@ def run_trials(config: ExperimentConfig, indices,
                for seed in seeds]
     L = spec.chol_W
 
+    # the horizon's rows, or one window's
+    length = T if records else min(NOISE_CHUNK, T)
     try:
-        # T + 1 rows: X[k] holds the batch's states after k steps
-        X = np.empty((T + 1, N, n))
-        U_ce = np.empty((T, N, m))
-        U_cb = np.empty((T, N, m))
-        U_pr = np.empty((T, N, m))
-        W = np.empty((T, N, n))
-        breaker_codes = np.zeros((T, N), dtype=np.int8)
-        stage = np.empty((T, N))
+        # a window's X[i] holds the batch's states after i of its steps
+        states = np.empty((length + 1, N, n))
+        # U_ce, U_cb, U_pr, W, the breaker codes and the stage costs
+        logs = [np.empty((length, N, k)) for k in (m, m, m, n)] + [
+            np.empty((length, N), np.int8), np.empty((length, N))]
     except MemoryError:
         raise ConfigInvalid(
             f"too long: the batch's trials would take "
-            f"{N * trial_budget(config)} bytes, more than could be "
-            f"allocated", path="horizon") from None
-    X[0] = 0.0
-    records = [TrialRecord(
-        trial_index=index, seed=seed, X=X[:T, r], U_ce=U_ce[:, r],
-        U_cb=U_cb[:, r], U_pr=U_pr[:, r], W=W[:, r],
-        breaker=breaker_codes[:, r], stage_cost=stage[:, r])
-        for r, (index, seed) in enumerate(zip(indices, seeds))]
+            f"{N * trial_budget(config, records)} bytes, more than could "
+            f"be allocated", path="horizon") from None
+    states[0] = 0.0
+    segments = [[] for _ in range(N)]
     cps = config.checkpoints()
     fold = TrialFold(oracle, spec, cps, config.delta, trials=N)
 
@@ -359,12 +379,14 @@ def run_trials(config: ExperimentConfig, indices,
         it. It is fed on to each split point in one absorb: each pending
         checkpoint, where it takes one snapshot of the stack, each failing
         row's end (failure step - 1 pairs), after which that row leaves,
-        and upto, where the rows left are the live ones.
+        and upto, where the rows left are the live ones. A step's row of
+        the window is step - start.
         """
         nonlocal live, checked, measured
         rows = live
         found = overflow_failures(
-            X[checked + 1:upto + 1, rows].swapaxes(0, 1), checked + 1)
+            X[checked + 1 - start:upto + 1 - start, rows].swapaxes(0, 1),
+            checked + 1)
         failures.update((rows[j], failure) for j, failure in found.items())
         live = [r for j, r in enumerate(rows) if j not in found]
         checked = upto
@@ -377,17 +399,17 @@ def run_trials(config: ExperimentConfig, indices,
         # failing at step f has X[f] past the guard
         last = np.array([failures[r][0] - 1 if r in failures else upto
                          for r in rows])
-        # the stack's columns of the batch arrays: a slice, so views and
-        # not copies, while every row is in it
+        # the stack's columns of the window: a slice, so views and not
+        # copies, while every row is in it
         cols = slice(None) if len(rows) == N else rows
         cell_rows, cell_cps, snapshots = [], [], []
         for point in sorted({*pending, *last.tolist()}):
-            a = estimator.count
-            if point > a and rows:
+            a, b = estimator.count - start, point - start
+            if b > a and rows:
                 Z = np.concatenate(
-                    [X[a:point, cols],
-                     U_cb[a:point, cols] + U_pr[a:point, cols]], axis=2)
-                estimator.absorb(Z, X[a + 1:point + 1, cols])
+                    [X[a:b, cols], U_cb[a:b, cols] + U_pr[a:b, cols]],
+                    axis=2)
+                estimator.absorb(Z, X[a + 1:b + 1, cols])
             if point in pending and rows:
                 snapshots.append(estimator.snapshot())
                 cell_rows += rows
@@ -422,34 +444,40 @@ def run_trials(config: ExperimentConfig, indices,
     # after a trip
     span = 1
     for start in range(0, T, NOISE_CHUNK):
-        stop = min(start + NOISE_CHUNK, T)
-        count = stop - start
-        chunk = slice(start, stop)
+        count = min(NOISE_CHUNK, T - start)
+        # the chunk's window: the stored rows from ``base`` on
+        base = start if records else 0
+        X = states[base:base + count + 1]
+        U_ce, U_cb, U_pr, W, codes, stage = (a[base:base + count]
+                                             for a in logs)
+        # a clean-run step leaves its breaker code at 0
+        codes[:] = 0
         for r, s in enumerate(streams):
             G[:count, r] = s.block("w", start + 1, count)
-            U_pr[chunk, r] = s.block("v", start + 1, count)
-        np.matvec(L, G[:count], out=W[chunk])
-        scales = np.fromiter(
-            map(pow, range(start + 1, stop + 1), repeat(PROBE_EXPONENT)),
-            float, count)
-        np.multiply(scales[:, None, None], U_pr[chunk], out=U_pr[chunk])
+            U_pr[:, r] = s.block("v", start + 1, count)
+        np.matvec(L, G[:count], out=W)
+        steps = range(start + 1, start + count + 1)
+        scales = np.fromiter(map(pow, steps, repeat(PROBE_EXPONENT)), float,
+                             count)
+        np.multiply(scales[:, None, None], U_pr, out=U_pr)
         limits = thresholds(start + 1, count)
-        # i steps are taken: X[i] is the state at step i + 1
-        i = start
-        while i < stop:
-            if i + 1 == next_update:
-                Theta = stop_at(i)
+        # i steps of the chunk are taken: X[i] is the state at step
+        # start + i + 1
+        i = 0
+        while i < count:
+            if start + i + 1 == next_update:
+                Theta = stop_at(start + i)
                 if Theta is None:
                     break
                 gains = certainty_equivalent_gains(Theta, spec.cost)
                 K[live] = gains
                 for r, gain in zip(live, gains):
-                    records[r].gain_segments.append((i + 1, gain))
-                next_update = config.controller.next_update(i + 1)
+                    segments[r].append((start + i + 1, gain))
+                next_update = config.controller.next_update(start + i + 1)
             if not np.count_nonzero(xi):
                 # a clean run, ending by the next gain update or chunk end:
                 # u_cb = u_ce at every step, the breaker checked after
-                end = min(i + span, stop, next_update - 1)
+                end = min(i + span, count, next_update - 1 - start)
                 x = X[i]
                 # plant.step's operations in its order, written out so a
                 # step makes no Python call; out= passed by position, which
@@ -464,70 +492,69 @@ def run_trials(config: ExperimentConfig, indices,
                     add(x_next, w, x_next)
                     x = x_next
                 clean = clean_steps(U_ce[i:end].swapaxes(0, 1),
-                                    limits[i - start:end - start])
+                                    limits[i:end])
                 U_cb[i:i + clean] = U_ce[i:i + clean]
                 i += clean
                 if i == end:
                     span = min(2 * span, CLEAN_SPAN_CAP)
                     continue
-                # a row trips at step i + 1: the steps before it are kept,
-                # and the breaker takes the step from its logged state
+                # a row trips at the next step: the steps before it are
+                # kept, and the breaker takes the step from its logged state
                 span = 1
             # a row dwells or trips: the breaker rule, one step
             u_ce = matvec(K, X[i], U_ce[i])
-            u_cb, codes, xi = breaker(i + 1, u_ce, xi)
+            u_cb, codes[i], xi = breaker(start + i + 1, u_ce, xi)
             U_cb[i] = u_cb
-            breaker_codes[i] = codes
             add(u_cb, U_pr[i], u)
             step(X[i], u, W[i], spec, X[i + 1])
             i += 1
         if live:
-            stop_at(stop)
-        # fold the chunk: a trial keeps its rows up to its failure step.
-        # The rows every trial keeps are one stage_costs call over a
-        # reshaped view; the rest, up to failing trials' failure steps,
-        # are picked by a mask
+            stop_at(start + count)
+        # fold the chunk: a trial keeps its rows up to its failure step;
+        # the rows past it are never read and may overflow in stage_costs
         ends = np.clip([failures[r][0] - start if r in failures else count
                         for r in range(N)], 0, count)
-        common = int(ends.min())
-        if common:
-            shared = slice(start, start + common)
-            stage[shared] = stage_costs(
-                X[shared].reshape(-1, n),
-                (U_cb[shared] + U_pr[shared]).reshape(-1, m),
-                spec.cost).reshape(common, N)
-        if common < count:
-            rest = slice(start + common, stop)
-            read = np.arange(common, count)[:, None] < ends
-            stage[rest][read] = stage_costs(
-                X[rest][read], U_cb[rest][read] + U_pr[rest][read],
-                spec.cost)
-        fold.add_rows(start + 1, X[chunk], U_cb[chunk], U_pr[chunk], W[chunk],
-                      breaker_codes[chunk], stage[chunk], ends)
+        with np.errstate(all="ignore"):
+            stage[:] = stage_costs(X[:count].reshape(-1, n),
+                                   (U_cb + U_pr).reshape(-1, m),
+                                   spec.cost).reshape(count, N)
+        fold.add_rows(start + 1, X[:count], U_cb, U_pr, W, codes, stage,
+                      ends)
         if not live:
             break
+        if not records:
+            # the next window starts from this chunk's last state
+            states[0] = X[count]
 
     curves = fold.rel_avg_regret()
-    return [_finish(record, fold, r, failures.get(r), curves[r], est_sq[r])
-            for r, record in enumerate(records)]
+    # the whole horizon, or the last window: all compute_trial_diagnostics
+    # reads of a record is its horizon and gain history
+    kept = slice(0, base + count)
+    return [_finish(TrialRecord(index, seed, states[kept, r],
+                                *(a[kept, r] for a in logs),
+                                gain_segments=segments[r],
+                                first_step=start - base + 1),
+                    fold, r, failures.get(r), curves[r], est_sq[r], records)
+            for r, (index, seed) in enumerate(zip(indices, seeds))]
 
 
 def _finish(record: TrialRecord, fold: TrialFold, row: int,
             failure: tuple[int, str] | None, rel_avg_regret: np.ndarray,
-            est_sq: np.ndarray) -> TrialResult:
-    """A trial's result from its record over the horizon, cut here at
-    ``failure`` (the step and message of its first state past the overflow
-    guard, or None), and row ``row`` of the batch's fold, fed every row it
-    keeps."""
+            est_sq: np.ndarray, keep: bool) -> TrialResult:
+    """A trial's result from its record through the last chunk stepped and
+    row ``row`` of the batch's fold, fed every row it keeps. ``failure`` is
+    the step and message of its first state past the overflow guard, or
+    None. With ``keep`` the record starts at step 1 and the result keeps
+    it cut at the failure step; without it the result keeps none."""
     failed = failure is not None
     end, failure_reason = failure if failed else (record.horizon, "")
-    record = record.rows(0, end)
     facts = {} if failed else compute_trial_diagnostics(fold, record, row)
     summary = TrialSummary(
         trial_index=record.trial_index, seed=record.seed, failed=failed,
         failure_step=end if failed else None,
         failure_reason=failure_reason, **facts)
-    return TrialResult(summary=summary, record=record,
+    return TrialResult(summary=summary,
+                       record=record.rows(0, end) if keep else None,
                        rel_avg_regret=rel_avg_regret, est_error_sq=est_sq)
 
 
@@ -624,7 +651,8 @@ def _batch_task(config: ExperimentConfig, indices: range,
                 log_dir: str | None,
                 oracle: RiccatiSolution) -> list[TrialResult]:
     """Worker body: run one batch, write its logs when asked, slim them."""
-    results = run_trials(config, indices, oracle)
+    results = run_trials(config, indices, oracle,
+                         records=log_dir is not None)
     for result in results:
         if log_dir is not None:
             base = os.path.join(log_dir,
@@ -657,13 +685,14 @@ def run_experiment(config: ExperimentConfig, log_dir: str | None = None,
     do not depend on its batch, so the summary never depends on
     scheduling. When ``log_dir`` is given, each trial's record is written
     there as ``trial_<i>.csv`` and ``trial_<i>_gains.json`` by the worker
-    that produced it; records are dropped before aggregation.
+    that produced it; records are dropped before aggregation. Without it
+    the batches keep no records, so they step in one reused window each.
     """
     oracle = solve_dare(config.plant.sys, config.plant.cost, config.plant.W)
     n_workers = resolve_workers(workers)
     if log_dir is not None:
         os.makedirs(log_dir, exist_ok=True)
-    batches = trial_batches(config, n_workers)
+    batches = trial_batches(config, n_workers, records=log_dir is not None)
     if n_workers == 1 or len(batches) == 1:
         done = [_batch_task(config, b, log_dir, oracle) for b in batches]
     else:

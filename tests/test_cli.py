@@ -12,7 +12,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from alqr import cli, records
+from alqr import cli, harness, records
 from alqr.config import parse_config_document
 from alqr.control_math import solve_dare
 from alqr.harness import run_trial, trial_budget
@@ -266,6 +266,31 @@ class TestSimulate:
             with open(os.path.join(par, name), "rb") as f:
                 got = f.read()
             assert got == want, name
+
+    def test_logs_on_and_off_give_the_same_bytes(self, tmp_path,
+                                                 monkeypatch):
+        # with logs a trial holds the horizon's rows, without them one
+        # window, so with a budget of two horizons the four trials run in
+        # four batches with logs and in two without
+        doc = dict(EDGE_DOC, horizon=9000, trials=4, checkpoint_factor=1.2)
+        experiment = parse_config_document(doc).experiment
+        monkeypatch.setattr(harness, "BATCH_BYTES",
+                            2 * trial_budget(experiment) - 1)
+        assert len(harness.trial_batches(experiment)) == 4
+        assert len(harness.trial_batches(experiment, records=False)) == 2
+        outputs = []
+        for workers in ("1", "2"):
+            for logs in ("true", "false"):
+                code, out = simulate(
+                    tmp_path, out=f"run_{workers}_{logs}", doc=doc,
+                    extra=["--workers", workers,
+                           "--set", f"write_trial_logs={logs}"])
+                assert code == 0
+                assert os.path.isdir(os.path.join(out, "trials")) == \
+                    (logs == "true")
+                outputs.append([open(os.path.join(out, name), "rb").read()
+                                for name in ("summary.json", "curves.csv")])
+        assert all(got == outputs[0] for got in outputs[1:])
 
 
 class TestAnalyze:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from alqr import plant
+from alqr import harness, plant
 from alqr.control_math import (CostWeights, SystemMatrices, _frobenius,
                                solve_dare)
 from alqr.controller import ControllerConfig, over_threshold
@@ -26,7 +26,7 @@ from alqr.harness import (BATCH_BYTES, CLEAN_SPAN_CAP, ExperimentConfig,
                           generate_stand_in_plant, resolve_workers,
                           run_experiment, run_trial, run_trials,
                           trial_batches, trial_seed)
-from alqr.plant import PlantSpec, overflow_failures, step
+from alqr.plant import NOISE_CHUNK, PlantSpec, overflow_failures, step
 from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER,
                           load_gain_sidecar, load_trial_csv)
 from alqr.regret import decompose_at
@@ -453,10 +453,15 @@ def test_trial_batches_partition(ref):
         for b in batches:
             assert len(b) == 1 or len(b) * per_trial <= BATCH_BYTES, label
         assert len(batches) % workers == 0 or len(batches) == trials, label
-    # the acceptance long run never holds all 50 trials at once; the
-    # benchmark workloads each fit one batch
-    assert len(trial_batches(make_config(spec, horizon=100_000,
-                                         trials=50))) > 1
+    # the acceptance long run never holds all 50 trials at once, but
+    # without records a trial holds one window, not the horizon, and the
+    # run is one batch per worker; the benchmark workloads each fit one
+    # batch
+    long_run = make_config(spec, horizon=100_000, trials=50)
+    assert len(trial_batches(long_run)) > 1
+    for workers in (1, 2):
+        assert len(trial_batches(long_run, workers, records=False)) == \
+            workers
     assert len(trial_batches(make_config(spec, horizon=12_500,
                                          trials=4))) == 1
     assert len(trial_batches(make_config(big, horizon=2_500,
@@ -477,28 +482,41 @@ def test_trial_batches_partition(ref):
     pytest.param(4096, 1 + 1e-12, "every-step", 2, id="every-step"),
     pytest.param(4096, 1 + 1e-12, "powers-of-two", 2049, id="dense-4096"),
     pytest.param(10_000, 1 + 1e-12, "powers-of-two", 4096,
-                 id="dense-10000")])
+                 id="dense-10000"),
+    # 20 000 gain updates, whose history outweighs the rest of a trial
+    # once the log arrays are one window
+    pytest.param(20_000, 1.2, "every-step", 2, id="every-step-20000")])
 def test_trial_batches_count_the_clean_run_buffers(ref, T, factor, schedule,
                                                    snapshots):
-    # a trial holds T + 1 rows of log arrays and at a stop one estimator
+    # with records a trial holds T + 1 rows of log arrays, without them one
+    # window of min(T, NOISE_CHUNK) + 1 rows; a chunk makes and drops
+    # 24 (n + m) bytes per window row; at a stop it holds one estimator
     # snapshot per checkpoint passed since the last stop and one at the
     # stop, each costing 44 (d^2 + n d) + 720 bytes (its V and S and its
     # share of the stacked estimate, at least the measured growth of a lone
-    # trial's peak memory); the clean runs step in the log rows and hold no
-    # buffer of their own. A batch that fills BATCH_BYTES with both takes
-    # one trial more than the budget allows
+    # trial's peak memory); each gain update keeps 48 n^2 + 900 bytes of
+    # gain history and t_stab margins; the clean runs step in the log rows
+    # and hold no buffer of their own. A batch that fills BATCH_BYTES with
+    # all of them takes one trial more than the budget allows
     spec, _ = ref
     n, m = spec.n, spec.m
     d = n + m
-    per_trial = ((T + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-                 + (44 * (d * d + n * d) + 720) * snapshots)
-    fit = BATCH_BYTES // per_trial
+    window = min(T, NOISE_CHUNK)
+    updates = T if schedule == "every-step" else T.bit_length()
     over = dict(horizon=T, checkpoint_factor=factor,
                 controller=ControllerConfig(schedule))
-    assert len(trial_batches(make_config(spec, trials=fit, **over))) == 1
-    batches = trial_batches(make_config(spec, trials=fit + 1, **over))
-    assert len(batches) == 2
-    assert all(len(b) * per_trial <= BATCH_BYTES for b in batches)
+    for records, rows in ((True, T), (False, window)):
+        per_trial = ((rows + 1) * (8 * (2 * n + 3 * m + 1) + 1)
+                     + (window + 1) * 24 * d
+                     + (44 * (d * d + n * d) + 720) * snapshots
+                     + (48 * n * n + 900) * updates)
+        fit = BATCH_BYTES // per_trial
+        assert len(trial_batches(make_config(spec, trials=fit, **over),
+                                 records=records)) == 1
+        batches = trial_batches(make_config(spec, trials=fit + 1, **over),
+                                records=records)
+        assert len(batches) == 2
+        assert all(len(b) * per_trial <= BATCH_BYTES for b in batches)
 
 def test_dense_checkpoint_grid_splits_into_batches(ref):
     # every step a checkpoint, 4096 snapshots per trial at the stop at
@@ -507,6 +525,101 @@ def test_dense_checkpoint_grid_splits_into_batches(ref):
     config = make_config(spec, horizon=10_000, trials=20,
                          checkpoint_factor=1 + 1e-12)
     assert [len(b) for b in trial_batches(config)] == [10, 10]
+
+
+def assert_same_results(got, want, label):
+    """Results without records against those with them, bit for bit."""
+    assert len(got) == len(want), label
+    for a, b in zip(got, want):
+        assert a.record is None, label
+        assert repr(a.summary) == repr(b.summary), label
+        assert a.rel_avg_regret.tobytes() == b.rel_avg_regret.tobytes(), label
+        assert a.est_error_sq.tobytes() == b.est_error_sq.tobytes(), label
+
+
+@pytest.mark.parametrize("T,trials", [(1, 4), (4095, 4), (4096, 4),
+                                      (4097, 4), (8193, 4), (4097, 1)])
+def test_reused_window_matches_records(ref, T, trials):
+    # without records every chunk steps in one window, its last state
+    # carried to row 0; the horizons end just before, at and after a chunk
+    # end, and one chunk into the third
+    spec, oracle = ref
+    config = make_config(spec, horizon=T, trials=trials, base_seed=T)
+    assert_same_results(run_trials(config, range(trials), oracle, False),
+                        run_trials(config, range(trials), oracle), T)
+
+
+def test_reused_window_matches_records_through_trips_and_failures(
+        ref, monkeypatch):
+    # W = 40 I: trial 0 dwells across the chunk end at 4096 and rows trip
+    # on both sides of it, so the dwell counters and zeroed codes carry
+    # over; W = 5e21 I: two of six trials fail, one in the first chunk.
+    # Then the window is cut to 64 steps so that short runs cross many
+    # chunk ends, against records of whole chunks: every-step, where each
+    # step is a stop, and W = 40 I
+    spec, _ = ref
+    cases = [(40.0, 8193, 0, 4, ControllerConfig(), NOISE_CHUNK),
+             (5e21, 5000, 11, 6, ControllerConfig(), NOISE_CHUNK),
+             (1.0, 300, 1, 4, ControllerConfig("every-step"), 64),
+             (40.0, 1000, 1, 4, ControllerConfig(), 64)]
+    for scale, T, seed, trials, controller, chunk in cases:
+        plant = PlantSpec(sys=spec.sys, W=scale * np.eye(spec.n),
+                          cost=spec.cost)
+        config = make_config(plant, horizon=T, trials=trials,
+                             base_seed=seed, controller=controller)
+        truth = solve_dare(plant.sys, plant.cost, plant.W)
+        want = run_trials(config, range(trials), truth)
+        if T == 8193:
+            codes = np.array([r.record.breaker for r in want])
+            assert codes[0, 4095] and codes[0, 4096]
+            assert (codes[:, 4032:4096] == BREAKER_TRIGGER).any()
+            assert (codes[:, 4096:4160] == BREAKER_TRIGGER).any()
+        if scale == 5e21:
+            assert [r.summary.failure_step for r in want] == \
+                [None, 103, 4984, None, None, None]
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "NOISE_CHUNK", chunk)
+            got = run_trials(config, range(trials), truth, False)
+        assert_same_results(got, want, (scale, T, chunk))
+
+
+# run_experiment without trial logs in a fresh process; prints the growth
+# of its peak resident memory in kB
+PEAK_CHILD = """
+import sys
+from alqr.harness import ExperimentConfig, run_experiment
+from helpers import reference_spec
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f
+                    if line.startswith("VmHWM:"))
+
+config = ExperimentConfig(plant=reference_spec(), horizon=int(sys.argv[1]),
+                          trials=4, base_seed=0)
+before = peak()
+run_experiment(config, workers=1)
+print(peak() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads VmHWM from /proc")
+def test_peak_memory_without_logs_is_flat_in_the_horizon():
+    # without logs a batch holds one window of rows, not the horizon: 16
+    # times the steps grow the peak by the same few MiB. With horizon-long
+    # arrays the longer run grew about 50 MB more
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
+    growth = []
+    for T in (8192, 131_072):
+        child = subprocess.run([sys.executable, "-c", PEAK_CHILD, str(T)],
+                               env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert child.returncode == 0, child.stderr
+        growth.append(int(child.stdout))
+    assert abs(growth[1] - growth[0]) < 4096, growth
 
 
 def test_trial_record_satisfies_decomposition(ref):
