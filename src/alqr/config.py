@@ -150,7 +150,10 @@ def _parse_plant(doc: dict, path: str) -> PlantSpec:
                                 path=_join(gpath, "target_rho"))
         seed = _as_int(_get(gen, "seed", gpath), _join(gpath, "seed"),
                        minimum=0)
-        return generate_stand_in_plant(n, m, rho, seed)
+        try:
+            return generate_stand_in_plant(n, m, rho, seed)
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc), path=gpath) from None
     if not has_matrices:
         raise ConfigInvalid(
             "needs either matrices A, B, W, Q, R or a generator block",

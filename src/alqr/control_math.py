@@ -251,19 +251,6 @@ def _keep(count: int, gone: list) -> np.ndarray:
     return keep
 
 
-def synthesize_gain(A, B, P, R) -> np.ndarray:
-    """Optimal feedback gain K = -(R + B'PB)^-1 B'PA for value matrix P.
-
-    Refuses an ill-conditioned R + B'PB. The arguments are not re-checked:
-    A and B come from a SystemMatrices, R from CostWeights, and P from the
-    caller.
-    """
-    ill, _, K, geigs = _gain_step(A[None], B[None], P[None], R)
-    if ill:
-        raise _ill_conditioned(geigs[0])
-    return K[0]
-
-
 def _finish(A, B, P, Q, R, steps: list, residual_tol: float) -> list:
     """The checks on converged iterates, each one stacked call over the
     rows still passing: P is SPD, R + B'PB passes the conditioning test,

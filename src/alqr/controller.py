@@ -28,7 +28,7 @@ from .control_math import controllability_rank
 from .control_math import solve_dare
 from .estimator import EstimatorState, estimates
 from .plant import NoiseStream, draw_probe_noise
-from .records import BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER
+from .records import BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER, feedback
 
 PROBE_EXPONENT = -0.25
 SCHEDULES = ("powers-of-two", "every-step")
@@ -96,10 +96,10 @@ def breaker(k: int, u_ce: np.ndarray, xi: np.ndarray
     (over_threshold; sets the counter to dwell(k), BREAKER_TRIGGER), or
     pass-through (BREAKER_CLEAR). A dwell that reaches zero re-enables the
     threshold check only on the next step. Returns the feedback u_cb that
-    passes (the row of u_ce, or zeros where the code is not BREAKER_CLEAR),
-    the (N,) codes and the new counters. When no row dwells and none trips,
-    u_cb is u_ce itself, so a run of such steps can be taken without the
-    rule and checked afterwards with clean_steps (run_trials does).
+    passes (records.feedback of u_ce and the codes), the (N,) codes and
+    the new counters. When no row dwells and none trips, u_cb is u_ce
+    itself, so a run of such steps can be taken without the rule and
+    checked afterwards with clean_steps (run_trials does).
     """
     tripped = over_threshold(u_ce, threshold(k))
     if not (np.count_nonzero(tripped) or np.count_nonzero(xi)):
@@ -107,11 +107,10 @@ def breaker(k: int, u_ce: np.ndarray, xi: np.ndarray
         return u_ce, np.zeros(len(xi), dtype=np.int8), xi
     dwelling = xi > 0
     tripped &= ~dwelling
-    active = tripped | dwelling
     # BREAKER_CLEAR is 0, so each row gets exactly one of the codes
     codes = (BREAKER_TRIGGER * tripped + BREAKER_DWELL * dwelling).astype(
         np.int8)
-    return (np.where(active[:, None], 0.0, u_ce), codes,
+    return (feedback(u_ce, codes), codes,
             np.where(tripped, dwell(k), xi - dwelling))
 
 

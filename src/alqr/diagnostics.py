@@ -18,7 +18,7 @@ import numpy as np
 from .control_math import RiccatiSolution, stability_margin
 from .controller import dwell
 from .errors import EmptyWindow, IncompleteLog
-from .plant import PlantSpec
+from .plant import NOISE_CHUNK, PlantSpec
 from .records import TrialRecord
 
 
@@ -42,9 +42,12 @@ def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
     dwell map A^(t_k) and the closed loop A + B Khat_k are rho-contractive,
     where t_k = dwell(k) and Khat_k is the gain in effect at k.
     Returns 1 + the last failing step (1 if none fail) and a censored flag
-    set when the final step itself fails. The maps of every dwell span and
-    gain segment go through one stacked stability_margin call. Only the
-    horizon and gain history are read: a last block with them will do.
+    set when the final step itself fails. The spans, every dwell span and
+    then every gain segment, are judged in blocks of at most NOISE_CHUNK,
+    one stacked stability_margin call each, and a block's closed loops are
+    built as it is judged, so the maps held at once do not grow with the
+    gain history. Only the horizon and gain history are read: a last block
+    with them will do.
     """
     if not record.gain_segments:
         raise IncompleteLog(
@@ -53,23 +56,28 @@ def detect_t_stab(record: TrialRecord, oracle: RiccatiSolution,
     A, B = truth.sys.A, truth.sys.B
     rho = 0.5 * (1.0 + oracle.rho_star)
 
-    # (first step, last step, map that must be rho-contractive over them)
+    # (first step, last step, matrix, whether the matrix is a gain K whose
+    # closed loop A + B K must be rho-contractive over the steps, not the
+    # matrix itself)
     spans = []
     A_pow = np.eye(truth.n)
     for t in range(dwell(T) + 1):
         spans.append((math.ceil(math.e ** t), math.ceil(math.e ** (t + 1)) - 1,
-                      A_pow))
+                      A_pow, False))
         A_pow = A_pow @ A
     segments = sorted(record.gain_segments, key=lambda seg: seg[0])
     for idx, (start, K) in enumerate(segments):
         end = segments[idx + 1][0] - 1 if idx + 1 < len(segments) else T
-        spans.append((start, end, A + B @ K))
+        spans.append((start, end, K, True))
 
-    spans = [(min(end, T), M) for start, end, M in spans
+    spans = [(min(end, T), M, gain) for start, end, M, gain in spans
              if start <= min(end, T)]
-    margins = stability_margin(np.stack([M for _, M in spans]),
-                               oracle.P_star)
-    last_bad = max((end for (end, _), margin in zip(spans, margins)
+    margins = np.concatenate([
+        stability_margin(np.stack([A + B @ M if gain else M
+                                   for _, M, gain in block]), oracle.P_star)
+        for block in (spans[a:a + NOISE_CHUNK]
+                      for a in range(0, len(spans), NOISE_CHUNK))])
+    last_bad = max((end for (end, _, _), margin in zip(spans, margins)
                     if not margin < rho), default=0)
     if last_bad == 0:
         return 1, False

@@ -60,7 +60,7 @@ from .plant import (
     overflow_failures,
     step,
 )
-from .records import TrialRecord, save_gain_sidecar, save_trial_csv
+from .records import TrialRecord, feedback, save_gain_sidecar, save_trial_csv
 from .regret import TrialFold, stage_costs
 
 GENERATOR_RETRY_CAP = 16
@@ -197,33 +197,35 @@ class TrialResult:
 def trial_bytes(horizon: int, n: int, m: int, snapshots: int = 0,
                 updates: int = 0) -> int:
     """Bytes of one trial's arrays in a batch of ``horizon`` rows: per row
-    X, U_ce, U_cb, U_pr, W, the stage cost and the breaker code; per row
-    of one noise chunk's window 24 (n + m) bytes of arrays a chunk makes
-    and drops (its noise, estimator pairs and fold terms); ``snapshots``
-    estimator snapshots held at once; and the gain history of ``updates``
-    gain updates. The last three terms are upper bounds on the growth of
-    the peak resident memory (VmHWM) of one run_trials batch (numpy 2.4,
-    x86-64) on 3x2, 8x4 and 16x8 plants.
+    X, U_ce, U_pr, W, the stage cost and the breaker code (u_cb is derived,
+    not stored); per row of one noise chunk's window 32 (n + m) bytes of
+    arrays a chunk makes and drops (its noise, estimator pairs, derived
+    u_cb and fold terms); ``snapshots`` estimator snapshots held at once;
+    and the gain history of ``updates`` gain updates. The last three terms
+    are upper bounds on the growth of the peak resident memory (VmHWM) of
+    one run_trials batch (numpy 2.4, x86-64, glibc malloc) on 3x2, 8x4 and
+    16x8 plants.
 
-    Window: 64 trials over 8 at T = 8192 grew by 96-104, 265-266 and
-    476-500 bytes per trial per window row beyond the arrays in two runs,
-    against 120, 288 and 576 counted. Snapshot: its V and S with their share of the stacked
-    estimate, 44 (d^2 + n d) + 720 bytes with d = n + m. At T = 10 000,
-    4096 snapshots per trial against 6 grew by 1915, 10 800 and 42 220
-    bytes per trial snapshot on 3x2 (4 trials), 8x4 (2) and 16x8 (1), and
-    for a lone trial, whose snapshots share no array overhead with a
-    stack, by 2416-2425, 10 999-11 075 and 42 219-42 297 in three runs
-    each, against the 2480, 11 280 and 42 960 counted. Gain update: the
-    (step, gain) pair kept per trial, and at the trial's end its closed
-    loop's share of detect_t_stab's stacked margins, 48 n^2 + 900 bytes.
-    A lone every-step trial grew by 1289-1290, 3702 and 12 208 bytes per
-    update from T = 5000 to 20 000, against 1332, 3972 and 13 188
-    counted; 4 trials on 3x2 grew by 550 per trial update."""
+    Window: 64 trials over 8 at T = 8192 grew by 115, 294-295 and 642-643
+    bytes per trial per window row beyond the arrays in three runs each,
+    against 160, 384 and 768 counted. Snapshot: its V and S with their
+    share of the stacked estimate, 44 (d^2 + n d) + 720 bytes with
+    d = n + m. At T = 10 000, 4096 snapshots per trial against 6 grew by
+    1915, 10 800 and 42 220 bytes per trial snapshot on 3x2 (4 trials),
+    8x4 (2) and 16x8 (1), and for a lone trial, whose snapshots share no
+    array overhead with a stack, by 2416-2425, 10 999-11 075 and
+    42 219-42 297 in three runs each, against the 2480, 11 280 and 42 960
+    counted. Gain update: the (step, gain) pair kept per trial, and at the
+    trial's end its span in detect_t_stab's list, 8 m n + 900 bytes (the
+    closed loops are built and judged a block of at most NOISE_CHUNK spans
+    at a time). A lone every-step trial grew by 667-675, 863-870 and
+    1740-1748 bytes per update from T = 5000 to 20 000, against 948, 1156
+    and 1924 counted; 4 trials on 3x2 grew by 404 per trial update."""
     d = n + m
-    return ((horizon + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-            + (min(horizon, NOISE_CHUNK) + 1) * 24 * d
+    return ((horizon + 1) * (8 * (2 * n + 2 * m + 1) + 1)
+            + (min(horizon, NOISE_CHUNK) + 1) * 32 * d
             + (44 * (d * d + n * d) + 720) * snapshots
-            + (48 * n * n + 900) * updates)
+            + (8 * m * n + 900) * updates)
 
 
 def trial_budget(config: ExperimentConfig, records: bool = True) -> int:
@@ -295,14 +297,18 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
     U_pr, its breaker codes zeroed and the thresholds built. Per step the
     feedback path runs once for the batch: u_ce = Khat x with stacked
     gains, u_cb from the breaker rule, u = u_cb + u_pr and the plant step.
+    The window keeps u_ce and the breaker codes but no u_cb: the readers
+    of a step's rows, the estimator feed, the stage costs and the fold,
+    derive it with records.feedback, as a TrialRecord does.
 
     The breaker fires only finitely often, so while no row dwells the
     steps go in clean runs: up to ``span`` steps with u_cb = u_ce (the
     float operations of a step at which breaker passes every row), then
-    one clean_steps check of the run's logged u_ce. If some row trips at a
-    step of the run, the steps before it are kept, and the breaker rule
-    takes the steps from that step's logged state one at a time until no
-    row dwells. ``span`` starts at 1, doubles after each clean run and
+    one clean_steps check of the run's logged u_ce; a kept step's code
+    stays 0, so its derived u_cb is the u_ce it applied. If some row trips
+    at a step of the run, the steps before it are kept, and the breaker
+    rule takes the steps from that step's logged state one at a time until
+    no row dwells. ``span`` starts at 1, doubles after each clean run and
     drops back to 1 after a trip; CLEAN_SPAN_CAP caps it. A run ends at
     the next gain update or chunk end at the latest. Every step writes
     straight into the window: a clean-run step by plant.step's operations
@@ -326,8 +332,8 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
     decomposition is the per-row one bit for bit, so a trial's outputs do
     not depend on its batch. After a chunk's last stop, the window goes
     through one stage_costs call as one reshaped view, and one batch
-    regret.TrialFold takes its (count, N, ·) rows, each trial's up to its
-    failure step.
+    regret.TrialFold takes its (count, N, ·) rows with the chunk's derived
+    u_cb, each trial's up to its failure step.
     """
     spec = config.plant
     n, m = spec.n, spec.m
@@ -345,8 +351,8 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
     try:
         # a window's X[i] holds the batch's states after i of its steps
         states = np.empty((length + 1, N, n))
-        # U_ce, U_cb, U_pr, W, the breaker codes and the stage costs
-        logs = [np.empty((length, N, k)) for k in (m, m, m, n)] + [
+        # U_ce, U_pr, W, the breaker codes and the stage costs
+        logs = [np.empty((length, N, k)) for k in (m, m, n)] + [
             np.empty((length, N), np.int8), np.empty((length, N))]
     except MemoryError:
         raise ConfigInvalid(
@@ -407,8 +413,9 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
             a, b = estimator.count - start, point - start
             if b > a and rows:
                 Z = np.concatenate(
-                    [X[a:b, cols], U_cb[a:b, cols] + U_pr[a:b, cols]],
-                    axis=2)
+                    [X[a:b, cols],
+                     feedback(U_ce[a:b, cols], codes[a:b, cols])
+                     + U_pr[a:b, cols]], axis=2)
                 estimator.absorb(Z, X[a + 1:b + 1, cols])
             if point in pending and rows:
                 snapshots.append(estimator.snapshot())
@@ -448,8 +455,7 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
         # the chunk's window: the stored rows from ``base`` on
         base = start if records else 0
         X = states[base:base + count + 1]
-        U_ce, U_cb, U_pr, W, codes, stage = (a[base:base + count]
-                                             for a in logs)
+        U_ce, U_pr, W, codes, stage = (a[base:base + count] for a in logs)
         # a clean-run step leaves its breaker code at 0
         codes[:] = 0
         for r, s in enumerate(streams):
@@ -491,10 +497,7 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
                     add(x_next, Bu, x_next)
                     add(x_next, w, x_next)
                     x = x_next
-                clean = clean_steps(U_ce[i:end].swapaxes(0, 1),
-                                    limits[i:end])
-                U_cb[i:i + clean] = U_ce[i:i + clean]
-                i += clean
+                i += clean_steps(U_ce[i:end].swapaxes(0, 1), limits[i:end])
                 if i == end:
                     span = min(2 * span, CLEAN_SPAN_CAP)
                     continue
@@ -504,7 +507,6 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
             # a row dwells or trips: the breaker rule, one step
             u_ce = matvec(K, X[i], U_ce[i])
             u_cb, codes[i], xi = breaker(start + i + 1, u_ce, xi)
-            U_cb[i] = u_cb
             add(u_cb, U_pr[i], u)
             step(X[i], u, W[i], spec, X[i + 1])
             i += 1
@@ -515,11 +517,12 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
         ends = np.clip([failures[r][0] - start if r in failures else count
                         for r in range(N)], 0, count)
         with np.errstate(all="ignore"):
-            stage[:] = stage_costs(X[:count].reshape(-1, n),
-                                   (U_cb + U_pr).reshape(-1, m),
-                                   spec.cost).reshape(count, N)
-        fold.add_rows(start + 1, X[:count], U_cb, U_pr, W, codes, stage,
-                      ends)
+            stage[:] = stage_costs(
+                X[:count].reshape(-1, n),
+                (feedback(U_ce, codes) + U_pr).reshape(-1, m),
+                spec.cost).reshape(count, N)
+        fold.add_rows(start + 1, X[:count], feedback(U_ce, codes), U_pr, W,
+                      codes, stage, ends)
         if not live:
             break
         if not records:
@@ -756,7 +759,8 @@ def generate_stand_in_plant(n: int, m: int, target_rho: float,
     A dense Gaussian A is rescaled to the requested spectral radius and
     paired with a Gaussian B; W = Q = I_n and R = I_m. Draws failing the
     controllability check are redrawn from an incremented seed, a bounded
-    number of times.
+    number of times. Dimensions whose A or B numpy cannot allocate raise
+    ValueError.
     """
     if n < 1 or m < 1:
         raise ValueError(f"dimensions must be >= 1, got n={n}, m={m}")
@@ -764,12 +768,16 @@ def generate_stand_in_plant(n: int, m: int, target_rho: float,
         raise ValueError(f"target_rho must be in (0, 1), got {target_rho}")
     for attempt in range(GENERATOR_RETRY_CAP):
         rng = np.random.default_rng(seed + attempt)
-        A = rng.standard_normal((n, n))
+        try:
+            A = rng.standard_normal((n, n))
+            B = rng.standard_normal((n, m))
+        except (ValueError, MemoryError) as exc:
+            # numpy's "array is too big", or a failed allocation
+            raise ValueError(f"n={n}, m={m}: {exc}") from None
         radius = spectral_radius(A)
         if radius <= 0.0:
             continue
         A = A * (target_rho / radius)
-        B = rng.standard_normal((n, m))
         sys = SystemMatrices(A=A, B=B)
         if controllability_rank(sys) == n:
             return PlantSpec(sys=sys, W=np.eye(n),

@@ -1,11 +1,15 @@
 """Per-trial trajectory logs and their on-disk CSV form.
 
 A TrialRecord holds everything needed to audit a finished trial, or a
-block of its steps: states, the three input components, process noise,
-breaker flags, stage costs, and the feedback gain in effect over each span
-of steps. The CSV schema is
+block of its steps: states, the proposed feedback u_ce, the probe,
+process noise, breaker codes, stage costs, and the feedback gain in effect
+over each span of steps. The feedback that passed, u_cb, is not stored:
+``feedback`` derives it from u_ce and the breaker code, the one statement
+of the breaker's pass-through rule. The CSV schema is
 ``k,x...,u_ce...,u_cb...,u_pr...,w...,breaker,stage_cost`` with vector
-fields expanded to one indexed column per component; floats are written as
+fields expanded to one indexed column per component; a u_cb cell is the
+u_ce cell beside it where the breaker code is 0 and 0.0 elsewhere, and a
+load refuses a log whose u_cb contradicts that. Floats are written as
 their shortest round-tripping decimal form, so a load returns bit-identical
 values. A load parses the rows in blocks of at most NOISE_CHUNK, one
 np.loadtxt call each, so a cell must be a
@@ -37,6 +41,13 @@ BREAKER_DWELL = 1   # dwell period running, feedback zeroed
 BREAKER_TRIGGER = 2  # threshold exceeded this step, dwell counter set
 
 
+def feedback(U_ce: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The feedback u_cb the breaker lets through: ``U_ce`` (..., m) on the
+    rows whose code in ``codes`` (...) is BREAKER_CLEAR, with its own bits,
+    and +0.0 on the others."""
+    return np.where(codes[..., None] == BREAKER_CLEAR, U_ce, 0.0)
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     """Trajectory of one trial, or of a block of its consecutive steps,
@@ -49,15 +60,16 @@ class TrialRecord:
     ``(from_step, K)`` pairs: K is the feedback gain in effect from that
     step until the next segment starts. A field whose shape disagrees with
     ``X`` and ``U_ce``, or a gain that is not (m, n), raises IncompleteLog
-    naming the field. run_trials's records are strided views of the batch
-    arrays; every reader gives the bits of a contiguous copy.
+    naming the field. ``U_cb`` is not a field: it is derived from ``U_ce``
+    and ``breaker`` by ``feedback`` on each read. run_trials's records are
+    strided views of the batch arrays; every reader gives the bits of a
+    contiguous copy.
     """
 
     trial_index: int
     seed: int
     X: np.ndarray            # (T, n)
     U_ce: np.ndarray         # (T, m)
-    U_cb: np.ndarray         # (T, m)
     U_pr: np.ndarray         # (T, m)
     W: np.ndarray            # (T, n)
     breaker: np.ndarray      # (T,) int8 codes above
@@ -77,11 +89,14 @@ class TrialRecord:
     def m(self) -> int:
         return self.U_ce.shape[1]
 
+    @property
+    def U_cb(self) -> np.ndarray:
+        return feedback(self.U_ce, self.breaker)
+
     def __post_init__(self):
         T, n = self.X.shape
         m = self.U_ce.shape[1]
         for name, arr, shape in (("U_ce", self.U_ce, (T, m)),
-                                 ("U_cb", self.U_cb, (T, m)),
                                  ("U_pr", self.U_pr, (T, m)),
                                  ("W", self.W, (T, n)),
                                  ("breaker", self.breaker, (T,)),
@@ -102,9 +117,8 @@ class TrialRecord:
         steps: views of these arrays, the gain history kept."""
         cut = slice(start, stop)
         return replace(self, X=self.X[cut], U_ce=self.U_ce[cut],
-                       U_cb=self.U_cb[cut], U_pr=self.U_pr[cut],
+                       U_pr=self.U_pr[cut], stage_cost=self.stage_cost[cut],
                        W=self.W[cut], breaker=self.breaker[cut],
-                       stage_cost=self.stage_cost[cut],
                        first_step=self.first_step + start)
 
 
@@ -124,26 +138,26 @@ def save_trial_csv(record: TrialRecord, path: str) -> None:
     Python floats repr to the shortest digits that round-trip exactly.
     Cells are formatted a column at a time over blocks of at most
     NOISE_CHUNK rows, so the strings held at once do not grow with the
-    horizon. A u_cb cell equal to the u_ce cell beside it, as at every step
-    the breaker passes, reuses that cell's string. A file that cannot be
-    written raises IoError naming it.
+    horizon. The u_cb cells are ``feedback`` of the u_ce cells: a row the
+    breaker passes reuses the u_ce cell's string, and any other row's cell
+    is the +0.0 that feedback fills in. A file that cannot be written
+    raises IoError naming it.
     """
     try:
         with open(path, "w") as f:
             f.write(csv_header(record.n, record.m) + "\n")
             for a in range(0, record.horizon, NOISE_CHUNK):
                 rows = slice(a, min(a + NOISE_CHUNK, record.horizon))
-                ce, cb = record.U_ce[rows], record.U_cb[rows]
-                ce_cells = [list(map(repr, col)) for col in ce.T.tolist()]
-                cb_cells = [list(cells) for cells in ce_cells]
-                # equal values of one sign are one float, so the same digits
-                same = (cb == ce) & (np.signbit(cb) == np.signbit(ce))
-                for i, j in np.argwhere(~same).tolist():
-                    cb_cells[j][i] = repr(cb[i, j].item())
+                # the u_ce cells by column, and the u_cb ones the rule makes
+                # of them: the u_ce cell, or the float +0.0
+                ce_cells = [list(map(repr, col))
+                            for col in record.U_ce[rows].T.tolist()]
+                cb_cells = feedback(np.array(ce_cells, object).T,
+                                    record.breaker[rows]).T.tolist()
                 columns = [map(str, range(rows.start + 1, rows.stop + 1))]
                 columns += [map(repr, col)
                             for col in record.X[rows].T.tolist()]
-                columns += ce_cells + cb_cells
+                columns += ce_cells + [map(str, col) for col in cb_cells]
                 columns += [map(repr, col) for arr in (record.U_pr, record.W)
                             for col in arr[rows].T.tolist()]
                 columns.append(map(str, record.breaker[rows].tolist()))
@@ -197,9 +211,12 @@ def load_trial_csv(path: str,
     The seed (set to -1) and gain history are not part of the CSV; callers
     that need the gains read them from the sidecar. A block's rows are one
     (L, width) array from np.loadtxt with max_rows on the open file, and
-    its fields are column slices of it. Raises IncompleteLog naming the row
-    on any structural or parse problem, as the block holding it is read,
-    and naming the file when it cannot be opened.
+    its fields are column slices of it. The u_cb columns are not kept:
+    they must equal ``feedback`` of the u_ce columns and the breaker codes
+    as floats, NaN matching NaN, and the record derives them. Raises
+    IncompleteLog naming the row on any structural or parse problem, and
+    the step of the first u_cb that contradicts the rule, as the block
+    holding it is read, and naming the file when it cannot be opened.
     """
     # an undecodable byte becomes U+FFFD, which no header or number matches
     try:
@@ -243,8 +260,15 @@ def load_trial_csv(path: str,
                     f"{path}: breaker column contains non-integer codes")
             if np.any((breaker < 0) | (breaker > 2)):
                 raise IncompleteLog(f"{path}: breaker codes outside 0..2")
+            passed = feedback(U_ce, breaker)
+            same = (U_cb == passed) | np.isnan(U_cb) & np.isnan(passed)
+            bad = np.flatnonzero(~same.all(axis=1))
+            if bad.size:
+                raise IncompleteLog(
+                    f"{path}: u_cb at step {first + bad[0]} contradicts its "
+                    f"u_ce and breaker code {breaker[bad[0]]}")
             yield TrialRecord(trial_index=trial_index, seed=-1, X=X,
-                              U_ce=U_ce, U_cb=U_cb, U_pr=U_pr, W=W,
+                              U_ce=U_ce, U_pr=U_pr, W=W,
                               breaker=breaker, stage_cost=stage[:, 0],
                               first_step=first)
             if len(data) < NOISE_CHUNK:

@@ -52,7 +52,7 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
     V = stream.block("v", 1, T)
     x = np.zeros(n)
     xi = 0
-    X = np.zeros((T, n)); U_ce = np.zeros((T, m)); U_cb = np.zeros((T, m))
+    X = np.zeros((T, n)); U_ce = np.zeros((T, m))
     U_pr = np.zeros((T, m)); W = np.zeros((T, n))
     breaker = np.zeros(T, dtype=np.int8); stage = np.zeros(T)
     segments = [(1, ctrl.Khat.copy())]
@@ -77,7 +77,7 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
         u = u_cb + u_pr
         w = spec.chol_W @ G[k - 1]
         X[k - 1] = x
-        U_ce[k - 1] = u_ce; U_cb[k - 1] = u_cb; U_pr[k - 1] = u_pr
+        U_ce[k - 1] = u_ce; U_pr[k - 1] = u_pr
         W[k - 1] = w
         breaker[k - 1] = code
         stage[k - 1] = float(x @ spec.cost.Q @ x + u @ spec.cost.R @ u)
@@ -89,8 +89,10 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
         ctrl.estimator.absorb(z, x)
     if force_gain is not None:
         segments = [(1, np.asarray(force_gain, dtype=float))]
-    return TrialRecord(trial_index=0, seed=seed, X=X, U_ce=U_ce, U_cb=U_cb,
-                       U_pr=U_pr, W=W, breaker=breaker, stage_cost=stage,
+    # the record derives u_cb from u_ce and the codes; the u_cb applied
+    # above is this loop's own
+    return TrialRecord(trial_index=0, seed=seed, X=X, U_ce=U_ce, U_pr=U_pr,
+                       W=W, breaker=breaker, stage_cost=stage,
                        gain_segments=segments)
 
 

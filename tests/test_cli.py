@@ -43,6 +43,10 @@ EDGE_DOC = {
 }
 
 
+REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "configs", "reference.json")
+
+
 def write_config(tmp_path, doc=None):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SCALAR_DOC if doc is None else doc))
@@ -133,6 +137,22 @@ class TestSimulate:
         err = stderr_json(capsys)
         assert err["error"] == "IoError"
         assert str(path) in err["message"]
+
+    @pytest.mark.parametrize("field, size", [
+        ("n", 10_000_000_000), ("m", 10_000_000_000_000)])
+    def test_generated_plant_too_large_to_allocate_is_unusable(
+            self, tmp_path, capsys, field, size):
+        # A (n = 1e10) is too big for numpy to index, and B (m = 1e13)
+        # would take 218 TiB, past any address space
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", REFERENCE, "--out",
+                         str(out), "--set", f"plant.generator.{field}={size}"])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert (err["error"], err["path"]) == ("ConfigInvalid",
+                                               "plant.generator")
+        assert f"{field}={size}" in err["message"]
+        assert not out.exists()
 
     def test_set_override_reaches_controller(self, tmp_path):
         code, out = simulate(
@@ -464,6 +484,42 @@ class TestAnalyze:
         assert [info["trial"] for info in report["trials"]] == \
             [i for i in range(3) if i != trial]
 
+    @pytest.mark.parametrize("tamper", [
+        "u_ce_raised", "code_flipped", "u_cb_nonzero_on_breaker_row"])
+    def test_log_against_the_breaker_rule_is_parse_failure(
+            self, tmp_path, capsys, tamper):
+        # trial 2 of the scalar run has breaker rows; its u_cb column must
+        # be its u_ce where the code is 0 and 0 elsewhere. The scalar log's
+        # columns: k, x_1, u_ce_1, u_cb_1, u_pr_1, w_1, breaker, stage_cost
+        _, out = simulate(tmp_path)
+        capsys.readouterr()
+        path = os.path.join(out, "trials", "trial_2.csv")
+        with open(path) as f:
+            lines = f.read().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        if tamper == "u_cb_nonzero_on_breaker_row":
+            row = next(row for row in rows if row[6] != "0")
+            row[3] = "0.5"
+        else:
+            row = next(row for row in rows
+                       if row[6] == "0" and float(row[2]) != 0.0)
+            if tamper == "u_ce_raised":
+                row[2] = repr(float(row[2]) + 1.0)
+            else:
+                row[6] = "1"
+        with open(path, "w") as f:
+            f.write("\n".join([lines[0]] + [",".join(r) for r in rows])
+                    + "\n")
+
+        code = cli.main(["analyze", "--out", out])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["failures"] == [{
+            "trial": 2, "kind": "parse",
+            "message": (f"{path}: u_cb at step {row[0]} contradicts its "
+                        f"u_ce and breaker code {row[6]}")}]
+        assert [info["trial"] for info in report["trials"]] == [0, 1]
+
     def test_hand_built_single_step_log(self, tmp_path, capsys):
         out = tmp_path / "byhand"
         (out / "trials").mkdir(parents=True)
@@ -574,6 +630,15 @@ class TestGenPlant:
                          "--rho", "1.5", "--seed", "0"])
         assert code == 2
         assert stderr_json(capsys)["error"] == "ConfigInvalid"
+
+    def test_plant_too_large_to_allocate_is_unusable(self, capsys):
+        # B would take 218 TiB, past any address space
+        code = cli.main(["gen-plant", "--n", "3", "--m", "10000000000000",
+                         "--rho", "0.5", "--seed", "0"])
+        assert code == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "ConfigInvalid"
+        assert err["message"].startswith("n=3, m=10000000000000: ")
 
 
 class TestVerify:

@@ -22,8 +22,9 @@ from alqr.control_math import (
     solve_dare_stack,
     spectral_radius,
     stability_margin,
-    synthesize_gain,
     _check_spd,
+    _gain_step,
+    _ill_conditioned,
 )
 from alqr.errors import IllConditioned, NonConvergence
 
@@ -138,21 +139,30 @@ def test_dare_diverges_on_unstabilizable_pair():
         solve_dare(sys, CostWeights(Q=np.eye(2), R=np.eye(1)))
 
 
-def test_synthesize_gain_identity_algebra():
+def gain_of_one(A, B, P, R):
+    """K = -(R + B'PB)^-1 B'PA by _gain_step on a stack of one, or the
+    IllConditioned error _ill_conditioned makes of a failing row."""
+    ill, _, K, geigs = _gain_step(A[None], B[None], P[None], R)
+    if ill:
+        raise _ill_conditioned(geigs[0])
+    return K[0]
+
+
+def test_gain_step_identity_algebra():
     n = 3
-    K = synthesize_gain(np.eye(n), np.eye(n), np.eye(n), np.eye(n))
+    K = gain_of_one(np.eye(n), np.eye(n), np.eye(n), np.eye(n))
     assert np.allclose(K, -0.5 * np.eye(n), atol=1e-14)
 
 
-def test_synthesize_gain_zero_input_map():
-    K = synthesize_gain(np.eye(3), np.zeros((3, 2)), np.eye(3), np.eye(2))
+def test_gain_step_zero_input_map():
+    K = gain_of_one(np.eye(3), np.zeros((3, 2)), np.eye(3), np.eye(2))
     assert np.allclose(K, np.zeros((2, 3)), atol=1e-15)
 
 
-def test_synthesize_gain_ill_conditioned():
+def test_gain_step_ill_conditioned():
     with pytest.raises(IllConditioned):
-        synthesize_gain(np.eye(2), np.zeros((2, 2)), np.eye(2),
-                        np.diag([1.0, 1e-13]))
+        gain_of_one(np.eye(2), np.zeros((2, 2)), np.eye(2),
+                    np.diag([1.0, 1e-13]))
 
 
 def test_controllability_full_via_b():
@@ -418,14 +428,14 @@ def test_ill_conditioned_message_is_finite_when_r_plus_bpb_is_singular():
     # is 0: the condition number is no float, and the message says so
     # with no RuntimeWarning
     with pytest.raises(IllConditioned) as info:
-        synthesize_gain(0.5 * np.eye(2), np.array([[1e10, 1e10], [0.0, 0.0]]),
-                        np.eye(2), np.eye(2))
+        gain_of_one(0.5 * np.eye(2), np.array([[1e10, 1e10], [0.0, 0.0]]),
+                    np.eye(2), np.eye(2))
     message = str(info.value)
     assert "singular to working precision" in message
     assert "inf" not in message and "nan" not in message
     with pytest.raises(IllConditioned, match=r"condition number 1\.000e\+13"):
-        synthesize_gain(np.eye(2), np.zeros((2, 2)), np.eye(2),
-                        np.diag([1.0, 1e-13]))
+        gain_of_one(np.eye(2), np.zeros((2, 2)), np.eye(2),
+                    np.diag([1.0, 1e-13]))
 
 
 def test_riccati_stack_of_none():

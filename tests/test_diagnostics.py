@@ -21,7 +21,7 @@ from alqr.controller import ControllerConfig, dwell
 from alqr.diagnostics import (compute_trial_diagnostics, detect_t_stab,
                               fit_regret_slope, noise_bound, tnocb_histogram)
 from alqr.errors import EmptyWindow, IncompleteLog
-from alqr.plant import PlantSpec
+from alqr.plant import NOISE_CHUNK, PlantSpec
 from alqr.records import TrialRecord
 from alqr.regret import TrialFold
 from helpers import blocks_of, drive_trial, reference_spec
@@ -30,7 +30,7 @@ from helpers import blocks_of, drive_trial, reference_spec
 def make_record(T, n=1, m=1, **over):
     fields = dict(
         trial_index=0, seed=0, X=np.zeros((T, n)), U_ce=np.zeros((T, m)),
-        U_cb=np.zeros((T, m)), U_pr=np.zeros((T, m)), W=np.zeros((T, n)),
+        U_pr=np.zeros((T, m)), W=np.zeros((T, n)),
         breaker=np.zeros(T, dtype=np.int8), stage_cost=np.zeros(T),
         gain_segments=[])
     fields.update(over)
@@ -185,6 +185,33 @@ def test_t_stab_one_stacked_call_matches_span_by_span(driven, schedule):
                                         (31, np.full((spec.m, spec.n), 9.0))])
     assert detect_t_stab(record, oracle, spec) == _t_stab_span_by_span(
         record, oracle, spec)
+
+
+@pytest.mark.parametrize("offset", [-1, 0], ids=["last_of_first_block",
+                                                 "first_of_second_block"])
+def test_t_stab_blocks_of_spans_meet_at_the_edge(monkeypatch, offset):
+    # one gain segment per step and a bad gain on the span on either side
+    # of the first block edge: the dwell spans come first, so the segment
+    # from step s is span dwell(T) + s - 1 (0-based), and each block of at
+    # most NOISE_CHUNK spans is one stacked stability_margin call
+    spec = reference_spec()
+    oracle = solve_dare(spec.sys, spec.cost, spec.W)
+    T = NOISE_CHUNK + 200
+    bad = NOISE_CHUNK + offset - dwell(T) + 1
+    segments = [(k, oracle.K_star) for k in range(1, T + 1)]
+    segments[bad - 1] = (bad, np.full((spec.m, spec.n), 9.0))
+    record = make_record(T, n=spec.n, m=spec.m, gain_segments=segments)
+    sizes = []
+    judge = stability_margin
+
+    def spy(M, P):
+        sizes.append(len(M))
+        return judge(M, P)
+
+    monkeypatch.setattr("alqr.diagnostics.stability_margin", spy)
+    assert detect_t_stab(record, oracle, spec) == _t_stab_span_by_span(
+        record, oracle, spec) == (bad + 1, False)
+    assert sizes == [NOISE_CHUNK, dwell(T) + 1 + T - NOISE_CHUNK]
 
 
 def test_t_stab_requires_gain_history(scalar_setup):

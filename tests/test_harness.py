@@ -488,16 +488,17 @@ def test_trial_batches_partition(ref):
     pytest.param(20_000, 1.2, "every-step", 2, id="every-step-20000")])
 def test_trial_batches_count_the_clean_run_buffers(ref, T, factor, schedule,
                                                    snapshots):
-    # with records a trial holds T + 1 rows of log arrays, without them one
-    # window of min(T, NOISE_CHUNK) + 1 rows; a chunk makes and drops
-    # 24 (n + m) bytes per window row; at a stop it holds one estimator
-    # snapshot per checkpoint passed since the last stop and one at the
-    # stop, each costing 44 (d^2 + n d) + 720 bytes (its V and S and its
-    # share of the stacked estimate, at least the measured growth of a lone
-    # trial's peak memory); each gain update keeps 48 n^2 + 900 bytes of
-    # gain history and t_stab margins; the clean runs step in the log rows
-    # and hold no buffer of their own. A batch that fills BATCH_BYTES with
-    # all of them takes one trial more than the budget allows
+    # with records a trial holds T + 1 rows of log arrays, u_cb not among
+    # them, without them one window of min(T, NOISE_CHUNK) + 1 rows; a
+    # chunk makes and drops 32 (n + m) bytes per window row; at a stop it
+    # holds one estimator snapshot per checkpoint passed since the last
+    # stop and one at the stop, each costing 44 (d^2 + n d) + 720 bytes
+    # (its V and S and its share of the stacked estimate, at least the
+    # measured growth of a lone trial's peak memory); each gain update
+    # keeps 8 m n + 900 bytes of gain history and t_stab spans; the clean
+    # runs step in the log rows and hold no buffer of their own. A batch
+    # that fills BATCH_BYTES with all of them takes one trial more than the
+    # budget allows
     spec, _ = ref
     n, m = spec.n, spec.m
     d = n + m
@@ -506,10 +507,10 @@ def test_trial_batches_count_the_clean_run_buffers(ref, T, factor, schedule,
     over = dict(horizon=T, checkpoint_factor=factor,
                 controller=ControllerConfig(schedule))
     for records, rows in ((True, T), (False, window)):
-        per_trial = ((rows + 1) * (8 * (2 * n + 3 * m + 1) + 1)
-                     + (window + 1) * 24 * d
+        per_trial = ((rows + 1) * (8 * (2 * n + 2 * m + 1) + 1)
+                     + (window + 1) * 32 * d
                      + (44 * (d * d + n * d) + 720) * snapshots
-                     + (48 * n * n + 900) * updates)
+                     + (8 * m * n + 900) * updates)
         fit = BATCH_BYTES // per_trial
         assert len(trial_batches(make_config(spec, trials=fit, **over),
                                  records=records)) == 1

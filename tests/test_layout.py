@@ -21,7 +21,7 @@ from alqr.records import save_trial_csv
 from alqr.regret import FOLD_ROWS, TrialFold, decompose_at, stage_costs
 from helpers import blocks_of, reference_spec
 
-RECORD_ARRAYS = ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost")
+RECORD_ARRAYS = ("X", "U_ce", "U_pr", "W", "breaker", "stage_cost")
 
 
 def dense_spd(n, seed):

@@ -10,6 +10,7 @@ from alqr.control_math import solve_dare
 from alqr.errors import IncompleteLog
 from alqr.plant import NOISE_CHUNK
 from alqr.records import (
+    BREAKER_CLEAR,
     TrialRecord,
     csv_header,
     load_gain_sidecar,
@@ -29,7 +30,6 @@ def synthetic_record(T=50, n=3, m=2, seed=0):
         trial_index=4, seed=123,
         X=X,
         U_ce=rng.standard_normal((T, m)),
-        U_cb=rng.standard_normal((T, m)),
         U_pr=rng.standard_normal((T, m)) * 1e-8,
         W=rng.standard_normal((T, n)),
         breaker=rng.integers(0, 3, size=T).astype(np.int8),
@@ -76,12 +76,12 @@ def test_csv_round_trip_keeps_every_bit_of_edge_values(tmp_path):
                for sign in ("", "-")]
     column = np.array(values)
     T = len(column)
-    cols = np.stack([np.roll(column, j) for j in range(2 * 3 + 3 * 2 + 1)],
+    cols = np.stack([np.roll(column, j) for j in range(2 * 3 + 2 * 2 + 1)],
                     axis=1)
     record = TrialRecord(
         trial_index=0, seed=0, X=cols[:, 0:3], U_ce=cols[:, 3:5],
-        U_cb=cols[:, 5:7], U_pr=cols[:, 7:9], W=cols[:, 9:12],
-        breaker=np.arange(T, dtype=np.int8) % 3, stage_cost=cols[:, 12])
+        U_pr=cols[:, 5:7], W=cols[:, 7:10],
+        breaker=np.arange(T, dtype=np.int8) % 3, stage_cost=cols[:, 10])
     path = tmp_path / "trial.csv"
     save_trial_csv(record, str(path))
     [back] = load_trial_csv(str(path))
@@ -123,22 +123,95 @@ def _random_cell(rng) -> str:
 
 
 def test_load_matches_a_per_field_float_parse(tmp_path):
+    # a u_cb cell follows the rule as a float: the u_ce cell's own text on
+    # a clear row, any spelling of zero on a breaker row
     rng = np.random.default_rng(2024)
     n, m, T = 3, 2, 400
     lines = [csv_header(n, m)]
     for k in range(1, T + 1):
-        cells = [_random_cell(rng) for _ in range(2 * n + 3 * m)]
-        lines.append(",".join([str(k), *cells, str(rng.integers(3)),
-                               _random_cell(rng)]))
+        code = int(rng.integers(3))
+        x_cells = [_random_cell(rng) for _ in range(n)]
+        ce_cells = [_random_cell(rng) for _ in range(m)]
+        cb_cells = (ce_cells if code == BREAKER_CLEAR else
+                    [str(rng.choice(["0", "-0", "0.0", "-0.0", "0e7"]))
+                     for _ in range(m)])
+        rest = [_random_cell(rng) for _ in range(m + n)]
+        lines.append(",".join([str(k), *x_cells, *ce_cells, *cb_cells,
+                               *rest, str(code), _random_cell(rng)]))
     path = tmp_path / "trial.csv"
     path.write_text("\n".join(lines) + "\n")
     want = np.array([[float(p) for p in line.split(",")]
                      for line in lines[1:]])
     [back] = load_trial_csv(str(path))
-    got = np.hstack([back.X, back.U_ce, back.U_cb, back.U_pr, back.W])
-    assert got.tobytes() == want[:, 1:1 + 2 * n + 3 * m].tobytes()
+    got = np.hstack([back.X, back.U_ce, back.U_pr, back.W])
+    ce = slice(1 + n, 1 + n + m)
+    assert got.tobytes() == np.hstack(
+        [want[:, 1:1 + n], want[:, ce], want[:, 1 + n + 2 * m:-2]]).tobytes()
+    clear = want[:, -2] == BREAKER_CLEAR
+    assert back.U_cb.tobytes() == np.where(clear[:, None], want[:, ce],
+                                           0.0).tobytes()
     assert back.breaker.tobytes() == want[:, -2].astype(np.int8).tobytes()
     assert back.stage_cost.tobytes() == want[:, -1].tobytes()
+
+
+def test_u_cb_cells_of_signed_zeros_and_nans(tmp_path):
+    # u_ce of -0.0 and NaN on clear rows and on breaker rows: a clear row's
+    # u_cb cell is its u_ce cell, NaN and sign kept, any other row's is 0.0
+    codes = np.array([0, 1, 2, 0], dtype=np.int8)
+    record = TrialRecord(
+        trial_index=0, seed=0, X=np.zeros((4, 1)),
+        U_ce=np.array([[-0.0, np.nan]] * 4), U_pr=np.zeros((4, 2)),
+        W=np.zeros((4, 1)), breaker=codes, stage_cost=np.zeros(4))
+    path = tmp_path / "trial.csv"
+    save_trial_csv(record, str(path))
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [row[2:4] for row in rows] == [["-0.0", "nan"]] * 4
+    assert [row[4:6] for row in rows] == [
+        ["-0.0", "nan"], ["0.0", "0.0"], ["0.0", "0.0"], ["-0.0", "nan"]]
+    [back] = load_trial_csv(str(path))
+    want = np.array([[-0.0, np.nan], [0.0, 0.0], [0.0, 0.0], [-0.0, np.nan]])
+    assert back.U_cb.tobytes() == record.U_cb.tobytes() == want.tobytes()
+    assert back.U_ce.tobytes() == record.U_ce.tobytes()
+
+
+def _set_cells(line: str, cells: dict) -> str:
+    parts = line.split(",")
+    for column, value in cells.items():
+        parts[column] = value
+    return ",".join(parts)
+
+
+# columns of a 3x2 log: k, x_1..3, u_ce_1..2 (4, 5), u_cb_1..2 (6, 7),
+# u_pr, w, breaker (-2), stage_cost
+@pytest.mark.parametrize("tamper, accepted", [
+    (lambda row: {4: repr(float(row[4]) + 1.0)}, False),
+    (lambda row: {-2: "1"}, False),
+    (lambda row: {-2: "2", 6: "0.0", 7: "0.5"}, False),
+    (lambda row: {6: "nan", 4: "nan"}, True),
+    (lambda row: {-2: "1", 6: "-0.0", 7: "0"}, True),
+], ids=["u_ce_raised", "code_flipped", "u_cb_nonzero_on_breaker_row",
+        "nan_matches_nan", "any_zero_on_breaker_row"])
+def test_load_checks_u_cb_against_the_rule(tmp_path, tamper, accepted):
+    # a clear row with nonzero u_ce in the second block: the error names
+    # the step, not the row of the block
+    T, step = NOISE_CHUNK + 10, NOISE_CHUNK + 3
+    record = replace(synthetic_record(T=T),
+                     breaker=np.zeros(T, dtype=np.int8))
+    path = tmp_path / "trial.csv"
+    save_trial_csv(record, str(path))
+    lines = path.read_text().splitlines()
+    row = lines[step].split(",")
+    assert row[0] == str(step) and row[4] == row[6] != "0.0"
+    lines[step] = _set_cells(lines[step], tamper(row))
+    path.write_text("\n".join(lines) + "\n")
+    if accepted:
+        assert len(list(load_trial_csv(str(path)))) == 2
+        return
+    with pytest.raises(IncompleteLog) as info:
+        list(load_trial_csv(str(path)))
+    assert str(info.value) == (
+        f"{path}: u_cb at step {step} contradicts its u_ce and breaker code "
+        f"{lines[step].split(',')[-2]}")
 
 
 @pytest.mark.parametrize("field, bad", [

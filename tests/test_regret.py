@@ -83,7 +83,7 @@ def test_decompose_zero_noise_optimal_gain():
     n, m = spec.n, spec.m
     record = TrialRecord(
         trial_index=0, seed=0, X=np.zeros((T, n)), U_ce=np.zeros((T, m)),
-        U_cb=np.zeros((T, m)), U_pr=np.zeros((T, m)), W=np.zeros((T, n)),
+        U_pr=np.zeros((T, m)), W=np.zeros((T, n)),
         breaker=np.zeros(T, dtype=np.int8), stage_cost=np.zeros(T),
         gain_segments=[(1, oracle.K_star)])
     report = decompose_at(record, oracle, spec, [record.horizon])[0]
@@ -107,8 +107,7 @@ def test_decompose_single_step_hand_expansion():
     stage = float(u_pr @ spec.cost.R @ u_pr)
     record = TrialRecord(
         trial_index=0, seed=0, X=np.zeros((1, spec.n)),
-        U_ce=np.zeros((1, spec.m)), U_cb=np.zeros((1, spec.m)),
-        U_pr=u_pr[None, :], W=w[None, :],
+        U_ce=np.zeros((1, spec.m)), U_pr=u_pr[None, :], W=w[None, :],
         breaker=np.zeros(1, dtype=np.int8), stage_cost=np.array([stage]),
         gain_segments=[(1, np.zeros((spec.m, spec.n)))])
     report = decompose_at(record, oracle, spec, [record.horizon])[0]
