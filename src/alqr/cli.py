@@ -32,6 +32,7 @@ from .config import (
     parse_config_document,
 )
 from .control_math import CostWeights, SystemMatrices, solve_dare
+from .controller import breaker_codes
 from .diagnostics import detect_t_stab
 from .errors import AlqrError, ConfigInvalid, IncompleteLog, IoError
 from .harness import (
@@ -158,29 +159,45 @@ def _trial_files(trials_dir: str) -> list[tuple[int, str]]:
 
 def _analyze_trial(idx: int, path: str, experiment: ExperimentConfig,
                    oracle, failures: list) -> dict:
-    """Audit one trial log block by block; its failures join ``failures``
+    """Audit one trial log block by block: its stage costs, its breaker
+    codes replayed from its u_ce (breaker_codes, the dwell counter carried
+    over) and its regret decomposition. Its failures join ``failures``
     only once every block has been read."""
     spec = experiment.plant
     cps = experiment.checkpoints().tolist()
-    found = []
+    # the first bad row of each per-row check, by kind
+    first = {}
     fold = TrialFold(oracle, spec, cps, experiment.delta, audit=True)
+    # the breaker's dwell counter, carried from block to block
+    xi = 0
     for block in load_trial_csv(path, trial_index=idx):
         expected = stage_costs(block.X, block.U_cb + block.U_pr, spec.cost)
         gap = np.abs(block.stage_cost - expected)
         tol = STAGE_RTOL * np.maximum(1.0, np.abs(expected))
         bad = np.flatnonzero(~(gap <= tol))  # a NaN gap is bad too
-        if bad.size and not found:  # the first bad row of the trial
+        if bad.size and "stage_cost" not in first:
             i = int(bad[0])
             row = block.first_step + i
-            found.append({
+            first["stage_cost"] = {
                 "trial": idx, "kind": "stage_cost", "row": row,
                 "message": (f"stage_cost at step {row} is "
                             f"{float(block.stage_cost[i])!r}, "
-                            f"recomputed {float(expected[i])!r}")})
+                            f"recomputed {float(expected[i])!r}")}
+        codes, xi = breaker_codes(block.U_ce, block.first_step, xi)
+        wrong = np.flatnonzero(codes != block.breaker)
+        if wrong.size and "breaker" not in first:
+            i = int(wrong[0])
+            row = block.first_step + i
+            first["breaker"] = {
+                "trial": idx, "kind": "breaker", "row": row,
+                "message": (f"breaker code at step {row} is "
+                            f"{int(block.breaker[i])}, the rule gives "
+                            f"{int(codes[i])}")}
         fold.add(block)
     T = block.horizon
 
     cps = [c for c in cps if c < T] + [T]
+    found = list(first.values())
     worst_residual = 0.0
     for cp, report in zip(cps, fold.reports(cps)):
         worst_residual = max(worst_residual, report.residual)

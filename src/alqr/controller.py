@@ -17,6 +17,7 @@ AdaptiveController.update_gain is that call on a stack of one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,35 @@ def breaker(k: int, u_ce: np.ndarray, xi: np.ndarray
         np.int8)
     return (feedback(u_ce, codes), codes,
             np.where(tripped, dwell(k), xi - dwelling))
+
+
+def breaker_codes(U_ce: np.ndarray, first: int, xi: int
+                  ) -> tuple[np.ndarray, int]:
+    """The codes breaker gives one trial's block of steps, and its dwell
+    counter after them.
+
+    ``U_ce`` holds the trial's proposed inputs at the steps first ..
+    first + L - 1, (L, m), and ``xi`` its dwell counter before the block;
+    the block's (L,) int8 codes and the counter after its last step come
+    back, the bits of breaker run step by step. One over_threshold call
+    tests every step; a trip at a step the dwell leaves free sets
+    BREAKER_TRIGGER there and BREAKER_DWELL on the dwell(k) steps after
+    it, so the Python work is per trip, not per step.
+    """
+    codes = np.zeros(len(U_ce), dtype=np.int8)
+    trips = np.flatnonzero(
+        over_threshold(U_ce, thresholds(first, len(U_ce)))).tolist()
+    # the first step the running dwell leaves free
+    free = xi
+    codes[:free] = BREAKER_DWELL
+    j = bisect_left(trips, free)
+    while j < len(trips):
+        trip = trips[j]
+        codes[trip] = BREAKER_TRIGGER
+        free = trip + 1 + dwell(first + trip)
+        codes[trip + 1:free] = BREAKER_DWELL
+        j = bisect_left(trips, free, j)
+    return codes, max(free - len(codes), 0)
 
 
 def certainty_equivalent_gains(Theta: np.ndarray,

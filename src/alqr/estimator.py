@@ -3,14 +3,15 @@
 State is kept as the sufficient statistics V = sum z z' and S = sum x_next z',
 so memory is O((m+n)^2) regardless of trajectory length, and the estimate
 S V^+ reproduces the batch least-squares solution exactly. One EstimatorState
-holds a stack of trials fed in lockstep (run_trials's batch) or a lone
-trial, a stack of one. Incoming pairs are copied into a preallocated
-512-row buffer and folded into (V, S) each time it fills, so the sums are
-grouped the same way however the pairs arrive: one at a time or in blocks
-of any size. Every sum is one stacked product whose trials each get the
-bits of the 2-d product, so a trial's sums do not depend on the stack it
-is in. A read (snapshot) adds the unfolded tail into new arrays and leaves
-the folded sums as they were, so reading never changes the bits of what
+holds a stack of trials fed in lockstep (run_trials's batch: every trial of
+it, a failed one too, until the batch ends) or a lone trial, a stack of
+one. Incoming pairs are copied into a preallocated 512-row buffer and
+folded into (V, S) each time it fills, so the sums are grouped the same
+way however the pairs arrive: one at a time or in blocks of any size.
+Every sum is one stacked product whose trials each get the bits of the
+2-d product, so a trial's sums do not depend on the stack it is in. A
+read (snapshot) adds the unfolded tail into new arrays and leaves the
+folded sums as they were, so reading never changes the bits of what
 comes after. Estimates are one stacked computation over a list of
 snapshots (estimates): a batch's at several steps, or one trial's.
 """
@@ -48,9 +49,9 @@ class EstimatorState:
     """Accumulated regression statistics of a stack of trials fed in
     lockstep: every trial of the stack holds the same number of pairs.
 
-    ``trials`` sets the stack's height; left None, the state is one trial's
-    and its pairs and sums go without the trial axis. A trial leaves the
-    stack (leave) when it has no more pairs to give, and the rest go on.
+    ``trials`` sets the stack's height, fixed for the state's life; left
+    None, the state is one trial's and its pairs and sums go without the
+    trial axis.
     """
 
     def __init__(self, state_dim: int, input_dim: int,
@@ -126,12 +127,6 @@ class EstimatorState:
                 self._V, self._S = self._sums()
                 self._fill = 0
         self._count += len(Z)
-
-    def leave(self, keep) -> None:
-        """Keep only the stack's trials where the (N,) mask ``keep`` is
-        True; they keep their sums and their unfolded pairs."""
-        self._V, self._S = self._V[keep], self._S[keep]
-        self._Z, self._Xn = self._Z[keep], self._Xn[keep]
 
     def estimate(self) -> ParameterEstimate:
         """Theta = S V^+, the pseudoinverse truncated at PINV_RTOL * sigma_max.

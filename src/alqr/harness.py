@@ -182,7 +182,8 @@ class TrialResult:
     """One trial's outputs: its summary, the raw log and checkpoint curves.
 
     A failed trial's record ends with its failure step; its regret curve is
-    NaN past that step and its estimation-error curve from it on. The
+    NaN past that step and its estimation-error curve at every checkpoint
+    from it on, whatever its parked row's estimator held there. The
     record is None when run_trials kept no records, and the experiment
     reduction drops it (sets it to None) to bound memory; the summary and
     the curves always survive.
@@ -317,15 +318,19 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
 
     The loop stops only before a gain update and at each chunk end, and a
     stop reads only the window's rows since the last one. It checks the
-    overflow guard (overflow_failures) on their states: a row past it
-    leaves the live rows but keeps stepping, unread; its trial comes back
-    cut at its first failing step and marked failed, and the batch ends at
-    the first stop with no row live. It feeds the live rows' estimators,
-    one EstimatorState stack, the logged pairs, one absorb per split
-    point, with one stacked snapshot at every checkpoint passed since the
-    last stop; a failing row leaves the stack after its last valid pair.
+    overflow guard (overflow_failures) on the live rows' states. A row past
+    it is parked: its window rows from that state on are zeroed, and its
+    gain and dwell counter, so it keeps stepping from a zero state with no
+    feedback and never trips, unread; its trial comes back cut at its
+    first failing step and marked failed, and the batch ends at the first
+    stop with no row live. Every array keeps its N rows until the batch
+    ends. The stop feeds the batch's estimators, one EstimatorState stack,
+    the window's N-wide rows since the last stop, with no split point for
+    a failure: one absorb up to each checkpoint passed since the last
+    stop, where it takes one stacked snapshot, and one up to the stop.
     All the snapshots go through one stacked estimate (estimates), the
-    checkpoints' through one stacked estimation_error. Gain updates fire
+    checkpoints' through one stacked estimation_error, and a failed
+    trial's values from its failure step on become NaN. Gain updates fire
     at the same k for every trial: one certainty_equivalent_gains call
     takes the live rows' estimates, and its Riccati loop runs every row
     until it stops where it would stop alone. Every stacked product and
@@ -340,7 +345,7 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
     T = config.horizon
     N = len(indices)
     seeds = [trial_seed(config.base_seed, i) for i in indices]
-    # the live rows' estimators, one stack in the order of live
+    # every row's estimator, one stack
     estimator = EstimatorState(n, m, trials=N)
     streams = [NoiseStream(seed=seed, state_dim=n, input_dim=m)
                for seed in seeds]
@@ -375,66 +380,51 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
     measured = 0
 
     def stop_at(upto: int) -> np.ndarray | None:
-        """Guard the live rows' states after steps checked+1 .. upto, then
-        make the stop's estimates in one stacked call: each row's at every
-        checkpoint since the last stop that it has not failed by (failure
-        step > c), and at upto if it is live. Fills est_sq; returns the
+        """Guard the live rows' states after steps checked+1 .. upto and
+        park each row found past the guard; then feed the estimator stack
+        the window's rows of every trial up to each checkpoint since the
+        last stop, where it takes a snapshot, and up to upto. One stacked
+        call makes every snapshot's estimates. Fills est_sq; returns the
         live rows' estimates at upto, or None when no row is live.
 
-        The estimator stack holds the rows live at the last stop, fed to
-        it. It is fed on to each split point in one absorb: each pending
-        checkpoint, where it takes one snapshot of the stack, each failing
-        row's end (failure step - 1 pairs), after which that row leaves,
-        and upto, where the rows left are the live ones. A step's row of
-        the window is step - start.
+        A row failing at step f is parked: its window rows from its state
+        after step f through upto, and K and xi, are zeroed, so it steps on
+        from a zero state with no feedback and no dwell, and its estimator
+        is fed finite pairs. Nothing reads it after f: the fold, the record
+        and _finish (which sets its est_sq from f on to NaN) stop there. A
+        step's row of the window is step - start.
         """
         nonlocal live, checked, measured
-        rows = live
         found = overflow_failures(
-            X[checked + 1 - start:upto + 1 - start, rows].swapaxes(0, 1),
+            X[checked + 1 - start:upto + 1 - start, live].swapaxes(0, 1),
             checked + 1)
-        failures.update((rows[j], failure) for j, failure in found.items())
-        live = [r for j, r in enumerate(rows) if j not in found]
+        for j, failure in found.items():
+            r, f = live[j], failure[0] - start
+            failures[r] = failure
+            X[f:upto + 1 - start, r] = 0.0
+            U_ce[f:upto - start, r] = 0.0
+            codes[f:upto - start, r] = 0
+            K[r] = 0.0
+            xi[r] = 0
+        live = [r for r in live if r not in failures]
         checked = upto
         reached = int(np.searchsorted(cps, upto, side="right"))
-        pending = dict(zip(cps[measured:reached].tolist(),
-                           range(measured, reached)))
-        measured = reached
-        # each row's count of valid pairs: step i's pair is
-        # z = [X[i]; U_cb[i] + U_pr[i]] with successor X[i + 1], and a row
-        # failing at step f has X[f] past the guard
-        last = np.array([failures[r][0] - 1 if r in failures else upto
-                         for r in rows])
-        # the stack's columns of the window: a slice, so views and not
-        # copies, while every row is in it
-        cols = slice(None) if len(rows) == N else rows
-        cell_rows, cell_cps, snapshots = [], [], []
-        for point in sorted({*pending, *last.tolist()}):
+        snapshots = []
+        # step i's pair is z = [X[i]; U_cb[i] + U_pr[i]] with successor
+        # X[i + 1]
+        for point in cps[measured:reached].tolist() + [upto]:
             a, b = estimator.count - start, point - start
-            if b > a and rows:
-                Z = np.concatenate(
-                    [X[a:b, cols],
-                     feedback(U_ce[a:b, cols], codes[a:b, cols])
-                     + U_pr[a:b, cols]], axis=2)
-                estimator.absorb(Z, X[a + 1:b + 1, cols])
-            if point in pending and rows:
-                snapshots.append(estimator.snapshot())
-                cell_rows += rows
-                cell_cps += [pending[point]] * len(rows)
-            if point < upto and np.any(last == point):
-                keep = last != point
-                estimator.leave(keep)
-                rows = cols = [r for r, kept in zip(rows, keep) if kept]
-                last = last[keep]
-        if live:
+            if b > a:
+                Z = np.concatenate([X[a:b], feedback(U_ce[a:b], codes[a:b])
+                                    + U_pr[a:b]], axis=2)
+                estimator.absorb(Z, X[a + 1:b + 1])
             snapshots.append(estimator.snapshot())
-        if not snapshots:
-            return None
-        Theta = estimates(snapshots)[0]
-        if cell_rows:
-            err = estimation_error(Theta[:len(cell_rows)], spec.sys)
-            est_sq[cell_rows, cell_cps] = err * err
-        return Theta[len(cell_rows):] if live else None
+        Theta = estimates(snapshots)[0].reshape(len(snapshots), N, n, n + m)
+        if reached > measured:
+            err = estimation_error(Theta[:-1].reshape(-1, n, n + m), spec.sys)
+            est_sq[:, measured:reached] = (err * err).reshape(-1, N).T
+        measured = reached
+        return Theta[-1, live] if live else None
 
     # a step's input u = u_cb + u_pr and B u, rewritten each step
     u = np.empty((N, m))
@@ -513,7 +503,8 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
         if live:
             stop_at(start + count)
         # fold the chunk: a trial keeps its rows up to its failure step;
-        # the rows past it are never read and may overflow in stage_costs
+        # the rows past a batch's last stop are never read and may hold
+        # anything, so stage_costs may overflow there
         ends = np.clip([failures[r][0] - start if r in failures else count
                         for r in range(N)], 0, count)
         with np.errstate(all="ignore"):
@@ -547,11 +538,15 @@ def _finish(record: TrialRecord, fold: TrialFold, row: int,
     """A trial's result from its record through the last chunk stepped and
     row ``row`` of the batch's fold, fed every row it keeps. ``failure`` is
     the step and message of its first state past the overflow guard, or
-    None. With ``keep`` the record starts at step 1 and the result keeps
-    it cut at the failure step; without it the result keeps none."""
+    None; a failed trial's ``est_sq`` is set to NaN at its checkpoints
+    from the failure step on. With ``keep`` the record starts at step 1
+    and the result keeps it cut at the failure step; without it the result
+    keeps none."""
     failed = failure is not None
     end, failure_reason = failure if failed else (record.horizon, "")
     facts = {} if failed else compute_trial_diagnostics(fold, record, row)
+    if failed:
+        est_sq[fold.checkpoints >= end] = np.nan
     summary = TrialSummary(
         trial_index=record.trial_index, seed=record.seed, failed=failed,
         failure_step=end if failed else None,
@@ -684,12 +679,13 @@ def run_experiment(config: ExperimentConfig, log_dir: str | None = None,
     """Run all trials and reduce them to an ExperimentSummary.
 
     Trials run in lockstep batches (trial_batches), serially or in a
-    process pool; results are merged by trial index, and a trial's outputs
-    do not depend on its batch, so the summary never depends on
-    scheduling. When ``log_dir`` is given, each trial's record is written
-    there as ``trial_<i>.csv`` and ``trial_<i>_gains.json`` by the worker
-    that produced it; records are dropped before aggregation. Without it
-    the batches keep no records, so they step in one reused window each.
+    process pool of at most one worker per batch; results are merged by
+    trial index, and a trial's outputs do not depend on its batch, so the
+    summary never depends on scheduling. When ``log_dir`` is given, each
+    trial's record is written there as ``trial_<i>.csv`` and
+    ``trial_<i>_gains.json`` by the worker that produced it; records are
+    dropped before aggregation. Without it the batches keep no records, so
+    they step in one reused window each.
     """
     oracle = solve_dare(config.plant.sys, config.plant.cost, config.plant.W)
     n_workers = resolve_workers(workers)
@@ -703,7 +699,8 @@ def run_experiment(config: ExperimentConfig, log_dir: str | None = None,
         # pulls in multiprocessing, which about doubles the import time of
         # alqr.cli for every simulate, analyze and verify process
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        # a forking pool starts all its workers at the first submit
+        with ProcessPoolExecutor(min(n_workers, len(batches))) as pool:
             done = list(pool.map(
                 _batch_task, [config] * len(batches), batches,
                 [log_dir] * len(batches), [oracle] * len(batches)))

@@ -1,5 +1,5 @@
 """Shared test utilities: a reference plant, a hand-driven closed loop,
-and a record cut into blocks.
+a record cut into blocks, and a bit-for-bit check of two trial results.
 
 drive_trial deliberately reimplements the simulation loop at test level so
 harness results can be checked against an independently written loop: one
@@ -101,3 +101,23 @@ def blocks_of(record, cuts):
     ``cuts``: TrialRecords of row slices with their first_step set."""
     bounds = [1, *cuts, record.horizon + 1]
     return [record.rows(a - 1, b - 1) for a, b in zip(bounds, bounds[1:])]
+
+
+RECORD_ARRAYS = ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost")
+
+
+def assert_same_trial(a, b, label):
+    """Two TrialResults agree bit for bit in every output."""
+    for name in RECORD_ARRAYS:
+        assert np.array_equal(getattr(a.record, name),
+                              getattr(b.record, name)), (label, name)
+    assert [s for s, _ in a.record.gain_segments] == \
+        [s for s, _ in b.record.gain_segments], label
+    for (_, ka), (_, kb) in zip(a.record.gain_segments,
+                                b.record.gain_segments):
+        assert np.array_equal(ka, kb), label
+    assert a.summary == b.summary, label
+    assert np.array_equal(a.rel_avg_regret, b.rel_avg_regret,
+                          equal_nan=True), label
+    assert np.array_equal(a.est_error_sq, b.est_error_sq,
+                          equal_nan=True), label

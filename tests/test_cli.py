@@ -5,9 +5,10 @@ what gets tested: 0 all checks passed, 1 a check ran and failed, 2 the
 request itself was unusable.
 """
 
+import concurrent.futures
 import json
 import os
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ import pytest
 from alqr import cli, harness, records
 from alqr.config import parse_config_document
 from alqr.control_math import solve_dare
-from alqr.harness import run_trial, trial_budget
-from alqr.plant import NOISE_CHUNK
+from alqr.harness import generate_stand_in_plant, run_trial, trial_budget
+from alqr.plant import NOISE_CHUNK, plant_spec_to_dict
 from alqr.records import load_trial_csv
 from alqr.regret import TrialFold, decompose_at
 
@@ -43,8 +44,10 @@ EDGE_DOC = {
 }
 
 
-REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         os.pardir, "configs", "reference.json")
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "configs")
+REFERENCE = os.path.join(CONFIGS, "reference.json")
+STANDIN_8X4 = os.path.join(CONFIGS, "standin_8x4.json")
 
 
 def write_config(tmp_path, doc=None):
@@ -287,6 +290,43 @@ class TestSimulate:
                 got = f.read()
             assert got == want, name
 
+    def test_pool_has_no_more_workers_than_batches(self, tmp_path,
+                                                   monkeypatch):
+        # a forking pool starts all its workers at the first submit, so
+        # --workers 8 on 3 trials (3 batches) must ask for 3. The pool is
+        # replaced by one that records the request and maps in this
+        # process, so the test starts no process
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers=None):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.delenv("ALQR_THREADS", raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        _, serial = simulate(tmp_path, out="serial", extra=["--workers", "1"])
+        _, pooled = simulate(tmp_path, out="pooled", extra=["--workers", "8"])
+        assert asked == [3]
+        names = sorted(os.path.relpath(os.path.join(root, name), serial)
+                       for root, _, files in os.walk(serial)
+                       for name in files)
+        assert "trials/trial_2.csv" in names
+        for name in names:
+            with open(os.path.join(serial, name), "rb") as f:
+                want = f.read()
+            with open(os.path.join(pooled, name), "rb") as f:
+                assert f.read() == want, name
+
     def test_logs_on_and_off_give_the_same_bytes(self, tmp_path,
                                                  monkeypatch):
         # with logs a trial holds the horizon's rows, without them one
@@ -519,6 +559,63 @@ class TestAnalyze:
             "message": (f"{path}: u_cb at step {row[0]} contradicts its "
                         f"u_ce and breaker code {row[6]}")}]
         assert [info["trial"] for info in report["trials"]] == [0, 1]
+
+    def test_code_the_breaker_rule_does_not_give_is_breaker_failure(
+            self, tmp_path, capsys):
+        # step 1's u_ce is 0 (the first gain is zero), so a code flipped
+        # to 1 there leaves u_cb 0 and passes load_trial_csv's u_cb check;
+        # analyze replays the breaker rule from the logged u_ce and names
+        # the step. The log's columns: k, x_1, u_ce_1, u_cb_1, u_pr_1, w_1,
+        # breaker, stage_cost
+        _, out = simulate(tmp_path)
+        capsys.readouterr()
+        path = os.path.join(out, "trials", "trial_0.csv")
+        with open(path) as f:
+            lines = f.read().splitlines()
+        row = lines[1].split(",")
+        assert row[0] == "1" and float(row[2]) == 0.0 and row[6] == "0"
+        row[6] = "1"
+        lines[1] = ",".join(row)
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+
+        code = cli.main(["analyze", "--out", out])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["failures"] == [{
+            "trial": 0, "kind": "breaker", "row": 1,
+            "message": "breaker code at step 1 is 1, the rule gives 0"}]
+        assert [info["trial"] for info in report["trials"]] == [0, 1, 2]
+
+    @pytest.mark.parametrize("doc, extra", [
+        (REFERENCE, ["--set", "horizon=5000", "--set", "trials=2"]),
+        (STANDIN_8X4, ["--set", "horizon=5000", "--set", "trials=2"]),
+        ("loud", ["--set", "controller.gain_update_schedule=every-step"]),
+    ], ids=["reference", "standin_8x4", "W=40I_every_step"])
+    def test_logged_codes_are_the_breaker_rule(self, tmp_path, capsys,
+                                                doc, extra):
+        # untampered logs give no breaker failure: the reference and 8x4
+        # configs cross the block edge at 4096, and at W = 40 I the breaker
+        # trips and dwells
+        if doc == "loud":
+            spec = generate_stand_in_plant(3, 2, 0.9, 42)
+            block = plant_spec_to_dict(replace(spec, W=40.0 * spec.W))
+            doc = dict(EDGE_DOC, plant=block, horizon=400, trials=3)
+        else:
+            with open(doc) as f:
+                doc = json.load(f)
+        code, out = simulate(tmp_path, doc=doc, extra=[
+            "--set", "write_trial_logs=true", *extra])
+        assert code == 0
+        capsys.readouterr()
+        code = cli.main(["analyze", "--out", out])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["failures"] == []
+        if "every-step" in extra:
+            codes = np.concatenate([block.breaker for block in load_trial_csv(
+                os.path.join(out, "trials", "trial_0.csv"))])
+            assert (codes == records.BREAKER_TRIGGER).any()
+            assert (codes == records.BREAKER_DWELL).any()
 
     def test_hand_built_single_step_log(self, tmp_path, capsys):
         out = tmp_path / "byhand"

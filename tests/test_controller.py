@@ -7,9 +7,11 @@ import numpy as np
 from alqr.control_math import CostWeights
 from alqr import controller
 from alqr.controller import (AdaptiveController, ControllerConfig, breaker,
-                             clean_steps, dwell, threshold)
-from alqr.plant import NoiseStream
+                             breaker_codes, clean_steps, dwell, threshold)
+from alqr.harness import ExperimentConfig, run_trial
+from alqr.plant import NoiseStream, PlantSpec
 from alqr.records import BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER
+from helpers import reference_spec
 
 
 def make_controller(n=1, m=1, schedule="powers-of-two"):
@@ -213,6 +215,66 @@ def test_clean_steps_matches_breaker_step_by_step():
                  "first" if expected == 0 else
                  "last" if expected == length - 1 else "inside")
     assert seen == {"none", "first", "last", "inside"}
+
+
+def stepwise_breaker_codes(U_ce, first, xi):
+    """breaker run one step at a time over one trial's (L, m) block from
+    the dwell counter ``xi``: the (L,) codes and the counter after."""
+    codes = np.zeros(len(U_ce), dtype=np.int8)
+    xi = np.array([xi])
+    for j, u_ce in enumerate(U_ce):
+        _, code, xi = breaker(first + j, u_ce[None], xi)
+        codes[j] = code[0]
+    return codes, int(xi[0])
+
+
+def test_breaker_codes_match_breaker_step_by_step():
+    # random blocks whose norms sit around their thresholds, some with a
+    # dwell carried in, a few with NaN rows, which never trip
+    rng = np.random.default_rng(29)
+    seen = set()
+    for _ in range(300):
+        length, m = int(rng.integers(1, 80)), int(rng.integers(1, 4))
+        first = int(rng.integers(1, 20000))
+        xi = int(rng.choice([0, 0, rng.integers(1, 12)]))
+        block = rng.standard_normal((length, m))
+        block *= (thresholds(first, length) * rng.uniform(0.5, 1.5, length)
+                  / np.linalg.norm(block, axis=1))[:, None]
+        if rng.random() < 0.1:
+            block[rng.integers(length)] = np.nan
+        codes, after = breaker_codes(block, first, xi)
+        want, want_after = stepwise_breaker_codes(block, first, xi)
+        assert codes.dtype == np.int8
+        assert codes.tobytes() == want.tobytes()
+        assert after == want_after
+        seen.update({"carried in"} if xi else set())
+        seen.update({"carried out"} if after else set())
+        seen.update({"trip"} if BREAKER_TRIGGER in codes else set())
+    assert seen == {"carried in", "carried out", "trip"}
+
+
+def test_breaker_codes_carry_the_dwell_across_blocks():
+    # trial 0 of the 3x2 batch at W = 40 I, T = 8193, base seed 0 dwells
+    # across the chunk end at 4096. Its logged u_ce cut into blocks (at
+    # row 1, at 4096 and at odd offsets), the counter carried from block
+    # to block, gives the logged codes, which are breaker's step by step
+    spec = reference_spec()
+    loud = PlantSpec(sys=spec.sys, W=40.0 * np.eye(spec.n), cost=spec.cost)
+    config = ExperimentConfig(plant=loud, horizon=8193, trials=4,
+                              base_seed=0)
+    record = run_trial(config, 0).record
+    logged = record.breaker
+    assert logged[4095] and logged[4096]
+    assert stepwise_breaker_codes(record.U_ce, 1, 0)[0].tobytes() == \
+        logged.tobytes()
+    for cuts in ([1, 4096], [1, 333, 4095, 4097, 6001], [4096, 8192],
+                 list(range(1, 8193, 997))):
+        bounds = [0, *cuts, len(logged)]
+        xi, blocks = 0, []
+        for a, b in zip(bounds, bounds[1:]):
+            codes, xi = breaker_codes(record.U_ce[a:b], 1 + a, xi)
+            blocks.append(codes)
+        assert np.concatenate(blocks).tobytes() == logged.tobytes(), cuts
 
 
 def test_probe_decay_exact():

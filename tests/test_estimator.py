@@ -95,29 +95,22 @@ def test_snapshots_keep_their_values():
 @pytest.mark.parametrize("n, m", [(3, 2), (8, 4), (16, 8)])
 def test_stack_rows_match_lone_estimators(n, m):
     # a stack of five trials fed step-major blocks that cross the 512-row
-    # flush, read between blocks, with rows leaving at different counts
-    # (one at 0, inside a flush group, right after a flush): each row's
-    # sums and estimate are the bits of a lone estimator fed its pairs in
-    # one block, and a snapshot keeps its values while the stack goes on
+    # flush, read between blocks: each row's sums and estimate at every
+    # cut are the bits of a lone estimator fed its pairs in one block, and
+    # a snapshot keeps its values while the stack goes on
     rng = np.random.default_rng([n, m])
     N, d = 5, n + m
     Z = rng.standard_normal((1400, N, d))
     Xn = rng.standard_normal((1400, N, n))
     cuts = (0, 1, 7, 300, 511, 512, 513, 1024, 1100, 1400)
-    leave = {0: [2], 300: [4], 512: [0, 3]}
     stack = EstimatorState(n, m, trials=N)
-    rows = list(range(N))
     snapshots, copies, cells = [], [], []
     for a, b in zip(cuts, cuts[1:]):
-        for r in leave.get(a, ()):
-            stack.leave([row != r for row in rows])
-            rows.remove(r)
-        stack.absorb(Z[a:b, rows], Xn[a:b, rows])
+        stack.absorb(Z[a:b], Xn[a:b])
         assert stack.count == b
         snapshots.append(stack.snapshot())
         copies.append([array.copy() for array in snapshots[-1]])
-        cells += [(r, b) for r in rows]
-    assert rows == [1]
+        cells += [(r, b) for r in range(N)]
     Theta, ranks = estimates(snapshots)
     V = np.concatenate([v for v, _ in snapshots])
     S = np.concatenate([s for _, s in snapshots])

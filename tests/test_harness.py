@@ -19,7 +19,7 @@ import pytest
 from alqr import harness, plant
 from alqr.control_math import (CostWeights, SystemMatrices, _frobenius,
                                solve_dare)
-from alqr.controller import ControllerConfig, over_threshold
+from alqr.controller import ControllerConfig, breaker, over_threshold
 from alqr.estimator import EstimatorState, estimation_error
 from alqr.harness import (BATCH_BYTES, CLEAN_SPAN_CAP, ExperimentConfig,
                           TrialSummary, _median, checkpoint_steps,
@@ -30,7 +30,8 @@ from alqr.plant import NOISE_CHUNK, PlantSpec, overflow_failures, step
 from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER,
                           load_gain_sidecar, load_trial_csv)
 from alqr.regret import decompose_at
-from helpers import Diverged, drive_trial, reference_spec
+from helpers import (Diverged, assert_same_trial, drive_trial,
+                     reference_spec)
 
 
 @pytest.fixture(scope="module")
@@ -188,26 +189,6 @@ def test_trial_matches_handwritten_loop(ref):
             assert np.array_equal(ka, kb), label
 
 
-RECORD_ARRAYS = ("X", "U_ce", "U_cb", "U_pr", "W", "breaker", "stage_cost")
-
-
-def assert_same_trial(a, b, label):
-    """Two TrialResults agree bit for bit in every output."""
-    for name in RECORD_ARRAYS:
-        assert np.array_equal(getattr(a.record, name),
-                              getattr(b.record, name)), (label, name)
-    assert [s for s, _ in a.record.gain_segments] == \
-        [s for s, _ in b.record.gain_segments], label
-    for (_, ka), (_, kb) in zip(a.record.gain_segments,
-                                b.record.gain_segments):
-        assert np.array_equal(ka, kb), label
-    assert a.summary == b.summary, label
-    assert np.array_equal(a.rel_avg_regret, b.rel_avg_regret,
-                          equal_nan=True), label
-    assert np.array_equal(a.est_error_sq, b.est_error_sq,
-                          equal_nan=True), label
-
-
 def assert_est_error_matches_oracle(result, config, label):
     """Each est_error_sq[j] is, bit for bit, the squared estimation_error
     of a fresh estimator fed the record's own pairs of steps 1..c, c the
@@ -360,12 +341,13 @@ def test_mixed_batch_rows_fail_at_their_own_steps(ref):
 def test_batch_whose_rows_all_fail(ref):
     # at W = 1e22 I every row of the batch passes the overflow guard inside
     # the first noise chunk, the last at step 1298. A checkpoint does not
-    # end a run, so the failed rows step on, unread, to the stop before the
-    # gain update at 2048 and the batch ends there. Each row still equals
-    # its trial run alone and fails where the hand-written loop does; a
-    # RuntimeWarning from the extra steps would fail the test. Every step
-    # is a checkpoint, so each row's last estimate is the one just before
-    # its failure step, and the stop at 2047 measures 1024 checkpoints
+    # end a run, so each failed row steps on, unread, to the stop that
+    # finds it, is parked there, and the batch ends at the stop before the
+    # gain update at 2048. Each row still equals its trial run alone and
+    # fails where the hand-written loop does; a RuntimeWarning from the
+    # extra steps would fail the test. Every step is a checkpoint, so each
+    # row's last estimate is the one just before its failure step, and the
+    # stop at 2047 measures 1024 checkpoints
     spec, _ = ref
     wild = PlantSpec(sys=spec.sys, W=1e22 * np.eye(spec.n), cost=spec.cost)
     config = make_config(wild, horizon=5000, trials=3, base_seed=0,
@@ -382,6 +364,41 @@ def test_batch_whose_rows_all_fail(ref):
         assert info.value.step == steps[i]
         assert result.summary.failure_reason == str(info.value)
         assert result.record.horizon == steps[i]
+
+
+def test_failed_rows_are_parked_at_the_stop_that_finds_them(monkeypatch):
+    # a row past the overflow guard is found at the first stop at or after
+    # its failure step (the stop before a gain update, or a chunk end) and
+    # parked there: zero state, gain and dwell counter. The breaker rule
+    # must never see it trip or dwell again, or the whole batch would take
+    # the one-step path for a row nothing reads
+    cases = [(reference_spec(), 5e21, 11, 6, 9000),
+             (reference_spec(n=8, m=4), 5e21, 11, 6, 5000),
+             (reference_spec(), 1e22, 0, 8, 5000)]
+    for spec, scale, seed, trials, T in cases:
+        wild = PlantSpec(sys=spec.sys, W=scale * np.eye(spec.n),
+                         cost=spec.cost)
+        config = make_config(wild, horizon=T, trials=trials, base_seed=seed)
+        truth = solve_dare(wild.sys, wild.cost, wild.W)
+        seen = []
+
+        def spy(k, u_ce, xi):
+            u_cb, codes, xi = breaker(k, u_ce, xi)
+            seen.append((k, codes.copy()))
+            return u_cb, codes, xi
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "breaker", spy)
+            batch = run_trials(config, range(trials), truth, records=False)
+        label = (spec.n, scale, seed)
+        failed = {r: result.summary.failure_step
+                  for r, result in enumerate(batch) if result.summary.failed}
+        assert len(failed) >= 3, label
+        for r, f in failed.items():
+            found = min(config.controller.next_update(f) - 1,
+                        -(-f // NOISE_CHUNK) * NOISE_CHUNK, T)
+            late = [k for k, codes in seen if k > found and codes[r]]
+            assert late == [], (label, r, f, found)
 
 
 def check_batches_match_alone():
