@@ -51,16 +51,12 @@ from .diagnostics import (
 )
 from .errors import ConfigInvalid, EmptyWindow, GenerationFailed
 from .estimator import EstimatorState, estimates, estimation_error
-# draw_process_noise is not called here; perfbench/tracer.py binds the name
-from .plant import (
-    NOISE_CHUNK,
-    NoiseStream,
-    PlantSpec,
-    draw_process_noise,
-    overflow_failures,
-    step,
-)
-from .records import TrialRecord, feedback, save_gain_sidecar, save_trial_csv
+from .plant import NOISE_CHUNK, NoiseStream, PlantSpec, overflow_failures
+# draw_process_noise and step are not called here; perfbench/tracer.py
+# binds the names
+from .plant import draw_process_noise, step
+from .records import (BREAKER_CLEAR, TrialRecord, feedback, save_gain_sidecar,
+                      save_trial_csv)
 from .regret import TrialFold, stage_costs
 
 GENERATOR_RETRY_CAP = 16
@@ -295,12 +291,16 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
     row carried to row 0, so memory does not grow with the horizon, and a
     result's record is None. Per chunk, each trial's process noise L g
     (L = chol W) and probe k^(-1/4) v are written into the window's W and
-    U_pr, its breaker codes zeroed and the thresholds built. Per step the
-    feedback path runs once for the batch: u_ce = Khat x with stacked
-    gains, u_cb from the breaker rule, u = u_cb + u_pr and the plant step.
-    The window keeps u_ce and the breaker codes but no u_cb: the readers
-    of a step's rows, the estimator feed, the stage costs and the fold,
-    derive it with records.feedback, as a TrialRecord does.
+    U_pr, its breaker codes zeroed and the thresholds built, and the
+    chunk's f = B u_pr + w, made in one matvec and one add, goes into the
+    buffer its noise g was drawn into. Every row steps with one kernel,
+    x <- M x + f: M = A + B Khat per row, an (N, n, n) stack rebuilt by
+    one stacked matmul at each gain update, is the closed loop of a step
+    at which the breaker passes u_ce = Khat x, and A that of a step at
+    which it holds the feedback at 0. The window keeps u_ce and the
+    breaker codes but no u_cb: the readers of a step's rows, the
+    estimator feed, the stage costs and the fold, derive it with
+    records.feedback, as a TrialRecord does.
 
     The breaker fires only finitely often, so while no row dwells the
     steps go in clean runs: up to ``span`` steps with u_cb = u_ce (the
@@ -312,22 +312,28 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
     no row dwells. ``span`` starts at 1, doubles after each clean run and
     drops back to 1 after a trip; CLEAN_SPAN_CAP caps it. A run ends at
     the next gain update or chunk end at the latest. Every step writes
-    straight into the window: a clean-run step by plant.step's operations
-    in its order, written out as six ufunc calls so that it makes no
-    Python call, a breaker step by plant.step itself.
+    straight into the window. A clean-run step is two ufunc calls,
+    matvec(M, x) and the add of f, and makes no Python call; one matvec of
+    K over the run's rows after it gives their u_ce, the bits of a matvec
+    per step. A breaker step passes the step's u_ce to breaker and steps
+    with np.where(held, A, M), A on each row whose code is not clear.
+    plant.step, A x + B u + w, is the same map rounded in another order:
+    the plant's reference form and the audit's boundary step, which agrees
+    with the kernel's states to rounding, not bit for bit.
 
     The loop stops only before a gain update and at each chunk end, and a
     stop reads only the window's rows since the last one. It checks the
     overflow guard (overflow_failures) on the live rows' states. A row past
     it is parked: its window rows from that state on are zeroed, and its
-    gain and dwell counter, so it keeps stepping from a zero state with no
-    feedback and never trips, unread; its trial comes back cut at its
-    first failing step and marked failed, and the batch ends at the first
-    stop with no row live. Every array keeps its N rows until the batch
-    ends. The stop feeds the batch's estimators, one EstimatorState stack,
-    the window's N-wide rows since the last stop, with no split point for
-    a failure: one absorb up to each checkpoint passed since the last
-    stop, where it takes one stacked snapshot, and one up to the stop.
+    gain and dwell counter, its M set to A, so it keeps stepping from a
+    zero state with no feedback and never trips, unread; its trial comes
+    back cut at its first failing step and marked failed, and the batch
+    ends at the first stop with no row live. Every array keeps its N rows
+    until the batch ends. The stop feeds the batch's estimators, one
+    EstimatorState stack, the window's N-wide rows since the last stop,
+    with no split point for a failure: one absorb up to each checkpoint
+    passed since the last stop, where it takes one stacked snapshot, and
+    one up to the stop.
     All the snapshots go through one stacked estimate (estimates), the
     checkpoints' through one stacked estimation_error, and a failed
     trial's values from its failure step on become NaN. Gain updates fire
@@ -388,11 +394,12 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
         live rows' estimates at upto, or None when no row is live.
 
         A row failing at step f is parked: its window rows from its state
-        after step f through upto, and K and xi, are zeroed, so it steps on
-        from a zero state with no feedback and no dwell, and its estimator
-        is fed finite pairs. Nothing reads it after f: the fold, the record
-        and _finish (which sets its est_sq from f on to NaN) stop there. A
-        step's row of the window is step - start.
+        after step f through upto, and K and xi, are zeroed and its M set
+        to A, so it steps on from a zero state with no feedback and no
+        dwell, and its estimator is fed finite pairs. Nothing reads it
+        after f: the fold, the record and _finish (which sets its est_sq
+        from f on to NaN) stop there. A step's row of the window is
+        step - start.
         """
         nonlocal live, checked, measured
         found = overflow_failures(
@@ -405,6 +412,7 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
             U_ce[f:upto - start, r] = 0.0
             codes[f:upto - start, r] = 0
             K[r] = 0.0
+            M[r] = A
             xi[r] = 0
         live = [r for r in live if r not in failures]
         checked = upto
@@ -426,14 +434,14 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
         measured = reached
         return Theta[-1, live] if live else None
 
-    # a step's input u = u_cb + u_pr and B u, rewritten each step
-    u = np.empty((N, m))
-    Bu = np.empty((N, n))
-    # a chunk's standard normal process noise g, L g written into W
+    # a chunk's standard normal process noise g; once L g is written into
+    # W, the chunk's f = B u_pr + w
     G = np.empty((min(NOISE_CHUNK, T), N, n))
     A, B = spec.sys.A, spec.sys.B
     matvec, add = np.matvec, np.add
     K = np.zeros((N, m, n))
+    # each row's closed loop M = A + B K, rebuilt at each gain update
+    M = A + np.matmul(B, K)
     xi = np.zeros(N, dtype=np.int64)
     next_update = config.controller.next_update(0)
 
@@ -448,14 +456,17 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
         U_ce, U_pr, W, codes, stage = (a[base:base + count] for a in logs)
         # a clean-run step leaves its breaker code at 0
         codes[:] = 0
+        F = G[:count]
         for r, s in enumerate(streams):
-            G[:count, r] = s.block("w", start + 1, count)
+            F[:, r] = s.block("w", start + 1, count)
             U_pr[:, r] = s.block("v", start + 1, count)
-        np.matvec(L, G[:count], out=W)
+        matvec(L, F, out=W)
         steps = range(start + 1, start + count + 1)
         scales = np.fromiter(map(pow, steps, repeat(PROBE_EXPONENT)), float,
                              count)
         np.multiply(scales[:, None, None], U_pr, out=U_pr)
+        matvec(B, U_pr, out=F)
+        add(F, W, out=F)
         limits = thresholds(start + 1, count)
         # i steps of the chunk are taken: X[i] is the state at step
         # start + i + 1
@@ -467,6 +478,7 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
                     break
                 gains = certainty_equivalent_gains(Theta, spec.cost)
                 K[live] = gains
+                add(A, np.matmul(B, K), out=M)
                 for r, gain in zip(live, gains):
                     segments[r].append((start + i + 1, gain))
                 next_update = config.controller.next_update(start + i + 1)
@@ -475,18 +487,12 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
                 # u_cb = u_ce at every step, the breaker checked after
                 end = min(i + span, count, next_update - 1 - start)
                 x = X[i]
-                # plant.step's operations in its order, written out so a
-                # step makes no Python call; out= passed by position, which
-                # numpy parses faster
-                for ce, x_next, p, w in zip(U_ce[i:end], X[i + 1:end + 1],
-                                            U_pr[i:end], W[i:end]):
-                    matvec(K, x, ce)
-                    add(ce, p, u)
-                    matvec(A, x, x_next)
-                    matvec(B, u, Bu)
-                    add(x_next, Bu, x_next)
-                    add(x_next, w, x_next)
+                # out= passed by position, which numpy parses faster
+                for x_next, f in zip(X[i + 1:end + 1], F[i:end]):
+                    matvec(M, x, x_next)
+                    add(x_next, f, x_next)
                     x = x_next
+                matvec(K, X[i:end], U_ce[i:end])
                 i += clean_steps(U_ce[i:end].swapaxes(0, 1), limits[i:end])
                 if i == end:
                     span = min(2 * span, CLEAN_SPAN_CAP)
@@ -494,11 +500,13 @@ def run_trials(config: ExperimentConfig, indices, oracle: RiccatiSolution,
                 # a row trips at the next step: the steps before it are
                 # kept, and the breaker takes the step from its logged state
                 span = 1
-            # a row dwells or trips: the breaker rule, one step
+            # a row dwells or trips: the breaker rule, one step, and the
+            # kernel with A in place of M on each row it holds
             u_ce = matvec(K, X[i], U_ce[i])
-            u_cb, codes[i], xi = breaker(start + i + 1, u_ce, xi)
-            add(u_cb, U_pr[i], u)
-            step(X[i], u, W[i], spec, X[i + 1])
+            _, codes[i], xi = breaker(start + i + 1, u_ce, xi)
+            held = codes[i] != BREAKER_CLEAR
+            matvec(np.where(held[:, None, None], A, M), X[i], X[i + 1])
+            add(X[i + 1], F[i], X[i + 1])
             i += 1
         if live:
             stop_at(start + count)

@@ -132,9 +132,11 @@ def step(x: np.ndarray, u: np.ndarray, w: np.ndarray, spec: PlantSpec,
     shape. It is written to ``out`` when given (x itself allowed), else to
     a new array, and returned. Every row of x' is the 1-D step of that
     row, bit for bit. No bound is checked here (see overflow_failures).
-    This is the one reference form of the dynamics: the clean-run loop of
-    run_trials writes out these operations in this order, with ``out``,
-    and must change with them.
+    This is the reference form of the dynamics and the regret audit's
+    boundary step (regret.TrialFold derives the state after a log's last
+    row with it). run_trials steps the same map in its kernel form,
+    x' = (A + B Khat) x + (B u_pr + w), whose states agree with this one
+    to rounding.
     """
     out = np.matvec(spec.sys.A, x, out)
     out += np.matvec(spec.sys.B, u)

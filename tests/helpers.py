@@ -3,7 +3,8 @@ a record cut into blocks, and a bit-for-bit check of two trial results.
 
 drive_trial deliberately reimplements the simulation loop at test level so
 harness results can be checked against an independently written loop: one
-trial, one step at a time, with its own scalar circuit breaker.
+trial, one step at a time, with its own scalar circuit breaker, stepping
+the plant in the harness's kernel form x' = M x + f.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from alqr.control_math import CostWeights, SystemMatrices
 from alqr.controller import (PROBE_EXPONENT, AdaptiveController,
                              ControllerConfig, dwell, threshold)
-from alqr.plant import STATE_NORM_GUARD, NoiseStream, PlantSpec, step
+from alqr.plant import STATE_NORM_GUARD, NoiseStream, PlantSpec
 from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER,
                           TrialRecord)
 
@@ -41,11 +42,14 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
     running dwell counts down (and holds the threshold check off until the
     step after it reaches zero), otherwise a feedback norm past threshold(k)
     trips it for dwell(k) further steps. Noise rows come from the trial's
-    NoiseStream blocks. Raises Diverged at the first step whose successor
-    state has a norm past STATE_NORM_GUARD (or a NaN norm), as the harness
-    reports it.
+    NoiseStream blocks. The plant steps in the kernel form, not by
+    plant.step: x' = M x + f with f = B u_pr + w, and M = A + B Khat on a
+    clear step, A on a breaker step. Raises Diverged at the first step
+    whose successor state has a norm past STATE_NORM_GUARD (or a NaN
+    norm), as the harness reports it.
     """
     n, m = spec.n, spec.m
+    A, B = spec.sys.A, spec.sys.B
     ctrl = AdaptiveController(config or ControllerConfig(), n, m, spec.cost)
     stream = NoiseStream(seed=seed, state_dim=n, input_dim=m)
     G = stream.block("w", 1, T)
@@ -82,7 +86,8 @@ def drive_trial(spec, T, seed, force_gain=None, config=None):
         breaker[k - 1] = code
         stage[k - 1] = float(x @ spec.cost.Q @ x + u @ spec.cost.R @ u)
         z = np.concatenate([x, u])
-        x = step(x, u, w, spec)
+        closed = A + B @ ctrl.Khat if code == BREAKER_CLEAR else A
+        x = closed @ x + (B @ u_pr + w)
         norm = np.linalg.norm(x)
         if not norm <= STATE_NORM_GUARD:
             raise Diverged(norm, k)

@@ -26,7 +26,7 @@ from alqr.harness import (BATCH_BYTES, CLEAN_SPAN_CAP, ExperimentConfig,
                           generate_stand_in_plant, resolve_workers,
                           run_experiment, run_trial, run_trials,
                           trial_batches, trial_seed)
-from alqr.plant import NOISE_CHUNK, PlantSpec, overflow_failures, step
+from alqr.plant import NOISE_CHUNK, PlantSpec, overflow_failures
 from alqr.records import (BREAKER_CLEAR, BREAKER_DWELL, BREAKER_TRIGGER,
                           load_gain_sidecar, load_trial_csv)
 from alqr.regret import decompose_at
@@ -136,13 +136,14 @@ def test_trial_is_deterministic(ref):
 
 def test_trial_matches_handwritten_loop(ref):
     # the helpers module drives the same closed loop one step at a time
-    # with its own breaker and no shared code beyond the gain update, the
-    # estimator and the plant step; run_trial works in noise chunks of 4096
-    # steps and feeds the estimator in blocks, so the cases cross chunk and
-    # 512-row fold boundaries. At W = 400 I the breaker trips and dwells
-    # all through the run. At W = 40 I it trips now and then, some trips
-    # after long clean stretches, so run_trial's clean runs have grown to
-    # CLEAN_SPAN_CAP steps there and rewind from deep inside them
+    # with its own breaker and its own kernel step x' = M x + f, and no
+    # shared code beyond the gain update and the estimator; run_trial
+    # works in noise chunks of 4096 steps and feeds the estimator in
+    # blocks, so the cases cross chunk and 512-row fold boundaries. At
+    # W = 400 I the breaker trips and dwells all through the run. At
+    # W = 40 I it trips now and then, some trips after long clean
+    # stretches, so run_trial's clean runs have grown to CLEAN_SPAN_CAP
+    # steps there and rewind from deep inside them
     spec, _ = ref
     big = reference_spec(n=8, m=4)
     # a dense SPD W, so chol W has nonzero entries below the diagonal
@@ -192,15 +193,19 @@ def test_trial_matches_handwritten_loop(ref):
 def assert_est_error_matches_oracle(result, config, label):
     """Each est_error_sq[j] is, bit for bit, the squared estimation_error
     of a fresh estimator fed the record's own pairs of steps 1..c, c the
-    checkpoint; at c = T the last successor state is one plant.step from
-    the last row, as regret.decompose_at derives it. From the failure
-    step on the value is NaN."""
+    checkpoint; at c = T the last successor state is the run's step
+    kernel x' = M x + (B u_pr + w) from the last row, M = A + B K with the
+    last gain segment's K, or A if the last code is not clear. From the
+    failure step on the value is NaN."""
     record, spec = result.record, config.plant
+    A, B = spec.sys.A, spec.sys.B
     U = record.U_cb + record.U_pr
     successors = record.X[1:]
     if not result.summary.failed:
-        successors = np.vstack([successors, step(
-            record.X[-1], U[-1], record.W[-1], spec)])
+        closed = (A + B @ record.gain_segments[-1][1]
+                  if record.breaker[-1] == BREAKER_CLEAR else A)
+        successors = np.vstack([successors, closed @ record.X[-1]
+                                + (B @ record.U_pr[-1] + record.W[-1])])
     end = result.summary.failure_step or config.horizon + 1
     for j, c in enumerate(config.checkpoints().tolist()):
         got = result.est_error_sq[j]

@@ -15,7 +15,7 @@ import pytest
 from alqr.control_math import CostWeights, solve_dare
 from alqr.harness import ExperimentConfig, run_trial
 from alqr.plant import NOISE_CHUNK, step
-from alqr.records import TrialRecord
+from alqr.records import BREAKER_CLEAR, TrialRecord
 from alqr.regret import TrialFold, decompose_at, row_norms, stage_costs
 from helpers import blocks_of, drive_trial, reference_spec
 
@@ -238,10 +238,12 @@ def test_r6_nonpositive_from_zero_start():
 
 
 def test_horizon_boundary_is_the_next_logged_state():
-    # the state after the last step is not in a record; decompose_at
-    # derives it with plant.step, and it must be the bits a trial one step
-    # longer logs there (noise is addressed by step, so the two trials
-    # agree on their common rows)
+    # the state after the last step is not in a record. A trial one step
+    # longer logs there the run's step kernel x' = M x + (B u_pr + w) of
+    # the last row, M = A + B K on a clear step (noise is addressed by
+    # step, so the two trials agree on their common rows); decompose_at
+    # derives it with plant.step, the audit's boundary step, which is the
+    # same map rounded in another order
     spec = reference_spec()
     oracle = solve_dare(spec.sys, spec.cost, spec.W)
     T = 4096
@@ -250,9 +252,16 @@ def test_horizon_boundary_is_the_next_logged_state():
                                    base_seed=3), 0, oracle).record
         for h in (T, T + 1))
     assert np.array_equal(longer.X[:T], short.X)
+    A, B = spec.sys.A, spec.sys.B
+    assert short.breaker[-1] == BREAKER_CLEAR
+    closed = A + B @ short.gain_segments[-1][1]
+    assert np.array_equal(
+        closed @ short.X[-1] + (B @ short.U_pr[-1] + short.W[-1]),
+        longer.X[T])
     x_next = step(short.X[-1], short.U_cb[-1] + short.U_pr[-1],
                   short.W[-1], spec)
-    assert np.array_equal(x_next, longer.X[T])
+    # here they differ by 4.4e-16 at most, 3.3e-16 relative
+    assert np.allclose(x_next, longer.X[T], rtol=1e-14, atol=0.0)
     P, x1 = oracle.P_star, short.X[0]
     report = decompose_at(short, oracle, spec, [T])[0]
     assert report.R6 == float(x1 @ P @ x1 - x_next @ P @ x_next)
